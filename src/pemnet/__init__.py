@@ -85,7 +85,7 @@ from .pem import (
     pem_lc,
     pem_lccf,
     pem_lcrc,
-    sample_lagged_corr,
+    sample_lagged_corrs,
     sample_lagged_cov,
     save_pem,
 )

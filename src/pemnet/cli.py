@@ -71,12 +71,36 @@ def _add_dyn_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _echo(args: argparse.Namespace, keys: list[str]) -> None:
-    resolved = " ".join(f"{k.replace('_', '-')}={getattr(args, k)}" for k in keys)
+    def show(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else value
+
+    resolved = " ".join(f"{k.replace('_', '-')}={show(getattr(args, k))}" for k in keys)
     print(f"config: {resolved}")
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _csv_of(conv):
+    """An argparse type that parses a comma-separated list of conv values."""
+    def parse(text: str) -> list:
+        try:
+            return [conv(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {conv.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _dt_tau_arg(text: str):
+    """An argparse type for --dt-tau: a number or 'auto'."""
+    if text == AUTO:
+        return AUTO
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or {AUTO!r}, got {text!r}"
+        ) from None
 
 
 def cmd_generate(args) -> int:
@@ -112,9 +136,8 @@ def cmd_simulate(args) -> int:
 def cmd_infer(args) -> int:
     _echo(args, ["ts", "pem", "dt_tau", "delta_hat", "out"])
     ts = load_time_series(args.ts)
-    dt_tau = AUTO if args.dt_tau == AUTO else float(args.dt_tau)
     t0 = time.perf_counter()
-    pem = compute_pem(ts, args.pem, dt_tau=dt_tau, delta_hat=args.delta_hat)
+    pem = compute_pem(ts, args.pem, dt_tau=args.dt_tau, delta_hat=args.delta_hat)
     wall = time.perf_counter() - t0
     save_pem(pem, args.out)
     print(f"wrote {args.out}: pem={pem.kind} n={pem.n} wall_time_s={wall:.6g}")
@@ -152,14 +175,11 @@ _SWEEP_LIST_FLAGS = [
 
 
 def cmd_sweep(args) -> int:
-    grid = {}
-    for key, _, dest, conv in _SWEEP_LIST_FLAGS:
-        raw = getattr(args, dest)
-        if raw is not None:
-            grid[key] = [conv(tok) for tok in raw.split(",") if tok]
-    pems = tuple(tok for tok in args.pems.split(",") if tok)
+    grid = {key: getattr(args, dest) for key, _, dest, _ in _SWEEP_LIST_FLAGS
+            if getattr(args, dest) is not None}
     spec = bench.SweepSpec(grid=grid, trials=args.trials, seed=args.seed,
-                           pems=pems, dt_tau=args.dt_tau_mode, jobs=args.jobs)
+                           pems=tuple(args.pems), dt_tau=args.dt_tau_mode,
+                           jobs=args.jobs)
     _echo(args, ["trials", "seed", "pems", "dt_tau_mode", "jobs", "out"])
     print(f"grid: {grid or '(single default cell)'}")
     records = bench.sweep(spec)
@@ -172,9 +192,9 @@ def cmd_sweep(args) -> int:
 def cmd_motif_table(args) -> int:
     _echo(args, ["k_list", "lmax", "dt_tau", "eps", "sigma", "tau", "n", "out"])
     rows = motifs.contribution_table(
-        _csv_ints(args.k_list), args.lmax,
+        args.k_list, args.lmax,
         eps=args.eps, tau=args.tau, sigma=args.sigma, n=args.n,
-        dt_tau=float(args.dt_tau),
+        dt_tau=args.dt_tau,
     )
     motifs.write_contribution_table(rows, args.out)
     peaks = [(r.k, r.l_b, r.l_f) for r in rows if r.is_argmax]
@@ -186,9 +206,8 @@ def cmd_bench_time(args) -> int:
     _echo(args, ["pems", "n_list", "n_obs_list", "delta_hat_list",
                  "trials", "seed", "out"])
     rows = bench.run_timing(
-        [tok for tok in args.pems.split(",") if tok],
-        _csv_ints(args.n_list), _csv_ints(args.n_obs_list),
-        _csv_ints(args.delta_hat_list), trials=args.trials, seed=args.seed,
+        args.pems, args.n_list, args.n_obs_list, args.delta_hat_list,
+        trials=args.trials, seed=args.seed,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(bench.TIMING_CSV_HEADER + "\n")
@@ -223,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ts", required=True, help="input time-series path")
     p.add_argument("--pem", default="lcrc", choices=list(PEM_KINDS),
                    help="edge measure " + _DEFAULTS_HELP)
-    p.add_argument("--dt-tau", default=AUTO,
+    p.add_argument("--dt-tau", type=_dt_tau_arg, default=AUTO,
                    help="dt/tau value or 'auto' " + _DEFAULTS_HELP)
     p.add_argument("--delta-hat", type=int, default=0,
                    help="assumed max edge lag " + _DEFAULTS_HELP)
@@ -235,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("sweep", help="run a seeded parameter sweep to CSV")
-    for key, flag, dest, _ in _SWEEP_LIST_FLAGS:
-        p.add_argument(flag, dest=dest, default=None,
+    for key, flag, dest, conv in _SWEEP_LIST_FLAGS:
+        p.add_argument(flag, dest=dest, type=_csv_of(conv), default=None,
                        help=f"comma-separated values for {key}")
-    p.add_argument("--pems", default="lcrc",
+    p.add_argument("--pems", type=_csv_of(str), default="lcrc",
                    help="comma-separated edge measures " + _DEFAULTS_HELP)
     p.add_argument("--trials", type=int, default=100,
                    help="trials per grid cell " + _DEFAULTS_HELP)
@@ -251,10 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("motif-table", help="tabulate analytical motif contributions")
-    p.add_argument("--k-list", default="0", help="comma-separated lags " + _DEFAULTS_HELP)
+    p.add_argument("--k-list", type=_csv_of(int), default="0",
+                   help="comma-separated lags " + _DEFAULTS_HELP)
     p.add_argument("--lmax", type=int, default=3,
                    help="max walk length per side " + _DEFAULTS_HELP)
-    p.add_argument("--dt-tau", default="0.5", help="dt/tau " + _DEFAULTS_HELP)
+    p.add_argument("--dt-tau", type=float, default=0.5, help="dt/tau " + _DEFAULTS_HELP)
     p.add_argument("--eps", type=float, default=0.9, help="coupling " + _DEFAULTS_HELP)
     p.add_argument("--sigma", type=float, default=1.0, help="noise " + _DEFAULTS_HELP)
     p.add_argument("--tau", type=float, default=1.0,
@@ -264,12 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_motif_table)
 
     p = sub.add_parser("bench-time", help="time edge measures over size grids")
-    p.add_argument("--pems", default="lcrc,lccf,lc,gc",
+    p.add_argument("--pems", type=_csv_of(str), default="lcrc,lccf,lc,gc",
                    help="comma-separated edge measures " + _DEFAULTS_HELP)
-    p.add_argument("--n-list", default="10", help="node counts " + _DEFAULTS_HELP)
-    p.add_argument("--n-obs-list", default="1000",
+    p.add_argument("--n-list", type=_csv_of(int), default="10",
+                   help="node counts " + _DEFAULTS_HELP)
+    p.add_argument("--n-obs-list", type=_csv_of(int), default="1000",
                    help="observation counts " + _DEFAULTS_HELP)
-    p.add_argument("--delta-hat-list", default="0",
+    p.add_argument("--delta-hat-list", type=_csv_of(int), default="0",
                    help="assumed max lags " + _DEFAULTS_HELP)
     p.add_argument("--trials", type=int, default=10,
                    help="trials per grid point " + _DEFAULTS_HELP)

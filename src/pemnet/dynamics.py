@@ -6,7 +6,7 @@ The model iterates, with z = dt / tau,
 
 where A_k couples inputs with transmission lag k - 1 and each component of dw_t
 is Gaussian with variance dt / n. The recurrence runs in a compiled kernel when
-the extension built; set PEMNET_PURE_PYTHON=1 to force the numpy fallback.
+the extension built and in a numpy fallback otherwise (BACKEND names which).
 Results are bit-reproducible for a fixed backend; the two backends agree to
 floating-point accumulation order.
 """
@@ -14,7 +14,6 @@ floating-point accumulation order.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -29,19 +28,14 @@ from .errors import (
 )
 from .numerics import spectral_radius
 
-if os.environ.get("PEMNET_PURE_PYTHON"):
+try:
+    from ._sdd_core import sdd_recurrence
+
+    BACKEND = "cython"
+except ImportError:
     from ._sdd_py import sdd_recurrence
 
     BACKEND = "python"
-else:
-    try:
-        from ._sdd_core import sdd_recurrence
-
-        BACKEND = "cython"
-    except ImportError:
-        from ._sdd_py import sdd_recurrence
-
-        BACKEND = "python"
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ lagged-covariance orientation <x_{t+k*dt} x_t^T>. Diagonals are set to NaN and
 excluded from ranking. The corrected measures subtract alpha times the lag-0
 correlation from the lag-1 correlation, with alpha chosen so that either the
 shared-driver motif (1,1) or the reversed-edge motif (1,0) cancels exactly.
+lc, lccf and lcrc all read one stack of lagged correlations, in which each lag
+is computed once (sample_lagged_corrs).
 """
 
 from __future__ import annotations
@@ -73,14 +75,21 @@ def sample_lagged_cov(ts: TimeSeries, k: int) -> np.ndarray:
     return x[k:].T @ x[: n_obs - k] / (n_obs - k - 1)
 
 
-def sample_lagged_corr(ts: TimeSeries, k: int) -> np.ndarray:
-    """Lag-k sample correlation, normalized by the lag-0 standard deviations."""
-    s0_diag = np.diag(sample_lagged_cov(ts, 0))
+def sample_lagged_corrs(ts: TimeSeries, k_max: int) -> np.ndarray:
+    """Lag-0..k_max sample correlations as a (k_max + 1, n, n) stack.
+
+    Each lag-k covariance is computed once and normalized by the lag-0
+    standard deviations.
+    """
+    if k_max < 0:
+        raise ConfigurationError(f"max lag must be >= 0, got {k_max}")
+    covs = np.stack([sample_lagged_cov(ts, k) for k in range(k_max + 1)])
+    s0_diag = np.diag(covs[0])
     bad = np.flatnonzero(s0_diag <= 0.0)
     if bad.size:
         raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
     scale = np.sqrt(s0_diag)
-    return sample_lagged_cov(ts, k) / np.outer(scale, scale)
+    return covs / np.outer(scale, scale)
 
 
 def alpha_lccf(dt_tau: float) -> CorrectionFactor:
@@ -131,7 +140,7 @@ def pem_lc(ts: TimeSeries) -> PEMMatrix:
     """Plain lag-1 correlation."""
     if ts.n_obs < 3:
         raise DataError(f"need at least 3 observations, got {ts.n_obs}")
-    return PEMMatrix(_with_nan_diagonal(sample_lagged_corr(ts, 1)), "lc")
+    return PEMMatrix(_with_nan_diagonal(sample_lagged_corrs(ts, 1)[1]), "lc")
 
 
 def _resolve_dt_tau(ts: TimeSeries, dt_tau) -> tuple[float, tuple[str, ...]]:
@@ -154,10 +163,8 @@ def _corrected_pem(ts, dt_tau, delta_hat, kind, alpha_fn) -> PEMMatrix:
         raise DataError(f"need N >= delta_hat + 3, got N={ts.n_obs}")
     z, flags = _resolve_dt_tau(ts, dt_tau)
     alpha = alpha_fn(z).alpha
-    best = None
-    for lag in range(delta_hat + 1):
-        f = sample_lagged_corr(ts, lag + 1) - alpha * sample_lagged_corr(ts, lag)
-        best = f if best is None else np.maximum(best, f)
+    corrs = sample_lagged_corrs(ts, delta_hat + 1)
+    best = (corrs[1:] - alpha * corrs[:-1]).max(axis=0)
     params = {"dt_tau": z, "delta_hat": delta_hat, "alpha": alpha}
     return PEMMatrix(_with_nan_diagonal(best), kind, params, flags)
 

@@ -181,6 +181,21 @@ class TestCliContract:
             run(["generate", "--bogus", 1])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--ts", "ts.txt", "--dt-tau", "abc", "--out", "pem.txt"],
+        ["sweep", "--n-list", "10,x", "--out", "sweep.csv"],
+        ["sweep", "--dt-list", "0.5,fast", "--out", "sweep.csv"],
+        ["motif-table", "--k-list", "0,one", "--out", "t.csv"],
+        ["motif-table", "--dt-tau", "half", "--out", "t.csv"],
+        ["bench-time", "--n-list", "10,2x", "--out", "timing.csv"],
+        ["bench-time", "--n-obs-list", "1e3", "--out", "timing.csv"],
+    ])
+    def test_malformed_number_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
+
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["simulate", "--help"])

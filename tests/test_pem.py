@@ -6,6 +6,7 @@ from pemnet.dynamics import SDDParams, TimeSeries, simulate_sdd
 from pemnet.errors import ConfigurationError, DataError
 from pemnet.graphs import DirectedGraph, normalize_adjacency
 from pemnet.numerics import solve_discrete_lyapunov
+import pemnet.pem
 from pemnet.pem import (
     AUTO,
     PEMMatrix,
@@ -19,7 +20,7 @@ from pemnet.pem import (
     pem_lc,
     pem_lccf,
     pem_lcrc,
-    sample_lagged_corr,
+    sample_lagged_corrs,
     sample_lagged_cov,
     save_pem,
 )
@@ -80,18 +81,18 @@ class TestSampleLaggedCorr:
     def test_unit_diagonal_exact(self):
         rng = np.random.default_rng(2)
         ts = TimeSeries(values=rng.standard_normal((500, 4)), dt=1.0)
-        assert_allclose(np.diag(sample_lagged_corr(ts, 0)), 1.0, rtol=1e-14)
+        assert_allclose(np.diag(sample_lagged_corrs(ts, 0)[0]), 1.0, rtol=1e-14)
 
     def test_lag0_symmetry(self):
         rng = np.random.default_rng(3)
         ts = TimeSeries(values=rng.standard_normal((500, 4)), dt=1.0)
-        r0 = sample_lagged_corr(ts, 0)
+        r0 = sample_lagged_corrs(ts, 0)[0]
         assert np.abs(r0 - r0.T).max() < 1e-14
 
     def test_memoryful_autocorrelation(self):
         params = SDDParams(n_obs=100_000, seed=4)  # dt_tau = 0.5
         ts = simulate_sdd(zero_mats(), params)
-        r1 = sample_lagged_corr(ts, 1)
+        r1 = sample_lagged_corrs(ts, 1)[1]
         assert np.abs(np.diag(r1) - 0.5).max() < 4.0 / np.sqrt(ts.n_obs)
 
     def test_zero_variance_names_node(self):
@@ -99,7 +100,75 @@ class TestSampleLaggedCorr:
         values[:, 1] = 2.5
         ts = TimeSeries(values=values, dt=1.0)
         with pytest.raises(DataError, match="node 1"):
-            sample_lagged_corr(ts, 0)
+            sample_lagged_corrs(ts, 0)
+
+    def test_stack_shape_and_lags(self):
+        rng = np.random.default_rng(13)
+        ts = TimeSeries(values=rng.standard_normal((300, 4)), dt=1.0)
+        corrs = sample_lagged_corrs(ts, 3)
+        assert corrs.shape == (4, 4, 4)
+        for k in range(4):
+            assert np.array_equal(corrs[k], corr_reference(ts, k))
+
+    def test_negative_max_lag(self):
+        ts = TimeSeries(values=np.zeros((10, 2)), dt=1.0)
+        with pytest.raises(ConfigurationError):
+            sample_lagged_corrs(ts, -1)
+
+
+def corr_reference(ts, k):
+    """Lag-k correlation formed one lag at a time: the reference for the stack."""
+    scale = np.sqrt(np.diag(sample_lagged_cov(ts, 0)))
+    return sample_lagged_cov(ts, k) / np.outer(scale, scale)
+
+
+def per_lag_reference(ts, kind, dt_tau, delta_hat):
+    """The corrected score as a loop over lags, one correlation pair at a time."""
+    z = estimate_tau_inv(ts).dt_tau if dt_tau == AUTO else dt_tau
+    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z).alpha
+    best = None
+    for lag in range(delta_hat + 1):
+        f = corr_reference(ts, lag + 1) - alpha * corr_reference(ts, lag)
+        best = f if best is None else np.maximum(best, f)
+    return best
+
+
+class TestLagStack:
+    @pytest.fixture(scope="class")
+    def ts(self):
+        g = graph_with_cycle([(0, 1), (1, 2), (0, 3)], n=6)
+        _, mats = normalize_adjacency(g)
+        return simulate_sdd(mats, SDDParams(n_obs=2000, seed=31))
+
+    @pytest.mark.parametrize("kind", ["lccf", "lcrc"])
+    @pytest.mark.parametrize("delta_hat", [0, 5, 8])
+    @pytest.mark.parametrize("dt_tau", [0.5, AUTO])
+    def test_corrected_matches_per_lag_loop(self, ts, kind, delta_hat, dt_tau):
+        got = compute_pem(ts, kind, dt_tau=dt_tau, delta_hat=delta_hat).values
+        want = per_lag_reference(ts, kind, dt_tau, delta_hat)
+        assert np.array_equal(off_diag(got), off_diag(want))
+
+    def test_lc_matches_lag1_correlation(self, ts):
+        want = corr_reference(ts, 1)
+        assert np.array_equal(off_diag(pem_lc(ts).values), off_diag(want))
+
+    @pytest.mark.parametrize("kind", ["lccf", "lcrc"])
+    @pytest.mark.parametrize(
+        "dt_tau, delta_hat, calls",
+        [(0.5, 0, 2), (0.5, 5, 7), (0.5, 8, 10), (AUTO, 0, 4), (AUTO, 5, 9)],
+    )
+    def test_each_lag_computed_once(self, ts, monkeypatch, kind, dt_tau,
+                                    delta_hat, calls):
+        count = []
+        real = pemnet.pem.sample_lagged_cov
+
+        def counting(series, k):
+            count.append(k)
+            return real(series, k)
+
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", counting)
+        compute_pem(ts, kind, dt_tau=dt_tau, delta_hat=delta_hat)
+        assert len(count) == calls
 
 
 class TestCorrectionFactors:
@@ -179,7 +248,7 @@ class TestPemCorrected:
         ts = simulate_sdd(ring_mats(), SDDParams(seed=9))
         alpha = alpha_lccf(0.5).alpha
         got = pem_lccf(ts, dt_tau=0.5, delta_hat=0).values
-        want = pem_lc(ts).values - alpha * sample_lagged_corr(ts, 0)
+        want = pem_lc(ts).values - alpha * sample_lagged_corrs(ts, 0)[0]
         assert np.abs(off_diag(got) - off_diag(want)).max() < 1e-14
 
     def test_lcrc_equals_lccf_at_unit_dt_tau(self):
