@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,15 +24,19 @@ from .graphs import (
     gen_graph_non_nilpotent,
     normalize_adjacency,
 )
-from .pem import AUTO, PEMMatrix, compute_pem
+from .pem import AUTO, PEM_KINDS, PEMMatrix, compute_pem
 
-SWEEP_CSV_HEADER = (
-    "model,n,d_e,r_e,delta,delta_hat,eps,tau,dt,sigma,eta,N,"
-    "pem,trial,seed,accuracy,wall_time_s,error"
+# Every sweep grid key with the type of its values, in cell and CSV order.
+# N is SDDParams.n_obs; delta sets both the graph's and the dynamics' max lag.
+GRID_KEYS = {
+    "model": str, "n": int, "d_e": float, "r_e": float, "delta": int,
+    "delta_hat": int, "eps": float, "tau": float, "dt": float,
+    "sigma": float, "eta": float, "N": int,
+}
+
+SWEEP_CSV_HEADER = ",".join(
+    [*GRID_KEYS, "pem", "trial", "seed", "accuracy", "wall_time_s", "error"]
 )
-
-_GRID_KEYS = ("model", "n", "d_e", "r_e", "delta", "delta_hat",
-              "eps", "tau", "dt", "sigma", "eta", "N")
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,12 +65,9 @@ def threshold_pem(pem: PEMMatrix, m: int) -> DirectedGraph:
     n = pem.n
     if not 1 <= m <= n * (n - 1):
         raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
-    ranked = sorted(
-        (-pem.values[i, j], i, j)
-        for i in range(n) for j in range(n) if i != j
-    )
-    edges = tuple((j, i) for _, i, j in ranked[:m])
-    return DirectedGraph(n, edges)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major positions
+    top = np.argsort(-pem.values[rows, cols], kind="stable")[:m]
+    return DirectedGraph(n, tuple(zip(cols[top].tolist(), rows[top].tolist())))
 
 
 def accuracy(inferred: DirectedGraph, truth: DirectedGraph) -> float:
@@ -202,9 +203,8 @@ def run_trial(
 class SweepSpec:
     """Cartesian parameter grid with per-cell trial count and a master seed.
 
-    grid maps any of model, n, d_e, r_e, delta, delta_hat, eps, tau, dt,
-    sigma, eta, N to a list of values; unlisted parameters stay at their
-    defaults. dt_tau is "true" or "auto".
+    grid maps any of the GRID_KEYS to a list of values; unlisted parameters
+    stay at their defaults. dt_tau is "true" or "auto".
     """
 
     grid: dict = field(default_factory=dict)
@@ -216,7 +216,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for key in self.grid:
-            if key not in _GRID_KEYS:
+            if key not in GRID_KEYS:
                 raise ConfigurationError(f"unknown sweep parameter {key!r}")
         if any(len(v) == 0 for v in self.grid.values()):
             raise ConfigurationError("sweep grid has an empty value list")
@@ -224,60 +224,51 @@ class SweepSpec:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
         if not self.pems:
             raise ConfigurationError("no edge measures requested")
+        for kind in self.pems:
+            if kind not in PEM_KINDS:
+                raise ConfigurationError(
+                    f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}"
+                )
 
     def cells(self) -> list[dict]:
-        keys = [k for k in _GRID_KEYS if k in self.grid]
         out = [{}]
-        for key in keys:
-            out = [dict(cell, **{key: v}) for cell in out for v in self.grid[key]]
+        for key in GRID_KEYS:
+            if key in self.grid:
+                out = [dict(cell, **{key: v}) for cell in out for v in self.grid[key]]
         return out
 
 
+_GRAPH_FIELDS = {f.name for f in fields(GraphConfig)}
+_SDD_FIELDS = {f.name for f in fields(SDDParams)}
+
+
 def _cell_setup(cell: dict):
-    config = GraphConfig(
-        model=cell.get("model", "gnm"),
-        n=int(cell.get("n", 10)),
-        d_e=float(cell.get("d_e", 0.5)),
-        r_e=float(cell.get("r_e", 0.5)),
-        delta=int(cell.get("delta", 0)),
-    )
-    params = SDDParams(
-        eps=float(cell.get("eps", 0.9)),
-        tau=float(cell.get("tau", 1.0)),
-        dt=float(cell.get("dt", 0.5)),
-        sigma=float(cell.get("sigma", 0.2)),
-        eta=float(cell.get("eta", 0.0)),
-        delta=int(cell.get("delta", 0)),
-        n_obs=int(cell.get("N", 1000)),
-    )
-    delta_hat = cell.get("delta_hat")
-    return config, params, None if delta_hat is None else int(delta_hat)
+    values = {("n_obs" if key == "N" else key): GRID_KEYS[key](v)
+              for key, v in cell.items()}
+    config = GraphConfig(**{k: v for k, v in values.items() if k in _GRAPH_FIELDS})
+    params = SDDParams(**{k: v for k, v in values.items() if k in _SDD_FIELDS})
+    return config, params, values.get("delta_hat")
 
 
 def _sweep_task(args):
     spec, cell_index, cell, trial = args
     config, params, delta_hat = _cell_setup(cell)
-    seed = derive_seed(spec.seed, cell_index, trial)
-    dt_tau = AUTO if spec.dt_tau == "auto" else None
-    try:
-        return run_trial(config, params, list(spec.pems), seed,
-                         delta_hat=delta_hat, dt_tau=dt_tau, trial=trial)
-    except PemnetError as exc:
-        d_hat = config.delta if delta_hat is None else delta_hat
-        return [
-            TrialRecord(config, params, kind, d_hat, trial, seed, error=str(exc))
-            for kind in spec.pems
-        ]
+    return run_trial(config, params, list(spec.pems),
+                     derive_seed(spec.seed, cell_index, trial),
+                     delta_hat=delta_hat,
+                     dt_tau=AUTO if spec.dt_tau == "auto" else None, trial=trial)
 
 
-def sweep(spec: SweepSpec) -> list[TrialRecord]:
-    """Run the full grid; failures become records with a non-empty error field.
+def _run_cells(spec: SweepSpec, cells: list[dict]) -> list[TrialRecord]:
+    """Run spec.trials trials of each cell, trial t of cell i seeded by
+    derive_seed(spec.seed, i, t); serial, or in spec.jobs worker processes.
 
-    Output ordering and content are independent of spec.jobs.
+    Records come cell by cell, trial by trial, one per measure, whatever the
+    number of jobs.
     """
     tasks = [
         (spec, cell_index, cell, trial)
-        for cell_index, cell in enumerate(spec.cells())
+        for cell_index, cell in enumerate(cells)
         for trial in range(spec.trials)
     ]
     if spec.jobs > 1:
@@ -286,6 +277,14 @@ def sweep(spec: SweepSpec) -> list[TrialRecord]:
     else:
         chunks = [_sweep_task(t) for t in tasks]
     return [record for chunk in chunks for record in chunk]
+
+
+def sweep(spec: SweepSpec) -> list[TrialRecord]:
+    """Run the full grid; failures become records with a non-empty error field.
+
+    Output ordering and content are independent of spec.jobs.
+    """
+    return _run_cells(spec, spec.cells())
 
 
 def _fmt(value) -> str:
@@ -297,14 +296,14 @@ def _fmt(value) -> str:
 def sweep_rows(records: list[TrialRecord]) -> list[str]:
     rows = []
     for r in records:
-        fields = [
+        values = [
             r.config.model, r.config.n, r.config.d_e, r.config.r_e,
             r.config.delta, r.delta_hat, r.params.eps, r.params.tau,
             r.params.dt, r.params.sigma, r.params.eta, r.params.n_obs,
             r.pem_kind, r.trial, r.seed, r.accuracy, r.wall_time_s,
             r.error.replace(",", ";").replace("\n", " "),
         ]
-        rows.append(",".join(_fmt(f) for f in fields))
+        rows.append(",".join(_fmt(v) for v in values))
     return rows
 
 
@@ -332,23 +331,18 @@ def run_timing(
     from the defaults n=10, N=1000, delta_hat=0; wall time covers the measure
     computation only.
     """
-    rows = []
-    grids = [
-        ("n", [{"n": v} for v in n_values]),
-        ("N", [{"N": v} for v in n_obs_values]),
-        ("delta_hat", [{"delta_hat": v, "delta": v} for v in delta_hat_values]),
+    spec = SweepSpec(trials=trials, seed=seed, pems=tuple(pems))
+    cells = (
+        [("n", {"n": v}) for v in n_values]
+        + [("N", {"N": v}) for v in n_obs_values]
+        + [("delta_hat", {"delta_hat": v, "delta": v}) for v in delta_hat_values]
+    )
+    records = _run_cells(spec, [cell for _, cell in cells])
+    varied = [name for name, _ in cells for _ in range(trials * len(pems))]
+    return [
+        ",".join(_fmt(f) for f in (
+            name, rec.config.n, rec.params.n_obs, rec.delta_hat,
+            rec.pem_kind, rec.trial, rec.seed, rec.wall_time_s,
+        ))
+        for name, rec in zip(varied, records)
     ]
-    cell_index = 0
-    for varied, cells in grids:
-        for cell in cells:
-            config, params, delta_hat = _cell_setup(cell)
-            for trial in range(trials):
-                trial_seed = derive_seed(seed, cell_index, trial)
-                for rec in run_trial(config, params, pems, trial_seed,
-                                     delta_hat=delta_hat, trial=trial):
-                    rows.append(",".join(_fmt(f) for f in (
-                        varied, rec.config.n, rec.params.n_obs, rec.delta_hat,
-                        rec.pem_kind, trial, trial_seed, rec.wall_time_s,
-                    )))
-            cell_index += 1
-    return rows

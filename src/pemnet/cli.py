@@ -27,6 +27,7 @@ from .errors import (
     PemnetError,
 )
 from .graphs import (
+    GRAPH_MODELS,
     GraphConfig,
     assign_lags,
     gen_graph_non_nilpotent,
@@ -41,32 +42,34 @@ _DEFAULTS_HELP = "(default: %(default)s)"
 
 
 def _add_graph_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default="gnm", choices=["gnm", "er", "ba", "rr", "sw"],
+    p.add_argument("--model", default=GraphConfig.model, choices=list(GRAPH_MODELS),
                    help="graph model " + _DEFAULTS_HELP)
-    p.add_argument("--n", type=int, default=10, help="node count " + _DEFAULTS_HELP)
-    p.add_argument("--d-e", type=float, default=0.5, help="edge density " + _DEFAULTS_HELP)
-    p.add_argument("--r-e", type=float, default=0.5,
+    p.add_argument("--n", type=int, default=GraphConfig.n,
+                   help="node count " + _DEFAULTS_HELP)
+    p.add_argument("--d-e", type=float, default=GraphConfig.d_e,
+                   help="edge density " + _DEFAULTS_HELP)
+    p.add_argument("--r-e", type=float, default=GraphConfig.r_e,
                    help="edge reciprocity " + _DEFAULTS_HELP)
-    p.add_argument("--delta", type=int, default=0,
+    p.add_argument("--delta", type=int, default=GraphConfig.delta,
                    help="max edge transmission lag " + _DEFAULTS_HELP)
-    p.add_argument("--rewire-p", type=float, default=0.1,
+    p.add_argument("--rewire-p", type=float, default=GraphConfig.rewire_p,
                    help="small-world rewiring probability " + _DEFAULTS_HELP)
 
 
 def _add_dyn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=0.9,
+    p.add_argument("--eps", type=float, default=SDDParams.eps,
                    help="coupling strength " + _DEFAULTS_HELP)
-    p.add_argument("--tau", type=float, default=1.0,
+    p.add_argument("--tau", type=float, default=SDDParams.tau,
                    help="characteristic time " + _DEFAULTS_HELP)
-    p.add_argument("--dt", type=float, default=0.5,
+    p.add_argument("--dt", type=float, default=SDDParams.dt,
                    help="sampling period " + _DEFAULTS_HELP)
-    p.add_argument("--sigma", type=float, default=0.2,
+    p.add_argument("--sigma", type=float, default=SDDParams.sigma,
                    help="system noise strength " + _DEFAULTS_HELP)
-    p.add_argument("--eta", type=float, default=0.0,
+    p.add_argument("--eta", type=float, default=SDDParams.eta,
                    help="measurement noise strength " + _DEFAULTS_HELP)
-    p.add_argument("--n-obs", type=int, default=1000,
+    p.add_argument("--n-obs", type=int, default=SDDParams.n_obs,
                    help="number of observations " + _DEFAULTS_HELP)
-    p.add_argument("--burn-in", type=float, default=None,
+    p.add_argument("--burn-in", type=float, default=SDDParams.burn_in,
                    help="burn-in time units (default: 20*tau)")
 
 
@@ -157,26 +160,15 @@ def cmd_infer(args) -> int:
     return 0
 
 
-_SWEEP_LIST_FLAGS = [
-    # (grid key, flag, dest, converter)
-    ("model", "--model-list", "model_list", str),
-    ("n", "--n-list", "n_list", int),
-    ("d_e", "--d-e-list", "d_e_list", float),
-    ("r_e", "--r-e-list", "r_e_list", float),
-    ("delta", "--delta-list", "delta_list", int),
-    ("delta_hat", "--delta-hat-list", "delta_hat_list", int),
-    ("eps", "--eps-list", "eps_list", float),
-    ("tau", "--tau-list", "tau_list", float),
-    ("dt", "--dt-list", "dt_list", float),
-    ("sigma", "--sigma-list", "sigma_list", float),
-    ("eta", "--eta-list", "eta_list", float),
-    ("N", "--n-obs-list", "n_obs_list", int),
-]
+def _list_dest(key: str) -> str:
+    """The dest of the sweep flag for a grid key: --n-list for n, and so on;
+    the observation count N is --n-obs-list, as in simulate."""
+    return ("n_obs" if key == "N" else key) + "_list"
 
 
 def cmd_sweep(args) -> int:
-    grid = {key: getattr(args, dest) for key, _, dest, _ in _SWEEP_LIST_FLAGS
-            if getattr(args, dest) is not None}
+    lists = {key: getattr(args, _list_dest(key)) for key in bench.GRID_KEYS}
+    grid = {key: values for key, values in lists.items() if values is not None}
     spec = bench.SweepSpec(grid=grid, trials=args.trials, seed=args.seed,
                            pems=tuple(args.pems), dt_tau=args.dt_tau_mode,
                            jobs=args.jobs)
@@ -254,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("sweep", help="run a seeded parameter sweep to CSV")
-    for key, flag, dest, conv in _SWEEP_LIST_FLAGS:
-        p.add_argument(flag, dest=dest, type=_csv_of(conv), default=None,
-                       help=f"comma-separated values for {key}")
+    for key, conv in bench.GRID_KEYS.items():
+        p.add_argument("--" + _list_dest(key).replace("_", "-"), type=_csv_of(conv),
+                       default=None, help=f"comma-separated values for {key}")
     p.add_argument("--pems", type=_csv_of(str), default="lcrc",
                    help="comma-separated edge measures " + _DEFAULTS_HELP)
     p.add_argument("--trials", type=int, default=100,

@@ -69,17 +69,18 @@ def _pattern_nilpotent(pattern: np.ndarray) -> bool:
 
     Uses repeated boolean squaring; equivalent to the digraph of non-zero
     entries having no directed cycle, which forces A^n = 0 exactly for any
-    values on that pattern.
+    values on that pattern. The squares are float64 products of 0/1 matrices
+    (BLAS; numpy's integer matmul has none), exact since every entry is <= n.
     """
     n = pattern.shape[0]
-    p = pattern.astype(np.uint8)
+    p = pattern.astype(float)
     power = 1
     while True:
         if not p.any():
             return True
         if power >= n:
             return False
-        p = ((p.astype(np.int64) @ p) > 0).astype(np.uint8)
+        p = ((p @ p) > 0).astype(float)
         power *= 2
 
 

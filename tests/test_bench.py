@@ -1,8 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from pemnet.bench import (
+    GRID_KEYS,
     SWEEP_CSV_HEADER,
     SweepSpec,
     accuracy,
@@ -27,6 +31,15 @@ def pem_from(values):
     out = values.copy()
     np.fill_diagonal(out, np.nan)
     return PEMMatrix(out, "lc")
+
+
+def threshold_by_tuple_sort(values, m):
+    # reference: rank (-score, row, col) tuples, as threshold_pem once did
+    n = values.shape[0]
+    ranked = sorted(
+        (-values[i, j], i, j) for i in range(n) for j in range(n) if i != j
+    )
+    return {(j, i) for _, i, j in ranked[:m]}
 
 
 class TestThreshold:
@@ -54,6 +67,18 @@ class TestThreshold:
         # 1->0, 2->0, 0->1
         g = threshold_pem(pem_from(np.ones((3, 3))), 3)
         assert set(g.edges) == {(1, 0), (2, 0), (0, 1)}
+
+    def test_matches_tuple_sort_with_ties(self):
+        rng = np.random.default_rng(6)
+        for case in range(300):
+            n = int(rng.integers(2, 13))
+            if case % 2:
+                values = rng.standard_normal((n, n)).round(1)
+            else:  # heavy ties, with both signed zeros
+                values = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(n, n))
+            m = int(rng.integers(1, n * (n - 1) + 1))
+            g = threshold_pem(pem_from(values), m)
+            assert set(g.edges) == threshold_by_tuple_sort(values, m)
 
     def test_m_out_of_range(self):
         pem = pem_from(np.ones((3, 3)))
@@ -242,6 +267,18 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             SweepSpec(grid={"bogus": [1]})
 
+    def test_cell_keys_map_onto_configs_and_columns(self):
+        grid = {"N": ["500"], "delta": [2], "eps": [0.5]}
+        records = sweep(SweepSpec(grid=grid, trials=1, pems=("lc",)))
+        (r,) = records
+        assert r.config == GraphConfig(delta=2)
+        assert r.params == SDDParams(delta=2, eps=0.5, n_obs=500)
+        assert r.delta_hat == 2
+        row = dict(zip(SWEEP_CSV_HEADER.split(","), sweep_rows(records)[0].split(",")))
+        assert list(row)[: len(GRID_KEYS)] == list(GRID_KEYS)
+        assert (row["N"], row["delta"], row["delta_hat"], row["eps"]) == (
+            "500", "2", "2", "0.5")
+
     def test_row_format_ten_significant_digits(self):
         records = sweep(SweepSpec(trials=1, seed=0, pems=("lcrc",)))
         row = sweep_rows(records)[0]
@@ -255,6 +292,15 @@ class TestRunTiming:
         assert len(rows) == 3 * 2 * 2  # three grids x trials x pems
         assert all(len(r.split(",")) == 8 for r in rows)
 
+    def test_cells_indexed_across_grids(self):
+        rows = [r.split(",") for r in run_timing(["lc"], [5], [500], [0, 1],
+                                                 trials=2, seed=9)]
+        assert [r[0] for r in rows] == ["n"] * 2 + ["N"] * 2 + ["delta_hat"] * 4
+        assert [int(r[6]) for r in rows] == [
+            derive_seed(9, cell, trial) for cell in range(4) for trial in range(2)
+        ]
+        assert [r[1:4] for r in rows[-2:]] == [["10", "1000", "1"]] * 2
+
     def test_gc_slower_than_lcrc(self):
         rows = run_timing(["lcrc", "gc"], [10], [1000], [0], trials=5, seed=1)
         times = {"lcrc": [], "gc": []}
@@ -262,3 +308,16 @@ class TestRunTiming:
             parts = row.split(",")
             times[parts[4]].append(float(parts[7]))
         assert np.median(times["gc"]) > np.median(times["lcrc"])
+
+
+class TestTracedBenchmark:
+    def test_patch_targets_exist(self):
+        # perfbench/run.py --trace 1 exits 2 when pemnet lacks a patch target
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.PATCHES
+        for module_name, attr, _, _ in tracing.PATCHES:
+            module = importlib.import_module(f"pemnet.{module_name}")
+            assert callable(getattr(module, attr, None)), f"pemnet.{module_name}.{attr}"

@@ -175,6 +175,19 @@ class TestBenchTime:
         assert np.median(times["gc"]) > np.median(times["lcrc"])
 
 
+class TestConfigurationErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--pems", "lcrc,foo", "--trials", 1], "unknown PEM kind 'foo'"),
+        (["bench-time", "--pems", "foo", "--trials", 1], "unknown PEM kind 'foo'"),
+        (["bench-time", "--trials", 0], "need trials >= 1"),
+    ])
+    def test_exit_2_before_any_trial(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", out]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+
 class TestCliContract:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

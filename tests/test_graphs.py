@@ -236,6 +236,20 @@ class TestIsNilpotent:
             idx = rng.choice(len(pairs), size=m, replace=False)
             g = DirectedGraph(n, tuple(pairs[t] for t in idx))
             assert is_nilpotent(g) == (not has_cycle_dfs(g))
+        # sparse n <= 120: random DAGs, then each with one edge against its
+        # topological order, which closes a cycle when a path runs back
+        outcomes = set()
+        for _ in range(60):
+            n = int(rng.integers(20, 121))
+            order = rng.permutation(n)
+            rows, cols = np.nonzero(np.triu(rng.random((n, n)) < 3.0 / n, k=1))
+            dag = [(int(order[a]), int(order[b])) for a, b in zip(rows, cols)]
+            a, b = sorted(rng.choice(n, size=2, replace=False))
+            for edges in (dag, dag + [(int(order[b]), int(order[a]))]):
+                g = DirectedGraph(n, tuple(edges))
+                assert is_nilpotent(g) == (not has_cycle_dfs(g))
+                outcomes.add(is_nilpotent(g))
+        assert outcomes == {True, False}
 
 
 class TestShootingStar:
