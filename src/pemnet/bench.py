@@ -222,6 +222,12 @@ class SweepSpec:
             raise ConfigurationError("sweep grid has an empty value list")
         if self.trials < 1:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
+        if self.jobs < 1:
+            raise ConfigurationError(f"need jobs >= 1, got {self.jobs}")
+        if self.dt_tau not in ("true", "auto"):
+            raise ConfigurationError(
+                f"unknown dt/tau mode {self.dt_tau!r}; expected 'true' or 'auto'"
+            )
         if not self.pems:
             raise ConfigurationError("no edge measures requested")
         for kind in self.pems:
@@ -242,9 +248,13 @@ _GRAPH_FIELDS = {f.name for f in fields(GraphConfig)}
 _SDD_FIELDS = {f.name for f in fields(SDDParams)}
 
 
+def _field(key: str) -> str:
+    """The GraphConfig/SDDParams field that a grid key sets (N is n_obs)."""
+    return "n_obs" if key == "N" else key
+
+
 def _cell_setup(cell: dict):
-    values = {("n_obs" if key == "N" else key): GRID_KEYS[key](v)
-              for key, v in cell.items()}
+    values = {_field(key): GRID_KEYS[key](v) for key, v in cell.items()}
     config = GraphConfig(**{k: v for k, v in values.items() if k in _GRAPH_FIELDS})
     params = SDDParams(**{k: v for k, v in values.items() if k in _SDD_FIELDS})
     return config, params, values.get("delta_hat")
@@ -293,13 +303,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _grid_value(record: TrialRecord, key: str):
+    if key == "delta_hat":
+        return record.delta_hat
+    source = record.config if key in _GRAPH_FIELDS else record.params
+    return getattr(source, _field(key))
+
+
 def sweep_rows(records: list[TrialRecord]) -> list[str]:
     rows = []
     for r in records:
         values = [
-            r.config.model, r.config.n, r.config.d_e, r.config.r_e,
-            r.config.delta, r.delta_hat, r.params.eps, r.params.tau,
-            r.params.dt, r.params.sigma, r.params.eta, r.params.n_obs,
+            *(_grid_value(r, key) for key in GRID_KEYS),
             r.pem_kind, r.trial, r.seed, r.accuracy, r.wall_time_s,
             r.error.replace(",", ";").replace("\n", " "),
         ]
@@ -337,6 +352,8 @@ def run_timing(
         + [("N", {"N": v}) for v in n_obs_values]
         + [("delta_hat", {"delta_hat": v, "delta": v}) for v in delta_hat_values]
     )
+    if not cells:
+        raise ConfigurationError("timing grid is empty: give n, N or delta_hat values")
     records = _run_cells(spec, [cell for _, cell in cells])
     varied = [name for name, _ in cells for _ in range(trials * len(pems))]
     return [

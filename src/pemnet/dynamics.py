@@ -122,8 +122,6 @@ def step_matrices(lag_mats: list[np.ndarray], params: SDDParams) -> np.ndarray:
 
 def _companion_radius(w: np.ndarray) -> float:
     p, n, _ = w.shape
-    if p == 1:
-        return spectral_radius(w[0])
     comp = np.zeros((p * n, p * n))
     comp[:n] = np.hstack(list(w))
     comp[n:, : (p - 1) * n] = np.eye((p - 1) * n)

@@ -1,4 +1,5 @@
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from pemnet.bench import (
 from pemnet.dynamics import SDDParams
 from pemnet.errors import ConfigurationError, DataError
 from pemnet.graphs import DirectedGraph, GraphConfig
-from pemnet.pem import PEMMatrix
+from pemnet.pem import AUTO, PEMMatrix
 
 
 def pem_from(values):
@@ -267,6 +268,10 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             SweepSpec(grid={"bogus": [1]})
 
+    def test_rejects_unknown_dt_tau_mode(self):
+        with pytest.raises(ConfigurationError, match="unknown dt/tau mode 'bogus'"):
+            SweepSpec(dt_tau="bogus")
+
     def test_cell_keys_map_onto_configs_and_columns(self):
         grid = {"N": ["500"], "delta": [2], "eps": [0.5]}
         records = sweep(SweepSpec(grid=grid, trials=1, pems=("lc",)))
@@ -310,14 +315,36 @@ class TestRunTiming:
         assert np.median(times["gc"]) > np.median(times["lcrc"])
 
 
+def load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestTracedBenchmark:
     def test_patch_targets_exist(self):
         # perfbench/run.py --trace 1 exits 2 when pemnet lacks a patch target
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_tracing()
         assert tracing.PATCHES
         for module_name, attr, _, _ in tracing.PATCHES:
             module = importlib.import_module(f"pemnet.{module_name}")
             assert callable(getattr(module, attr, None)), f"pemnet.{module_name}.{attr}"
+
+    def test_patch_targets_reached(self):
+        # a target that a trial bypasses would read 0 in its per-layer metric
+        tracing = load_tracing()
+        tracer = tracing.Tracer()
+        config, params = GraphConfig(delta=1), SDDParams(delta=1)
+        with tracing.installed(tracer):
+            (record,) = run_trial(config, params, ["lccf"], seed=3, dt_tau=AUTO)
+        assert record.error == ""
+        names = Counter(span[3] for span in tracer.spans)
+        for _, _, name, _ in tracing.PATCHES:
+            assert names[name] > 0, name
+        # one each from graphs.normalize_adjacency and the dynamics' stability check
+        assert names["numerics.spectral_radius"] == 2
+        (recurrence,) = [s for s in tracer.spans if s[3] == "dynamics.recurrence"]
+        steps = 40 + params.n_obs  # 20 tau of burn-in at dt = 0.5
+        assert recurrence[6] == {"steps": steps, "flops": 2 * 2 * 10 * 10 * steps}

@@ -180,6 +180,10 @@ class TestConfigurationErrors:
         (["sweep", "--pems", "lcrc,foo", "--trials", 1], "unknown PEM kind 'foo'"),
         (["bench-time", "--pems", "foo", "--trials", 1], "unknown PEM kind 'foo'"),
         (["bench-time", "--trials", 0], "need trials >= 1"),
+        (["sweep", "--jobs", 0, "--trials", 1], "need jobs >= 1"),
+        (["sweep", "--jobs", -2, "--trials", 1], "need jobs >= 1"),
+        (["bench-time", "--n-list", "", "--n-obs-list", "", "--delta-hat-list", "",
+          "--trials", 1], "timing grid is empty"),
     ])
     def test_exit_2_before_any_trial(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -29,6 +29,22 @@ def zero_mats(n=3):
     return [np.zeros((n, n))]
 
 
+def per_lag_recurrence(w, noise):
+    """The numpy kernel's former loop: one product per lag, first step apart."""
+    p = w.shape[0]
+    t_total, n = noise.shape
+    x = np.zeros((t_total, n))
+    for t in range(t_total):
+        if t == 0:
+            x[0] = noise[0]
+            continue
+        acc = noise[t] + w[0] @ x[t - 1]
+        for k in range(2, min(p, t) + 1):
+            acc += w[k - 1] @ x[t - k]
+        x[t] = acc
+    return x
+
+
 def lag1_autocorr(values):
     x = values - values.mean(axis=0)
     num = (x[1:] * x[:-1]).sum(axis=0)
@@ -162,6 +178,18 @@ class TestBackends:
             a = python_kernel(w, noise)
             b = compiled.sdd_recurrence(w, noise)
             assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("p, t_total", [(1, 3000), (2, 3000), (3, 3000),
+                                            (6, 3000), (6, 4)])
+    def test_numpy_kernel_matches_per_lag_loop(self, p, t_total):
+        rng = np.random.default_rng(p)
+        w = rng.standard_normal((p, 6, 6)) * (0.3 / p)
+        noise = rng.standard_normal((t_total, 6))
+        got, ref = python_kernel(w, noise), per_lag_recurrence(w, noise)
+        if p == 1:
+            assert np.array_equal(got, ref)
+        else:
+            assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_backend_reported(self):
         assert pemnet.dynamics.BACKEND in ("cython", "python")
