@@ -261,8 +261,7 @@ def _cell_setup(cell: dict):
 
 
 def _sweep_task(args):
-    spec, cell_index, cell, trial = args
-    config, params, delta_hat = _cell_setup(cell)
+    spec, cell_index, (config, params, delta_hat), trial = args
     return run_trial(config, params, list(spec.pems),
                      derive_seed(spec.seed, cell_index, trial),
                      delta_hat=delta_hat,
@@ -274,11 +273,13 @@ def _run_cells(spec: SweepSpec, cells: list[dict]) -> list[TrialRecord]:
     derive_seed(spec.seed, i, t); serial, or in spec.jobs worker processes.
 
     Records come cell by cell, trial by trial, one per measure, whatever the
-    number of jobs.
+    number of jobs. Every cell's configuration is built first, so an invalid
+    value raises ConfigurationError before any trial runs.
     """
+    setups = [_cell_setup(cell) for cell in cells]
     tasks = [
-        (spec, cell_index, cell, trial)
-        for cell_index, cell in enumerate(cells)
+        (spec, cell_index, setup, trial)
+        for cell_index, setup in enumerate(setups)
         for trial in range(spec.trials)
     ]
     if spec.jobs > 1:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pemnet import bench
 from pemnet.bench import derive_seed, run_trial
 from pemnet.cli import main
 from pemnet.dynamics import SDDParams, load_time_series
@@ -47,6 +48,17 @@ class TestSimulate:
         run(["simulate", "--graph", g, "--seed", 2, "--out", a])
         run(["simulate", "--graph", g, "--seed", 2, "--out", b])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "nan"), ("--tau", "inf"), ("--dt", "nan"), ("--sigma", "nan"),
+        ("--eta", "inf"), ("--burn-in", "nan"),
+    ])
+    def test_non_finite_parameter_exits_2(self, flag, value, tmp_path, capsys):
+        g, ts = tmp_path / "g.txt", tmp_path / "ts.txt"
+        run(["generate", "--seed", 1, "--out", g])
+        assert run(["simulate", "--graph", g, flag, value, "--out", ts]) == 2
+        assert not ts.exists()
+        assert "must be finite" in capsys.readouterr().err
 
     def test_missing_graph_exits_4(self, tmp_path):
         assert run(["simulate", "--graph", tmp_path / "nope.txt",
@@ -184,8 +196,18 @@ class TestConfigurationErrors:
         (["sweep", "--jobs", -2, "--trials", 1], "need jobs >= 1"),
         (["bench-time", "--n-list", "", "--n-obs-list", "", "--delta-hat-list", "",
           "--trials", 1], "timing grid is empty"),
+        (["sweep", "--eps-list", "0.5,-1", "--trials", 200],
+         "coupling strength must be >= 0"),
+        (["sweep", "--eps-list", "nan"], "eps must be finite"),
+        (["sweep", "--tau-list", "1,inf"], "tau must be finite"),
+        (["bench-time", "--n-list", "10,1", "--trials", 1], "need n >= 2"),
     ])
-    def test_exit_2_before_any_trial(self, argv, message, tmp_path, capsys):
+    def test_exit_2_before_any_trial(self, argv, message, tmp_path, capsys,
+                                     monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before the configuration error")
+
+        monkeypatch.setattr(bench, "run_trial", no_trial)
         out = tmp_path / "out.csv"
         assert run(argv + ["--out", out]) == 2
         assert not out.exists()

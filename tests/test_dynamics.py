@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pemnet.dynamics
+from pemnet import _sdd_py
 from pemnet._sdd_py import sdd_recurrence as python_kernel
 from pemnet.dynamics import (
     SDDParams,
@@ -14,7 +15,13 @@ from pemnet.dynamics import (
     step_matrices,
 )
 from pemnet.errors import ConfigurationError, DataError, StabilityError
-from pemnet.graphs import DirectedGraph, assign_lags, normalize_adjacency
+from pemnet.graphs import (
+    DirectedGraph,
+    GraphConfig,
+    assign_lags,
+    gen_graph_non_nilpotent,
+    normalize_adjacency,
+)
 from pemnet.numerics import solve_discrete_lyapunov
 
 
@@ -45,6 +52,23 @@ def per_lag_recurrence(w, noise):
     return x
 
 
+def per_step_recurrence(w, noise):
+    """The numpy kernel's per-step loop: one block-row product per step."""
+    p = w.shape[0]
+    t_total, n = noise.shape
+    w_rev = np.hstack(w[::-1])
+    x = np.zeros((p + t_total, n))
+    for t in range(t_total):
+        x[p + t] = noise[t] + w_rev @ x[t : t + p].ravel()
+    return x[p:]
+
+
+def assert_blocked_matches(got, ref):
+    """Blocked sums change the order of additions: agree to 1e-12 * max|x|."""
+    assert got.shape == ref.shape
+    assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 def lag1_autocorr(values):
     x = values - values.mean(axis=0)
     num = (x[1:] * x[:-1]).sum(axis=0)
@@ -60,6 +84,12 @@ class TestParams:
             SDDParams(sigma=-1.0)
         with pytest.raises(ConfigurationError):
             SDDParams(n_obs=1)
+
+    @pytest.mark.parametrize("name", ["eps", "tau", "dt", "sigma", "eta", "burn_in"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            SDDParams(**{name: value})
 
     def test_burn_in_default_is_twenty_tau(self):
         assert SDDParams(tau=2.0).burn_in_time == 40.0
@@ -186,10 +216,41 @@ class TestBackends:
         w = rng.standard_normal((p, 6, 6)) * (0.3 / p)
         noise = rng.standard_normal((t_total, 6))
         got, ref = python_kernel(w, noise), per_lag_recurrence(w, noise)
-        if p == 1:
-            assert np.array_equal(got, ref)
-        else:
-            assert_allclose(got, ref, rtol=0, atol=1e-12)
+        assert_blocked_matches(got, ref)
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    def test_blocked_kernel_matches_per_step_loop(self, n, p):
+        block = _sdd_py._BLOCK_ROWS // n
+        assert block > 1
+        rng = np.random.default_rng(10 * n + p)
+        w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
+        for t_total in sorted({1, max(p - 1, 1), block - 1, block, block + 1,
+                               7 * block + 3}):
+            noise = rng.standard_normal((t_total, n))
+            assert_blocked_matches(python_kernel(w, noise),
+                                   per_step_recurrence(w, noise))
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_single_step_blocks_are_bit_identical(self, p):
+        n = _sdd_py._BLOCK_ROWS // 2 + 1  # block length 1
+        rng = np.random.default_rng(p)
+        w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
+        noise = rng.standard_normal((300, n))
+        assert np.array_equal(python_kernel(w, noise), per_step_recurrence(w, noise))
+
+    @pytest.mark.parametrize("eps, dt, tau", [
+        (0.999, 0.05, 1.0),  # spectral radius ~0.99995: slow decay over a block
+        (0.9, 1.5, 1.0),  # dt/tau > 1: W_0 has negative entries
+    ])
+    def test_blocked_kernel_on_paper_graphs(self, eps, dt, tau):
+        rng = np.random.default_rng(5)
+        graph = assign_lags(gen_graph_non_nilpotent(GraphConfig(delta=2), rng), 2, rng)
+        _, lag_mats = normalize_adjacency(graph)
+        w = step_matrices(lag_mats, SDDParams(eps=eps, dt=dt, tau=tau, delta=2))
+        assert (dt / tau > 1) == (w < 0).any()
+        noise = rng.standard_normal((2000, w.shape[1]))
+        assert_blocked_matches(python_kernel(w, noise), per_step_recurrence(w, noise))
 
     def test_backend_reported(self):
         assert pemnet.dynamics.BACKEND in ("cython", "python")
