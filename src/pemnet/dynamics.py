@@ -153,9 +153,16 @@ def simulate_sdd(
             stacklevel=2,
         )
     w = step_matrices(lag_mats, params)
-    rho = _companion_radius(w)
+    if (w >= 0.0).all():
+        # Perron-Frobenius: with every W_k >= 0 the companion matrix has spectral
+        # radius < 1 exactly when the n x n matrix sum_k W_k does.
+        rho, which = spectral_radius(w.sum(axis=0)), "summed lag matrix"
+    else:
+        rho, which = _companion_radius(w), "companion matrix"
     if rho >= 1.0:
-        raise StabilityError(f"update rule is unstable (spectral radius {rho:.6g})")
+        raise StabilityError(
+            f"update rule is unstable (spectral radius of the {which} {rho:.6g})"
+        )
     n = w.shape[1]
     burn_steps = math.ceil(params.burn_in_time / params.dt)
     t_total = burn_steps + params.n_obs

@@ -5,8 +5,8 @@ lagged-covariance orientation <x_{t+k*dt} x_t^T>. Diagonals are set to NaN and
 excluded from ranking. The corrected measures subtract alpha times the lag-0
 correlation from the lag-1 correlation, with alpha chosen so that either the
 shared-driver motif (1,1) or the reversed-edge motif (1,0) cancels exactly.
-lc, lccf and lcrc all read one stack of lagged correlations, in which each lag
-is computed once (sample_lagged_corrs).
+Each lc, lccf or lcrc call centers the series once and reads one lag stack in
+which each lag is computed once; an estimated dt/tau takes S_0, S_1 from it.
 """
 
 from __future__ import annotations
@@ -61,35 +61,42 @@ class TauInverseEstimate:
     clamped: bool
 
 
-def sample_lagged_cov(ts: TimeSeries, k: int) -> np.ndarray:
+def sample_lagged_cov(x: np.ndarray, k: int) -> np.ndarray:
     """Lag-k sample covariance S_k[i, j] = cov(x_i at t+k, x_j at t).
 
-    Centers with the full-series per-node mean and divides by N - k - 1.
+    x is the (N, n) series centered by its per-node mean; divides by N - k - 1.
     """
-    n_obs = ts.n_obs
+    n_obs = x.shape[0]
     if k < 0:
         raise ConfigurationError(f"lag must be >= 0, got {k}")
     if n_obs - k < 2:
         raise DataError(f"need N - k >= 2, got N={n_obs}, k={k}")
-    x = ts.values - ts.values.mean(axis=0)
     return x[k:].T @ x[: n_obs - k] / (n_obs - k - 1)
 
 
-def sample_lagged_corrs(ts: TimeSeries, k_max: int) -> np.ndarray:
-    """Lag-0..k_max sample correlations as a (k_max + 1, n, n) stack.
+def _lag_stack(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-0..k_max covariance and correlation stacks, each (k_max + 1, n, n).
 
-    Each lag-k covariance is computed once and normalized by the lag-0
-    standard deviations.
+    Centers ts once, computes each lag-k covariance once and normalizes by the
+    lag-0 standard deviations. A node whose lag-0 variance is within the
+    roundoff of centering its mean (a constant column) raises DataError.
     """
     if k_max < 0:
         raise ConfigurationError(f"max lag must be >= 0, got {k_max}")
-    covs = np.stack([sample_lagged_cov(ts, k) for k in range(k_max + 1)])
+    mean = ts.values.mean(axis=0)
+    x = ts.values - mean
+    covs = np.stack([sample_lagged_cov(x, k) for k in range(k_max + 1)])
     s0_diag = np.diag(covs[0])
-    bad = np.flatnonzero(s0_diag <= 0.0)
+    bad = np.flatnonzero(s0_diag <= (ts.n_obs * np.finfo(float).eps * np.abs(mean)) ** 2)
     if bad.size:
         raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
     scale = np.sqrt(s0_diag)
-    return covs / np.outer(scale, scale)
+    return covs, covs / np.outer(scale, scale)
+
+
+def sample_lagged_corrs(ts: TimeSeries, k_max: int) -> np.ndarray:
+    """Lag-0..k_max sample correlations as a (k_max + 1, n, n) stack."""
+    return _lag_stack(ts, k_max)[1]
 
 
 def alpha_lccf(dt_tau: float) -> CorrectionFactor:
@@ -143,10 +150,10 @@ def pem_lc(ts: TimeSeries) -> PEMMatrix:
     return PEMMatrix(_with_nan_diagonal(sample_lagged_corrs(ts, 1)[1]), "lc")
 
 
-def _resolve_dt_tau(ts: TimeSeries, dt_tau) -> tuple[float, tuple[str, ...]]:
+def _resolve_dt_tau(ts: TimeSeries, dt_tau, covs) -> tuple[float, tuple[str, ...]]:
     if dt_tau == AUTO:
         try:
-            est = estimate_tau_inv(ts)
+            est = estimate_tau_inv(ts, covs)
         except DataError as exc:
             raise DataError(
                 f"automatic dt/tau estimation failed ({exc}); pass dt_tau explicitly"
@@ -161,9 +168,11 @@ def _corrected_pem(ts, dt_tau, delta_hat, kind, alpha_fn) -> PEMMatrix:
         raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
     if ts.n_obs < delta_hat + 3:
         raise DataError(f"need N >= delta_hat + 3, got N={ts.n_obs}")
-    z, flags = _resolve_dt_tau(ts, dt_tau)
+    if dt_tau != AUTO:
+        _check_dt_tau(dt_tau)
+    covs, corrs = _lag_stack(ts, delta_hat + 1)
+    z, flags = _resolve_dt_tau(ts, dt_tau, covs)
     alpha = alpha_fn(z).alpha
-    corrs = sample_lagged_corrs(ts, delta_hat + 1)
     best = (corrs[1:] - alpha * corrs[:-1]).max(axis=0)
     params = {"dt_tau": z, "delta_hat": delta_hat, "alpha": alpha}
     return PEMMatrix(_with_nan_diagonal(best), kind, params, flags)
@@ -184,18 +193,18 @@ def pem_lcrc(ts: TimeSeries, dt_tau, delta_hat: int = 0) -> PEMMatrix:
     return _corrected_pem(ts, dt_tau, delta_hat, "lcrc", alpha_lcrc)
 
 
-def estimate_tau_inv(ts: TimeSeries) -> TauInverseEstimate:
+def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInverseEstimate:
     """Estimate the inverse characteristic time from the data.
 
     Computes M = S_1 S_0^{-1}; without self-loops every diagonal entry of the
     steady-state M equals 1 - dt/tau, so tau^{-1} = (1 - median_i M_ii) / dt.
     The implied dt/tau is clamped to (0, 1] with a flag when the raw estimate
-    strays outside.
+    strays outside. covs, when given, is a lag stack of ts whose entries 0 and
+    1 are S_0 and S_1; otherwise a two-lag stack is computed from ts.
     """
     if ts.n_obs < ts.n + 2:
         raise DataError(f"need N >= n + 2 for the estimate, got N={ts.n_obs}, n={ts.n}")
-    s0 = sample_lagged_cov(ts, 0)
-    s1 = sample_lagged_cov(ts, 1)
+    s0, s1 = (_lag_stack(ts, 1)[0] if covs is None else covs)[:2]
     try:
         m = np.linalg.solve(s0.T, s1.T).T
     except np.linalg.LinAlgError as exc:

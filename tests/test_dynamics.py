@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +24,7 @@ from pemnet.graphs import (
     gen_graph_non_nilpotent,
     normalize_adjacency,
 )
-from pemnet.numerics import solve_discrete_lyapunov
+from pemnet.numerics import solve_discrete_lyapunov, spectral_radius
 
 
 def ring_mats(n=3):
@@ -191,6 +193,43 @@ class TestSimulate:
         mats = [np.zeros((2, 2)), a]
         with pytest.raises(StabilityError):
             simulate_sdd(mats, SDDParams(eps=2.5, delta=1, n_obs=100))
+
+    @pytest.mark.parametrize("eps", [0.5, 0.9, 0.99, 1.01, 1.2])
+    def test_summed_lag_matrix_decides_like_companion(self, eps):
+        # Perron-Frobenius: for W_k >= 0 both radii fall on the same side of 1
+        rng = np.random.default_rng(41)
+        for trial in range(48):
+            delta = trial % 6
+            config = GraphConfig(model="gnm", n=int(rng.integers(3, 11)), d_e=0.3,
+                                 r_e=0.5, delta=delta)
+            g = assign_lags(gen_graph_non_nilpotent(config, rng), delta, rng)
+            _, mats = normalize_adjacency(g)
+            w = step_matrices(mats, SDDParams(eps=eps, delta=delta))
+            assert (w >= 0.0).all()
+            summed = spectral_radius(w.sum(axis=0))
+            assert (summed < 1.0) == (pemnet.dynamics._companion_radius(w) < 1.0)
+
+    @pytest.mark.parametrize(
+        "dt, eps, shape, which",
+        [(0.5, 1.2, (2, 2), "summed lag matrix"), (1.5, 2.0, (4, 4), "companion matrix")],
+    )
+    def test_stability_check_radius(self, monkeypatch, dt, eps, shape, which):
+        # dt/tau > 1 makes W_0 negative on its diagonal: the companion check runs
+        shapes = []
+        real = pemnet.dynamics.spectral_radius
+
+        def recording(m):
+            shapes.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(pemnet.dynamics, "spectral_radius", recording)
+        a = np.zeros((2, 2))
+        a[0, 1] = a[1, 0] = 1.0
+        params = SDDParams(dt=dt, eps=eps, delta=1, n_obs=100)
+        with pytest.warns(UserWarning) if dt > 1.0 else nullcontext():
+            with pytest.raises(StabilityError, match=which):
+                simulate_sdd([np.zeros((2, 2)), a], params)
+        assert shapes == [shape]
 
     def test_graph_lags_exceed_params_delta(self):
         mats = [np.zeros((2, 2)), np.eye(2) * 0.1]

@@ -41,6 +41,10 @@ def off_diag(values):
     return values[~np.eye(values.shape[0], dtype=bool)]
 
 
+def centered(ts):
+    return ts.values - ts.values.mean(axis=0)
+
+
 def graph_with_cycle(extra_pairs, n=5):
     # embeds directed pairs beside a 2-cycle so the adjacency is not nilpotent
     pairs = tuple(extra_pairs) + ((n - 2, n - 1), (n - 1, n - 2))
@@ -50,12 +54,12 @@ def graph_with_cycle(extra_pairs, n=5):
 class TestSampleLaggedCov:
     def test_constant_series_is_zero(self):
         ts = TimeSeries(values=np.full((100, 3), 7.0), dt=1.0)
-        assert_allclose(sample_lagged_cov(ts, 0), 0.0, atol=1e-12)
+        assert_allclose(sample_lagged_cov(centered(ts), 0), 0.0, atol=1e-12)
 
     def test_iid_noise_identity(self):
         rng = np.random.default_rng(0)
         ts = TimeSeries(values=rng.standard_normal((100_000, 4)), dt=1.0)
-        s0 = sample_lagged_cov(ts, 0)
+        s0 = sample_lagged_cov(centered(ts), 0)
         bound = 4.0 / np.sqrt(ts.n_obs)
         assert np.abs(np.diag(s0) - 1.0).max() < bound
         assert np.abs(off_diag(s0)).max() < bound
@@ -64,17 +68,16 @@ class TestSampleLaggedCov:
     def test_lag1_matches_one_step_update(self):
         params = SDDParams(n_obs=200_000, seed=1)
         ts = simulate_sdd(ring_mats(), params)
-        s0 = sample_lagged_cov(ts, 0)
-        s1 = sample_lagged_cov(ts, 1)
+        s0 = sample_lagged_cov(centered(ts), 0)
+        s1 = sample_lagged_cov(centered(ts), 1)
         k_mat = 0.5 * np.eye(3) + 0.5 * 0.9 * ring_mats()[0]
         expected = k_mat @ s0
         scale = np.abs(expected).max()
         assert np.abs(s1 - expected).max() / scale < 0.05
 
     def test_insufficient_data(self):
-        ts = TimeSeries(values=np.zeros((5, 2)), dt=1.0)
         with pytest.raises(DataError):
-            sample_lagged_cov(ts, 4)
+            sample_lagged_cov(np.zeros((5, 2)), 4)
 
 
 class TestSampleLaggedCorr:
@@ -102,6 +105,20 @@ class TestSampleLaggedCorr:
         with pytest.raises(DataError, match="node 1"):
             sample_lagged_corrs(ts, 0)
 
+    @pytest.mark.parametrize("n_obs", [997, 1000, 10_000])
+    @pytest.mark.parametrize("level", [0.1, 1.0 / 3.0, 7.1])
+    @pytest.mark.parametrize("dt_tau", [0.5, AUTO])
+    def test_constant_node_left_with_roundoff_is_named(self, n_obs, level, dt_tau):
+        # centering a constant without an exact binary form leaves roundoff,
+        # which must not be ranked as correlation
+        values = np.random.default_rng(6).standard_normal((n_obs, 3))
+        values[:, 1] = level
+        ts = TimeSeries(values=values, dt=0.5)
+        with pytest.raises(DataError, match="node 1 has zero variance"):
+            pem_lc(ts)
+        with pytest.raises(DataError, match="node 1 has zero variance"):
+            pem_lccf(ts, dt_tau=dt_tau, delta_hat=2)
+
     def test_stack_shape_and_lags(self):
         rng = np.random.default_rng(13)
         ts = TimeSeries(values=rng.standard_normal((300, 4)), dt=1.0)
@@ -118,8 +135,9 @@ class TestSampleLaggedCorr:
 
 def corr_reference(ts, k):
     """Lag-k correlation formed one lag at a time: the reference for the stack."""
-    scale = np.sqrt(np.diag(sample_lagged_cov(ts, 0)))
-    return sample_lagged_cov(ts, k) / np.outer(scale, scale)
+    x = centered(ts)
+    scale = np.sqrt(np.diag(sample_lagged_cov(x, 0)))
+    return sample_lagged_cov(x, k) / np.outer(scale, scale)
 
 
 def per_lag_reference(ts, kind, dt_tau, delta_hat):
@@ -155,7 +173,7 @@ class TestLagStack:
     @pytest.mark.parametrize("kind", ["lccf", "lcrc"])
     @pytest.mark.parametrize(
         "dt_tau, delta_hat, calls",
-        [(0.5, 0, 2), (0.5, 5, 7), (0.5, 8, 10), (AUTO, 0, 4), (AUTO, 5, 9)],
+        [(0.5, 0, 2), (0.5, 5, 7), (0.5, 8, 10), (AUTO, 0, 2), (AUTO, 5, 7)],
     )
     def test_each_lag_computed_once(self, ts, monkeypatch, kind, dt_tau,
                                     delta_hat, calls):
@@ -169,6 +187,39 @@ class TestLagStack:
         monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", counting)
         compute_pem(ts, kind, dt_tau=dt_tau, delta_hat=delta_hat)
         assert len(count) == calls
+
+    @pytest.mark.parametrize("kind", ["lccf", "lcrc"])
+    @pytest.mark.parametrize("delta_hat", [0, 5])
+    def test_auto_estimates_once_on_one_centered_series(self, ts, monkeypatch, kind,
+                                                        delta_hat):
+        arrays, estimates = [], []
+        real_cov, real_est = pemnet.pem.sample_lagged_cov, pemnet.pem.estimate_tau_inv
+
+        def counting_cov(x, k):
+            arrays.append(x)
+            return real_cov(x, k)
+
+        def counting_est(*args):
+            estimates.append(args)
+            return real_est(*args)
+
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", counting_cov)
+        monkeypatch.setattr(pemnet.pem, "estimate_tau_inv", counting_est)
+        compute_pem(ts, kind, dt_tau=AUTO, delta_hat=delta_hat)
+        assert len(estimates) == 1
+        assert len(arrays) == delta_hat + 2
+        assert all(x is arrays[0] for x in arrays)
+        assert np.array_equal(arrays[0], centered(ts))
+
+    @pytest.mark.parametrize("dt_tau, delta_hat", [(0.5, -1), (1.5, 0), (0.0, 3)])
+    def test_configuration_errors_before_any_covariance(self, ts, monkeypatch,
+                                                        dt_tau, delta_hat):
+        def failing(x, k):
+            raise AssertionError("covariance computed before the configuration check")
+
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", failing)
+        with pytest.raises(ConfigurationError):
+            compute_pem(ts, "lcrc", dt_tau=dt_tau, delta_hat=delta_hat)
 
 
 class TestCorrectionFactors:
@@ -341,6 +392,15 @@ class TestEstimateTauInv:
         est = estimate_tau_inv(TimeSeries(values=values, dt=0.5))
         assert est.clamped
         assert est.dt_tau == 1.0
+
+    @pytest.mark.parametrize("k_max", [1, 6])
+    def test_precomputed_stack_gives_identical_estimate(self, k_max):
+        g = graph_with_cycle([(0, 1), (1, 2)])
+        _, mats = normalize_adjacency(g)
+        ts = simulate_sdd(mats, SDDParams(n_obs=3000, seed=16))
+        x = centered(ts)
+        stack = np.stack([sample_lagged_cov(x, k) for k in range(k_max + 1)])
+        assert estimate_tau_inv(ts, stack) == estimate_tau_inv(ts)
 
     def test_needs_enough_rows(self):
         ts = TimeSeries(values=np.random.default_rng(14).standard_normal((4, 3)),
