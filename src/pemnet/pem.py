@@ -150,17 +150,14 @@ def pem_lc(ts: TimeSeries) -> PEMMatrix:
     return PEMMatrix(_with_nan_diagonal(sample_lagged_corrs(ts, 1)[1]), "lc")
 
 
-def _resolve_dt_tau(ts: TimeSeries, dt_tau, covs) -> tuple[float, tuple[str, ...]]:
-    if dt_tau == AUTO:
-        try:
-            est = estimate_tau_inv(ts, covs)
-        except DataError as exc:
-            raise DataError(
-                f"automatic dt/tau estimation failed ({exc}); pass dt_tau explicitly"
-            ) from exc
-        flags = ("dt_tau_clamped",) if est.clamped else ()
-        return est.dt_tau, flags
-    return _check_dt_tau(dt_tau), ()
+def _estimated_dt_tau(ts: TimeSeries, covs) -> tuple[float, tuple[str, ...]]:
+    try:
+        est = estimate_tau_inv(ts, covs)
+    except DataError as exc:
+        raise DataError(
+            f"automatic dt/tau estimation failed ({exc}); pass dt_tau explicitly"
+        ) from exc
+    return est.dt_tau, ("dt_tau_clamped",) if est.clamped else ()
 
 
 def _corrected_pem(ts, dt_tau, delta_hat, kind, alpha_fn) -> PEMMatrix:
@@ -168,10 +165,9 @@ def _corrected_pem(ts, dt_tau, delta_hat, kind, alpha_fn) -> PEMMatrix:
         raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
     if ts.n_obs < delta_hat + 3:
         raise DataError(f"need N >= delta_hat + 3, got N={ts.n_obs}")
-    if dt_tau != AUTO:
-        _check_dt_tau(dt_tau)
+    z = None if dt_tau == AUTO else _check_dt_tau(dt_tau)
     covs, corrs = _lag_stack(ts, delta_hat + 1)
-    z, flags = _resolve_dt_tau(ts, dt_tau, covs)
+    z, flags = _estimated_dt_tau(ts, covs) if z is None else (z, ())
     alpha = alpha_fn(z).alpha
     best = (corrs[1:] - alpha * corrs[:-1]).max(axis=0)
     params = {"dt_tau": z, "delta_hat": delta_hat, "alpha": alpha}
