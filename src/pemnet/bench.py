@@ -18,6 +18,7 @@ import numpy as np
 from .dynamics import SDDParams, add_measurement_noise, simulate_sdd
 from .errors import ConfigurationError, DataError, PemnetError
 from .graphs import (
+    NO_EDGE,
     DirectedGraph,
     GraphConfig,
     assign_lags,
@@ -59,15 +60,22 @@ def derive_seed(*parts: int) -> int:
 def threshold_pem(pem: PEMMatrix, m: int) -> DirectedGraph:
     """Keep the m largest off-diagonal scores as edges.
 
-    Ties break deterministically by ascending (row, column) position. Entry
-    (i, j) becomes the edge j -> i.
+    Ties break deterministically by ascending (row, column) position; NaN
+    scores rank last. Entry (i, j) becomes the edge j -> i.
     """
     n = pem.n
     if not 1 <= m <= n * (n - 1):
         raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major positions
-    top = np.argsort(-pem.values[rows, cols], kind="stable")[:m]
-    return DirectedGraph(n, tuple(zip(cols[top].tolist(), rows[top].tolist())))
+    off = ~np.eye(n, dtype=bool)
+    keys = -pem.values[off]  # row-major positions
+    kth = np.partition(keys, m - 1)[m - 1]
+    candidates = np.flatnonzero(~(keys > kth))  # every key when the m-th is NaN
+    top = candidates[np.argsort(keys[candidates], kind="stable")[:m]]
+    kept = np.full(keys.size, NO_EDGE)
+    kept[top] = 0
+    lag = np.full((n, n), NO_EDGE)
+    lag[off] = kept
+    return DirectedGraph.from_lag_matrix(lag)
 
 
 def accuracy(inferred: DirectedGraph, truth: DirectedGraph) -> float:
@@ -76,10 +84,8 @@ def accuracy(inferred: DirectedGraph, truth: DirectedGraph) -> float:
         raise ConfigurationError(
             f"size mismatch: inferred n={inferred.n}, truth n={truth.n}"
         )
-    n = truth.n
-    a, b = set(inferred.edges), set(truth.edges)
-    mismatched = len(a.symmetric_difference(b))
-    return 1.0 - mismatched / (n * (n - 1))
+    mismatched = int(np.count_nonzero(inferred.mask != truth.mask))
+    return 1.0 - mismatched / (truth.n * (truth.n - 1))
 
 
 def baseline_accuracy(n: int, m: int) -> float:
@@ -110,15 +116,11 @@ def spearman(xs, ys) -> float:
 
 def _mean_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], values.size] - 1  # each run of equal values
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -39,6 +39,11 @@ except ImportError:
 
     BACKEND = "python"
 
+# A spectral radius within this margin of 1 counts as unstable. At eps = 1 the
+# normalized graphs put the radius at 1 up to roundoff, on either side of it, so
+# a bare rho < 1 test would accept some of them as a non-stationary walk.
+STABILITY_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class SDDParams:
@@ -159,9 +164,10 @@ def simulate_sdd(
         rho, which = spectral_radius(w.sum(axis=0)), "summed lag matrix"
     else:
         rho, which = _companion_radius(w), "companion matrix"
-    if rho >= 1.0:
+    if rho >= 1.0 - STABILITY_MARGIN:
         raise StabilityError(
-            f"update rule is unstable (spectral radius of the {which} {rho:.6g})"
+            f"update rule is unstable (spectral radius of the {which} {rho:.6g}, "
+            f"needs < 1 - {STABILITY_MARGIN:g})"
         )
     n = w.shape[1]
     burn_steps = math.ceil(params.burn_in_time / params.dt)

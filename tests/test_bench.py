@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from pemnet import cli
 from pemnet.bench import (
     GRID_KEYS,
     SWEEP_CSV_HEADER,
@@ -35,12 +36,24 @@ def pem_from(values):
 
 
 def threshold_by_tuple_sort(values, m):
-    # reference: rank (-score, row, col) tuples, as threshold_pem once did
+    # reference: rank (-score, row, col) tuples, as threshold_pem once did;
+    # a NaN score ranks after every number
     n = values.shape[0]
     ranked = sorted(
-        (-values[i, j], i, j) for i in range(n) for j in range(n) if i != j
+        (bool(np.isnan(values[i, j])), 0.0 if np.isnan(values[i, j]) else -values[i, j],
+         i, j)
+        for i in range(n) for j in range(n) if i != j
     )
-    return {(j, i) for _, i, j in ranked[:m]}
+    return {(j, i) for _, _, i, j in ranked[:m]}
+
+
+def pem_with_nan(values):
+    # PEMMatrix refuses NaN off the diagonal; write them in after construction,
+    # as a caller who edits the scores in place would
+    pem = pem_from(np.nan_to_num(values))
+    off = ~np.eye(values.shape[0], dtype=bool)
+    pem.values[off] = values[off]
+    return pem
 
 
 class TestThreshold:
@@ -79,6 +92,38 @@ class TestThreshold:
                 values = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(n, n))
             m = int(rng.integers(1, n * (n - 1) + 1))
             g = threshold_pem(pem_from(values), m)
+            assert set(g.edges) == threshold_by_tuple_sort(values, m)
+
+    def test_nan_scores_rank_last(self):
+        values = np.arange(16.0).reshape(4, 4)
+        values[0, 1] = values[3, 2] = np.nan
+        for m in range(1, 13):
+            g = threshold_pem(pem_with_nan(values), m)
+            assert set(g.edges) == threshold_by_tuple_sort(values, m)
+        assert (1, 0) not in threshold_pem(pem_with_nan(values), 10).edges
+        assert {(1, 0), (2, 3)} <= set(threshold_pem(pem_with_nan(values), 12).edges)
+
+    def test_nan_and_tie_cases_match_tuple_sort(self):
+        rng = np.random.default_rng(8)
+        for case in range(200):
+            n = int(rng.integers(2, 12))
+            values = rng.choice([-1.0, 0.0, 0.5, np.nan], size=(n, n))
+            m = int(rng.integers(1, n * (n - 1) + 1))
+            g = threshold_pem(pem_with_nan(values), m)
+            assert set(g.edges) == threshold_by_tuple_sort(values, m)
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_m_at_tie_block_boundaries(self, nan):
+        # 7 scores of 2.0 above a block of 10 ties at 1.0 (and 3 NaN or 0.0):
+        # m at either end of the block, just outside it, and the full budget
+        rng = np.random.default_rng(9)
+        n = 5
+        scores = np.array([2.0] * 7 + [1.0] * 10 + [np.nan if nan else 0.0] * 3)
+        values = np.zeros((n, n))
+        values[~np.eye(n, dtype=bool)] = rng.permutation(scores)
+        for m in (6, 7, 8, 16, 17, 18, 20):
+            g = threshold_pem(pem_with_nan(values), m)
+            assert g.m == m
             assert set(g.edges) == threshold_by_tuple_sort(values, m)
 
     def test_m_out_of_range(self):
@@ -289,6 +334,35 @@ class TestSweep:
         row = sweep_rows(records)[0]
         accuracy_field = row.split(",")[15]
         assert len(accuracy_field.replace(".", "").replace("-", "")) <= 11
+
+
+class TestGoldenSweep:
+    def test_matches_recorded_csv(self, tmp_path):
+        """Rerun the sweep recorded in tests/data/golden_sweep.csv and compare
+        every column but wall_time_s. The file was written with
+
+            PYTHONPATH=src python -m pemnet.cli sweep --model-list gnm,er,ba,rr,sw \\
+                --n-list 5,12 --delta-list 0,2 --pems lc,lccf,lcrc --trials 2 \\
+                --seed 11 --out tests/data/golden_sweep.csv
+
+        so a change that alters any random draw of graph sampling, lag
+        assignment or simulation, or any score, threshold or accuracy, fails it.
+        """
+        out = tmp_path / "sweep.csv"
+        assert cli.main([
+            "sweep", "--model-list", "gnm,er,ba,rr,sw", "--n-list", "5,12",
+            "--delta-list", "0,2", "--pems", "lc,lccf,lcrc", "--trials", "2",
+            "--seed", "11", "--out", str(out),
+        ]) == 0
+
+        def columns(text):
+            rows = [line.split(",") for line in text.splitlines()]
+            wall = rows[0].index("wall_time_s")
+            return [row[:wall] + row[wall + 1:] for row in rows]
+
+        golden = (Path(__file__).parent / "data" / "golden_sweep.csv").read_text()
+        assert len(golden.splitlines()) == 1 + 5 * 2 * 2 * 2 * 3
+        assert columns(out.read_text()) == columns(golden)
 
 
 class TestRunTiming:

@@ -175,6 +175,19 @@ class TestSimulate:
         with pytest.raises(StabilityError):
             simulate_sdd(ring_mats(), SDDParams(eps=1.2, n_obs=100))
 
+    def test_eps_one_refused_on_every_graph(self):
+        # at eps = 1 the radius of a normalized graph is 1 up to roundoff, on
+        # either side; the margin refuses all of them, and eps = 0.999 runs
+        for n in (3, 10, 30, 100):
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                g = gen_graph_non_nilpotent(GraphConfig(n=n), rng)
+                _, mats = normalize_adjacency(g)
+                with pytest.raises(StabilityError, match="needs < 1 - 1e-12"):
+                    simulate_sdd(mats, SDDParams(eps=1.0, n_obs=10), rng)
+                ts = simulate_sdd(mats, SDDParams(eps=0.999, n_obs=10), rng)
+                assert ts.values.shape == (10, n)
+
     def test_order_p_dynamics(self):
         pairs = ((0, 1), (1, 0), (1, 2), (2, 1))
         g = DirectedGraph(3, pairs)

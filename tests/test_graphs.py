@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +9,8 @@ from pemnet.errors import (
     NilpotentGraphError,
 )
 from pemnet.graphs import (
+    GRAPH_MODELS,
+    NO_EDGE,
     DirectedGraph,
     GraphConfig,
     anticlustering,
@@ -87,6 +90,66 @@ class TestDirectedGraph:
         g = DirectedGraph(3, ((0, 1),), {(0, 1): 0}, delta=0)
         a = g.adjacency()
         assert a[1, 0] == 1.0 and a.sum() == 1.0
+
+    # Fancy indexing wraps negative indices, so each bad endpoint or lag must
+    # be refused before the lag matrix is written.
+    @pytest.mark.parametrize("edges, lags, delta, message", [
+        (((-1, 2),), None, None, r"edge \(-1, 2\) out of range for n=3"),
+        (((2, -3),), None, None, r"edge \(2, -3\) out of range for n=3"),
+        (((0, 3),), None, None, r"edge \(0, 3\) out of range for n=3"),
+        (((1, 0), (-1, 1)), None, None, r"edge \(-1, 1\) out of range"),
+        (((1, 1), (2, 5)), None, None, r"self-loop \(1, 1\)"),
+        (((1, 1), (0, 5)), None, None, r"edge \(0, 5\) out of range"),
+        (((0, 1), (1, 2)), {(1, 2): -1}, 2, r"lag -1 on edge \(1, 2\) outside \[0, 2\]"),
+        (((0, 1), (1, 2)), {(0, 1): 3}, 2, r"lag 3 on edge \(0, 1\) outside \[0, 2\]"),
+        (((0, 1),), {(0, 1): -2}, None, r"lag -2 on edge \(0, 1\) outside \[0, -2\]"),
+        (((0, 1),), {(0, 1): 1}, 0, r"lag 1 on edge \(0, 1\) outside \[0, 0\]"),
+    ])
+    def test_rejects_bad_endpoints_and_lags(self, tmp_path, edges, lags, delta, message):
+        with pytest.raises(ConfigurationError, match=message):
+            DirectedGraph(3, edges, lags, delta=delta)
+        lags = lags or {}
+        lines = [f"{u} {v} {lags.get((u, v), 0)}" for u, v in edges]
+        path = tmp_path / "bad.txt"
+        header = f"3 {len(edges)} {2 if delta is None else delta}\n"
+        path.write_text(header + "\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError):
+            load_edge_list(str(path))
+
+    @pytest.mark.parametrize("entries, delta, message", [
+        ({}, None, "at least one edge"),
+        ({(1, 1): 0}, None, r"self-loop \(1, 1\)"),
+        ({(0, 1): 1}, 0, r"lag 1 on edge \(1, 0\) outside \[0, 0\]"),
+        ({(0, 1): -2}, 2, r"lag -2 on edge \(1, 0\) outside \[0, 2\]"),
+        ({(0, 1): 3, (2, 0): 1}, 2, r"lag 3 on edge \(1, 0\) outside \[0, 2\]"),
+    ])
+    def test_lag_matrix_validated(self, entries, delta, message):
+        lag = np.full((3, 3), NO_EDGE)
+        for (target, source), k in entries.items():
+            lag[target, source] = k
+        with pytest.raises(ConfigurationError, match=message):
+            DirectedGraph.from_lag_matrix(lag, delta)
+
+    def test_lag_matrix_must_be_square(self):
+        with pytest.raises(ConfigurationError, match="square"):
+            DirectedGraph.from_lag_matrix(np.zeros((2, 3), dtype=int))
+        with pytest.raises(ConfigurationError, match="node count"):
+            DirectedGraph.from_lag_matrix(np.zeros((0, 0), dtype=int))
+
+    def test_views_agree_with_lag_matrix(self):
+        edges = ((2, 0), (0, 1), (0, 2), (3, 1), (0, 1))
+        g = DirectedGraph(4, edges, {(0, 2): 3, (3, 1): 1})
+        assert g.edges == ((0, 1), (0, 2), (2, 0), (3, 1))
+        assert g.lags == {(0, 1): 0, (0, 2): 3, (2, 0): 0, (3, 1): 1}
+        assert (g.m, g.delta) == (4, 3)
+        expected = np.full((4, 4), NO_EDGE)
+        for (u, v), k in g.lags.items():
+            expected[v, u] = k
+        assert np.array_equal(g.lag, expected)
+        assert g == DirectedGraph.from_lag_matrix(expected)
+        assert g.has_edge(0, 2) and not g.has_edge(2, 1) and not g.has_edge(-1, 0)
+        with pytest.raises(ValueError):
+            g.lag[0, 1] = 0  # read-only
 
 
 class TestGenGnm:
@@ -310,6 +373,33 @@ class TestAnticlustering:
         edges = tuple(pairs) + tuple((v, u) for u, v in pairs)
         values, _ = anticlustering(DirectedGraph(4, edges))
         assert values[0] == pytest.approx(2.0)  # k=3, one of three pairs linked
+
+
+def model_graphs():
+    for model in GRAPH_MODELS:
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            config = GraphConfig(model=model, n=int(rng.integers(10, 30)),
+                                 d_e=float(rng.uniform(0.25, 0.5)),
+                                 r_e=float(rng.uniform(0.0, 1.0)))
+            yield gen_graph(config, rng)
+
+
+class TestMetricsAgainstNetworkx:
+    def test_reciprocity(self):
+        for g in model_graphs():
+            digraph = nx.DiGraph(g.edges)
+            assert graph_metrics(g)[1] == pytest.approx(nx.reciprocity(digraph))
+
+    def test_anticlustering(self):
+        for g in model_graphs():
+            undirected = nx.Graph(g.edges)
+            undirected.add_nodes_from(range(g.n))
+            c = nx.clustering(undirected)
+            expected = [undirected.degree(i) * (1.0 - c[i]) for i in range(g.n)]
+            values, mean = anticlustering(g)
+            assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+            assert mean == pytest.approx(np.mean(expected))
 
 
 class TestGraphMetrics:
