@@ -60,21 +60,19 @@ def derive_seed(*parts: int) -> int:
 def threshold_pem(pem: PEMMatrix, m: int) -> DirectedGraph:
     """Keep the m largest off-diagonal scores as edges.
 
-    Ties break deterministically by ascending (row, column) position; NaN
-    scores rank last. Entry (i, j) becomes the edge j -> i.
+    Ties break deterministically by ascending (row, column) position. Entry
+    (i, j) becomes the edge j -> i.
     """
     n = pem.n
     if not 1 <= m <= n * (n - 1):
         raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
-    off = ~np.eye(n, dtype=bool)
-    keys = -pem.values[off]  # row-major positions
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major positions
+    keys = -pem.values[rows, cols]
     kth = np.partition(keys, m - 1)[m - 1]
-    candidates = np.flatnonzero(~(keys > kth))  # every key when the m-th is NaN
+    candidates = np.flatnonzero(keys <= kth)
     top = candidates[np.argsort(keys[candidates], kind="stable")[:m]]
-    kept = np.full(keys.size, NO_EDGE)
-    kept[top] = 0
     lag = np.full((n, n), NO_EDGE)
-    lag[off] = kept
+    lag[rows[top], cols[top]] = 0
     return DirectedGraph.from_lag_matrix(lag)
 
 
@@ -116,11 +114,15 @@ def spearman(xs, ys) -> float:
 
 def _mean_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    ends = np.r_[starts[1:], values.size] - 1  # each run of equal values
     ranks = np.empty(values.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
     return ranks
 
 

@@ -64,13 +64,16 @@ class DirectedGraph:
 
     def __init__(self, n: int, edges, lags: dict[Edge, int] | None = None,
                  delta: int | None = None):
-        pairs = np.unique(np.asarray(list(edges), dtype=np.int64).reshape(-1, 2), axis=0)
-        k = np.array([int((lags or {}).get(e, 0)) for e in map(tuple, pairs.tolist())],
-                     dtype=np.int64)
+        try:
+            pairs = np.unique(np.asarray(list(edges), dtype=np.int64).reshape(-1, 2), axis=0)
+            k = np.array([int((lags or {}).get(e, 0)) for e in map(tuple, pairs.tolist())],
+                         dtype=np.int64)
+        except OverflowError as exc:
+            raise ConfigurationError(f"edge endpoint or lag out of range: {exc}") from exc
         delta = _checked_delta(n, *pairs.T, k, delta)
         lag = np.full((n, n), NO_EDGE)
         lag[pairs[:, 1], pairs[:, 0]] = k
-        self._init(lag, lag != NO_EDGE, delta)
+        self._init(lag, delta)
 
     @classmethod
     def from_lag_matrix(cls, lag, delta: int | None = None) -> DirectedGraph:
@@ -78,16 +81,12 @@ class DirectedGraph:
         lag = np.array(lag, dtype=np.int64)
         if lag.ndim != 2 or lag.shape[0] != lag.shape[1]:
             raise ConfigurationError(f"lag matrix must be square, got shape {lag.shape}")
-        mask = lag != NO_EDGE
-        top = int(lag.max(initial=NO_EDGE))
-        bound = top if delta is None else int(delta)
-        if not (mask.any() and lag.min() >= NO_EDGE and not mask.diagonal().any()
-                and top <= bound):
-            sources, targets = np.nonzero(mask.T)  # invalid: name the first fault
-            _checked_delta(lag.shape[0], sources, targets, lag[targets, sources], delta)
-        return cls.__new__(cls)._init(lag, mask, bound)
+        sources, targets = np.nonzero(lag.T != NO_EDGE)
+        delta = _checked_delta(lag.shape[0], sources, targets, lag[targets, sources], delta)
+        return cls.__new__(cls)._init(lag, delta)
 
-    def _init(self, lag: np.ndarray, mask: np.ndarray, delta: int) -> DirectedGraph:
+    def _init(self, lag: np.ndarray, delta: int) -> DirectedGraph:
+        mask = lag != NO_EDGE
         lag.flags.writeable = mask.flags.writeable = False
         self.lag, self.mask, self.delta = lag, mask, delta
         self.n, self.m = lag.shape[0], int(np.count_nonzero(mask))
@@ -215,7 +214,9 @@ def _ring_lattice_pairs(n: int, n_edges: int, rng: np.random.Generator) -> list[
             out.extend(layer[t] for t in sorted(idx.tolist()))
         if len(out) == n_edges:
             return out
-    raise ConfigurationError(f"ring lattice cannot host {n_edges} edges on {n} nodes")
+    raise ConfigurationError(
+        f"ring lattice cannot host {n_edges} edges on {n} nodes"
+    )
 
 
 def _rewire_small_world(
@@ -268,13 +269,15 @@ def _preferential_attachment_pairs(
     degree = np.zeros(n)
     degree[:seed_nodes] = seed_nodes - 1
     for new in range(seed_nodes, n):
-        probs = degree[:new] / degree[:new].sum()
         targets: set[int] = set()
         while len(targets) < m_att:
-            targets.add(int(rng.choice(new, p=probs)))
-        edges.update((t, new) for t in targets)
-        degree[list(targets)] += 1
-        degree[new] += m_att
+            probs = degree[:new] / degree[:new].sum()
+            t = int(rng.choice(new, p=probs))
+            targets.add(t)
+        for t in targets:
+            edges.add((t, new))
+            degree[t] += 1
+            degree[new] += 1
     guard = 0
     while len(edges) < n_edges:
         probs = degree / degree.sum()
@@ -282,7 +285,8 @@ def _preferential_attachment_pairs(
         e = tuple(sorted((int(u), int(v))))
         if u != v and e not in edges:
             edges.add(e)
-            degree[list(e)] += 1
+            degree[e[0]] += 1
+            degree[e[1]] += 1
         guard += 1
         if guard > 100_000:
             raise ConfigurationError("preferential attachment failed to place edges")
@@ -377,9 +381,12 @@ def gen_shooting_star(n: int, hub_degree: int) -> DirectedGraph:
         raise ConfigurationError(
             f"hub degree must lie in [2, n-1] = [2, {n - 1}], got {hub_degree}"
         )
-    pairs = [(0, leaf) for leaf in range(1, hub_degree + 1)]
-    pairs += [(u, u + 1) for u in range(hub_degree, n - 1)]  # the path
-    return DirectedGraph(n, pairs + [(v, u) for u, v in pairs])
+    pairs = [(0, leaf) for leaf in range(1, hub_degree)]
+    path = list(range(hub_degree, n))
+    pairs.append((0, path[0]))
+    pairs.extend(zip(path, path[1:]))
+    edges = [(u, v) for u, v in pairs] + [(v, u) for u, v in pairs]
+    return DirectedGraph(n, tuple(edges))
 
 
 def anticlustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
@@ -408,7 +415,8 @@ def save_edge_list(g: DirectedGraph, path: str) -> None:
     """Write 'n m delta' then one 'source target lag' line per edge."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.m} {g.delta}\n")
-        fh.writelines(f"{u} {v} {k}\n" for (u, v), k in g.lags.items())
+        for u, v in g.edges:
+            fh.write(f"{u} {v} {g.lags[(u, v)]}\n")
 
 
 def load_edge_list(path: str) -> DirectedGraph:

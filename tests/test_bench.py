@@ -36,24 +36,12 @@ def pem_from(values):
 
 
 def threshold_by_tuple_sort(values, m):
-    # reference: rank (-score, row, col) tuples, as threshold_pem once did;
-    # a NaN score ranks after every number
+    # reference: rank (-score, row, col) tuples, as threshold_pem once did
     n = values.shape[0]
     ranked = sorted(
-        (bool(np.isnan(values[i, j])), 0.0 if np.isnan(values[i, j]) else -values[i, j],
-         i, j)
-        for i in range(n) for j in range(n) if i != j
+        (-values[i, j], i, j) for i in range(n) for j in range(n) if i != j
     )
-    return {(j, i) for _, _, i, j in ranked[:m]}
-
-
-def pem_with_nan(values):
-    # PEMMatrix refuses NaN off the diagonal; write them in after construction,
-    # as a caller who edits the scores in place would
-    pem = pem_from(np.nan_to_num(values))
-    off = ~np.eye(values.shape[0], dtype=bool)
-    pem.values[off] = values[off]
-    return pem
+    return {(j, i) for _, i, j in ranked[:m]}
 
 
 class TestThreshold:
@@ -94,35 +82,16 @@ class TestThreshold:
             g = threshold_pem(pem_from(values), m)
             assert set(g.edges) == threshold_by_tuple_sort(values, m)
 
-    def test_nan_scores_rank_last(self):
-        values = np.arange(16.0).reshape(4, 4)
-        values[0, 1] = values[3, 2] = np.nan
-        for m in range(1, 13):
-            g = threshold_pem(pem_with_nan(values), m)
-            assert set(g.edges) == threshold_by_tuple_sort(values, m)
-        assert (1, 0) not in threshold_pem(pem_with_nan(values), 10).edges
-        assert {(1, 0), (2, 3)} <= set(threshold_pem(pem_with_nan(values), 12).edges)
-
-    def test_nan_and_tie_cases_match_tuple_sort(self):
-        rng = np.random.default_rng(8)
-        for case in range(200):
-            n = int(rng.integers(2, 12))
-            values = rng.choice([-1.0, 0.0, 0.5, np.nan], size=(n, n))
-            m = int(rng.integers(1, n * (n - 1) + 1))
-            g = threshold_pem(pem_with_nan(values), m)
-            assert set(g.edges) == threshold_by_tuple_sort(values, m)
-
-    @pytest.mark.parametrize("nan", [False, True])
-    def test_m_at_tie_block_boundaries(self, nan):
-        # 7 scores of 2.0 above a block of 10 ties at 1.0 (and 3 NaN or 0.0):
+    def test_m_at_tie_block_boundaries(self):
+        # 7 scores of 2.0 above a block of 10 ties at 1.0, then 3 of 0.0:
         # m at either end of the block, just outside it, and the full budget
         rng = np.random.default_rng(9)
         n = 5
-        scores = np.array([2.0] * 7 + [1.0] * 10 + [np.nan if nan else 0.0] * 3)
+        scores = np.array([2.0] * 7 + [1.0] * 10 + [0.0] * 3)
         values = np.zeros((n, n))
         values[~np.eye(n, dtype=bool)] = rng.permutation(scores)
         for m in (6, 7, 8, 16, 17, 18, 20):
-            g = threshold_pem(pem_with_nan(values), m)
+            g = threshold_pem(pem_from(values), m)
             assert g.m == m
             assert set(g.edges) == threshold_by_tuple_sort(values, m)
 

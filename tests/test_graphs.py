@@ -104,6 +104,8 @@ class TestDirectedGraph:
         (((0, 1), (1, 2)), {(0, 1): 3}, 2, r"lag 3 on edge \(0, 1\) outside \[0, 2\]"),
         (((0, 1),), {(0, 1): -2}, None, r"lag -2 on edge \(0, 1\) outside \[0, -2\]"),
         (((0, 1),), {(0, 1): 1}, 0, r"lag 1 on edge \(0, 1\) outside \[0, 0\]"),
+        (((0, 10**20),), None, None, "endpoint or lag out of range"),
+        (((0, 1),), {(0, 1): 10**20}, 2, "endpoint or lag out of range"),
     ])
     def test_rejects_bad_endpoints_and_lags(self, tmp_path, edges, lags, delta, message):
         with pytest.raises(ConfigurationError, match=message):
