@@ -8,7 +8,9 @@ script runs both, and the plain per-step numpy loop, on identical inputs across
 (nodes, steps, order) grids, checks every kernel against the per-step loop and
 prints the timings, plus an end-to-end trial timing for context.
 
-Usage: python benchmarks/backend_benchmark.py [--repeats 5]
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python benchmarks/backend_benchmark.py [--repeats 5]
 """
 
 import argparse

@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     StabilityError,
 )
-from .numerics import spectral_radius
+from .numerics import STABILITY_MARGIN, spectral_radius
 
 try:
     from ._sdd_core import sdd_recurrence
@@ -38,11 +38,6 @@ except ImportError:
     from ._sdd_py import sdd_recurrence
 
     BACKEND = "python"
-
-# A spectral radius within this margin of 1 counts as unstable. At eps = 1 the
-# normalized graphs put the radius at 1 up to roundoff, on either side of it, so
-# a bare rho < 1 test would accept some of them as a non-stationary walk.
-STABILITY_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,10 @@ class DirectedGraph:
         except OverflowError as exc:
             raise ConfigurationError(f"edge endpoint or lag out of range: {exc}") from exc
         delta = _checked_delta(n, *pairs.T, k, delta)
-        lag = np.full((n, n), NO_EDGE)
+        try:
+            lag = np.full((n, n), NO_EDGE)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigurationError(f"cannot hold a lag matrix for n={n}: {exc}") from exc
         lag[pairs[:, 1], pairs[:, 0]] = k
         self._init(lag, delta)
 
@@ -420,23 +423,27 @@ def save_edge_list(g: DirectedGraph, path: str) -> None:
 
 
 def load_edge_list(path: str) -> DirectedGraph:
-    """Parse an edge-list file; a line that is no valid edge raises FileFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Parse an edge-list file; a line that is no valid edge, or repeats one, raises
+    FileFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:  # (line number, text), blanks skipped
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise FileFormatError(f"{path}: empty edge-list file")
+    lineno, header = lines[0]
     try:
-        n, m, delta = (int(tok) for tok in lines[0].split())
+        n, m, delta = (int(tok) for tok in header.split())
     except ValueError as exc:
-        raise FileFormatError(f"{path}:1: bad header {lines[0]!r}") from exc
+        raise FileFormatError(f"{path}:{lineno}: bad header {header!r}") from exc
     if len(lines) - 1 != m:
         raise FileFormatError(f"{path}: header claims {m} edges, found {len(lines) - 1}")
     lags = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             u, v, lag = (int(tok) for tok in line.split())
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: bad edge line {line!r}") from exc
+        if (u, v) in lags:
+            raise FileFormatError(f"{path}:{lineno}: repeated edge ({u}, {v})")
         lags[(u, v)] = lag
     try:  # the constructor names a self-loop, an endpoint or a lag out of range
         return DirectedGraph(n, list(lags), lags, delta=delta)

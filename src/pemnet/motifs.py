@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigurationError, StabilityError
-from .numerics import spectral_radius
+from .numerics import STABILITY_MARGIN, spectral_radius
 
 
 class TruncationWarning(UserWarning):
@@ -148,8 +148,12 @@ def covariance_series(
     if n is None:
         n = size
     z = dt_tau
-    if spectral_radius(eps * z * a + (1.0 - z) * np.eye(size)) >= 1.0:
-        raise StabilityError("update rule for this adjacency is unstable")
+    rho = spectral_radius(eps * z * a + (1.0 - z) * np.eye(size))
+    if rho >= 1.0 - STABILITY_MARGIN:
+        raise StabilityError(
+            f"update rule for this adjacency is unstable (spectral radius {rho:.6g}, "
+            f"needs < 1 - {STABILITY_MARGIN:g})"
+        )
     powers = [np.eye(size)]
     for _ in range(l_max):
         powers.append(powers[-1] @ a)

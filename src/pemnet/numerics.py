@@ -1,8 +1,9 @@
 """Dense-matrix numerical kernels used throughout the package.
 
 Provides a Gauss-series evaluator for the hypergeometric function 2F1(a, a; c; x),
-discrete- and continuous-time Lyapunov solvers, the spectral radius, and ordinary
-least squares. All tolerances are fixed constants so that results are deterministic.
+discrete- and continuous-time Lyapunov solvers, the spectral radius (the Perron
+root by power iteration for large nonnegative matrices), and ordinary least
+squares. All tolerances are fixed constants so that results are deterministic.
 """
 
 from __future__ import annotations
@@ -18,6 +19,22 @@ _SERIES_MAX_TERMS = 10**6
 # Fixed-point iteration for the discrete Lyapunov equation.
 _LYAP_RTOL = 1e-13
 _LYAP_MAX_ITER = 10**6
+
+# A spectral radius within this margin of 1 counts as unstable. At eps = 1 the
+# normalized graphs put the radius at 1 up to roundoff, on either side of it, so
+# a bare rho < 1 test would accept some of them as a non-stationary walk.
+STABILITY_MARGIN = 1e-12
+
+# Perron root of a nonnegative matrix (_perron_root): smallest n that takes
+# it (below, the dense eigensolve is as fast), diagonal shift as a fraction of
+# the mean off-diagonal row sum, truncation of the lower-bound vector, bracket
+# width relative to the root, iteration cap, window of the rate estimate.
+_PERRON_MIN_N = 64
+_PERRON_SHIFT = 0.1
+_PERRON_FLOOR = 2.0**-30
+_PERRON_RTOL = 1e-14
+_PERRON_MAX_ITER = 100
+_PERRON_WINDOW = 5
 
 
 def hyp2f1_equal_ab(a: int, c: int, x: float) -> float:
@@ -53,48 +70,105 @@ def spectral_radius(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of a square matrix.
 
     Structurally nilpotent matrices (no directed cycle among the non-zero
-    entries) return exactly 0.0; otherwise the eigenvalues are computed
-    densely via LAPACK.
+    entries) return exactly 0.0. A nonnegative matrix with n >= 64 gets its
+    Perron root from a certified power-iteration bracket (_perron_root); any
+    other matrix, or one whose bracket does not close, gets a dense LAPACK
+    eigensolve.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if _pattern_nilpotent(a != 0.0):
         return 0.0
+    if a.shape[0] >= _PERRON_MIN_N and a.min() >= 0.0:
+        root = _perron_root(a)
+        if root is not None:
+            return root
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def _pattern_nilpotent(pattern: np.ndarray) -> bool:
-    """True iff the boolean matrix raised to the n-th boolean power is zero.
+def _perron_root(a: np.ndarray) -> float | None:
+    """Spectral radius of a nonnegative matrix, or None if the bracket does not close.
 
-    Uses repeated boolean squaring; equivalent to the digraph of non-zero
-    entries having no directed cycle, which forces A^n = 0 exactly for any
-    values on that pattern. The squares are float64 products of 0/1 matrices
-    (BLAS; numpy's integer matmul has none), exact since every entry is <= n.
+    Power iteration on B = a + (c - d) I, with d = min diag(a) and c a tenth of
+    the mean off-diagonal row sum: B is nonnegative with a positive diagonal, so
+    the iteration does not oscillate, and rho(a) = rho(B) - (c - d). For x > 0 the
+    Collatz-Wielandt bound max_i (Bx)_i / x_i is an upper bound on rho(B). By
+    the subinvariance theorem, min_i (Bx')_i / x'_i over the support of any
+    nonnegative x' != 0 is a lower bound; x' is x with the entries below
+    2^-30 max x zeroed, so the bracket also closes on reducible matrices whose
+    dominant class leaves other entries decaying. Returns the midpoint once
+    the bracket is no wider than 1e-14 times the upper bound on rho(a). Returns None
+    after 100 iterations, or earlier once the upper bound falls too slowly to
+    close the bracket by then (slowly mixing graphs such as ring lattices).
     """
-    n = pattern.shape[0]
-    p = pattern.astype(float)
-    power = 1
-    while True:
-        if not p.any():
-            return True
-        if power >= n:
-            return False
-        p = ((p @ p) > 0).astype(float)
-        power *= 2
+    n = a.shape[0]
+    diag = np.diagonal(a)
+    c = _PERRON_SHIFT * float(a.sum() - diag.sum()) / n
+    if not 0.0 < c < np.inf:  # diagonal, or not finite
+        return None
+    shift = c - float(diag.min())
+    b = a.copy()
+    b.flat[:: n + 1] += shift
+    x = np.ones(n)
+    his = []
+    for it in range(_PERRON_MAX_ITER):
+        y = b @ x
+        ratio = y / x
+        hi = float(ratio.max())
+        if x.min() >= _PERRON_FLOOR:
+            lo = float(ratio.min())
+        else:
+            keep = x >= _PERRON_FLOOR
+            lo = float(((b @ np.where(keep, x, 0.0))[keep] / x[keep]).min())
+        tol = _PERRON_RTOL * (hi - shift)
+        if hi - lo <= tol:
+            root = 0.5 * (hi + lo) - shift
+            return root if np.isfinite(root) else None
+        his.append(hi)
+        if it >= 2 * _PERRON_WINDOW:
+            # the upper bound falls geometrically at the rate the bracket closes
+            drop = his[-2] - hi
+            drop_then = his[-2 - _PERRON_WINDOW] - his[-1 - _PERRON_WINDOW]
+            if drop > tol and drop_then > 0.0:
+                q = (drop / drop_then) ** (1.0 / _PERRON_WINDOW)
+                if q >= 1.0 or drop * q ** (_PERRON_MAX_ITER - 1 - it) > (1.0 - q) * tol:
+                    return None
+        x = y / y.max()
+    return None
+
+
+def _pattern_nilpotent(pattern: np.ndarray) -> bool:
+    """True iff the boolean matrix is nilpotent: its digraph has no directed cycle.
+
+    Peels the nodes whose row has no remaining non-zero entry, round by round;
+    the digraph is acyclic exactly when every node is peeled. Nilpotency then
+    holds for any values on that pattern.
+    """
+    inputs = np.count_nonzero(pattern, axis=1)
+    alive = np.ones(pattern.shape[0], dtype=bool)
+    peel = inputs == 0
+    while peel.any():
+        alive &= ~peel
+        inputs -= np.count_nonzero(pattern[:, peel], axis=1)
+        peel = alive & (inputs == 0)
+    return not alive.any()
 
 
 def solve_discrete_lyapunov(k_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     """Solve K S K^T - S + Q = 0 by fixed-point iteration S <- K S K^T + Q.
 
-    Requires spectral_radius(K) < 1. Iteration starts from S = Q and stops when
-    the max-abs update falls below 1e-13 times the max-abs of S.
+    Requires spectral_radius(K) < 1 - STABILITY_MARGIN. Iteration starts from
+    S = Q and stops when the max-abs update falls below 1e-13 times the max-abs
+    of S.
     """
     k_mat = np.asarray(k_mat, dtype=float)
     q_mat = np.asarray(q_mat, dtype=float)
     rho = spectral_radius(k_mat)
-    if rho >= 1.0:
-        raise StabilityError(f"spectral radius of K is {rho:.6g} >= 1")
+    if rho >= 1.0 - STABILITY_MARGIN:
+        raise StabilityError(
+            f"spectral radius of K is {rho:.6g}, needs < 1 - {STABILITY_MARGIN:g}"
+        )
     s = q_mat.copy()
     for _ in range(_LYAP_MAX_ITER):
         s_next = k_mat @ s @ k_mat.T + q_mat

@@ -64,6 +64,12 @@ class TestSimulate:
         assert run(["simulate", "--graph", tmp_path / "nope.txt",
                     "--out", tmp_path / "ts.txt"]) == 4
 
+    def test_absurd_node_count_exits_4(self, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        g.write_text("100000000000000000000 1 0\n0 1 0\n")
+        assert run(["simulate", "--graph", g, "--out", tmp_path / "ts.txt"]) == 4
+        assert "n=100000000000000000000" in capsys.readouterr().err
+
 
 class TestInfer:
     def make_inputs(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pemnet.dynamics
-from pemnet import _sdd_py
+from pemnet import _sdd_py, numerics
 from pemnet._sdd_py import sdd_recurrence as python_kernel
 from pemnet.dynamics import (
     SDDParams,
@@ -187,6 +187,14 @@ class TestSimulate:
                     simulate_sdd(mats, SDDParams(eps=1.0, n_obs=10), rng)
                 ts = simulate_sdd(mats, SDDParams(eps=0.999, n_obs=10), rng)
                 assert ts.values.shape == (10, n)
+
+    def test_one_stability_margin(self):
+        # the README names pemnet.dynamics.STABILITY_MARGIN; it is the margin
+        # the Lyapunov solver and covariance_series apply too
+        assert pemnet.dynamics.STABILITY_MARGIN is numerics.STABILITY_MARGIN
+        k = (1.0 - 1e-13) * np.eye(2)
+        with pytest.raises(StabilityError, match="needs < 1 - 1e-12"):
+            solve_discrete_lyapunov(k, np.eye(2))
 
     def test_order_p_dynamics(self):
         pairs = ((0, 1), (1, 0), (1, 2), (2, 1))

@@ -284,7 +284,12 @@ class TestNormalizeAdjacency:
 
 class TestIsNilpotent:
     def test_path_is_nilpotent(self):
-        assert is_nilpotent(DirectedGraph(3, ((0, 1), (1, 2))))
+        # a path on n nodes is peeled one node per round, n rounds in all
+        for n in (3, 64, 150):
+            path = tuple((i, i + 1) for i in range(n - 1))
+            assert is_nilpotent(DirectedGraph(n, path))
+            assert spectral_radius(DirectedGraph(n, path).adjacency()) == 0.0
+            assert not is_nilpotent(DirectedGraph(n, path + ((n - 1, 0),)))
 
     def test_reciprocal_pair_is_not(self):
         assert not is_nilpotent(DirectedGraph(4, ((0, 1), (1, 0))))
@@ -301,11 +306,11 @@ class TestIsNilpotent:
             idx = rng.choice(len(pairs), size=m, replace=False)
             g = DirectedGraph(n, tuple(pairs[t] for t in idx))
             assert is_nilpotent(g) == (not has_cycle_dfs(g))
-        # sparse n <= 120: random DAGs, then each with one edge against its
+        # sparse n <= 150: random DAGs, then each with one edge against its
         # topological order, which closes a cycle when a path runs back
         outcomes = set()
         for _ in range(60):
-            n = int(rng.integers(20, 121))
+            n = int(rng.integers(20, 151))
             order = rng.permutation(n)
             rows, cols = np.nonzero(np.triu(rng.random((n, n)) < 3.0 / n, k=1))
             dag = [(int(order[a]), int(order[b])) for a, b in zip(rows, cols)]
@@ -313,8 +318,13 @@ class TestIsNilpotent:
             for edges in (dag, dag + [(int(order[b]), int(order[a]))]):
                 g = DirectedGraph(n, tuple(edges))
                 assert is_nilpotent(g) == (not has_cycle_dfs(g))
+                assert (spectral_radius(g.adjacency()) == 0.0) == is_nilpotent(g)
                 outcomes.add(is_nilpotent(g))
         assert outcomes == {True, False}
+        for n in (64, 100, 150):
+            for model in ("gnm", "ba", "rr", "sw"):
+                g = gen_graph(GraphConfig(model=model, n=n, d_e=0.05), rng)
+                assert is_nilpotent(g) == (not has_cycle_dfs(g))
 
 
 class TestShootingStar:
@@ -443,6 +453,25 @@ class TestEdgeListIO:
         path.write_text("2 1 0\n0 5 0\n")
         with pytest.raises(FileFormatError):
             load_edge_list(str(path))
+
+    @pytest.mark.parametrize("lines, lineno", [
+        ("2 2 0\n0 1 0\n0 1 0\n", 3),
+        ("3 2 2\n0 1 0\n0 1 2\n", 3),
+        ("3 2 0\n\n0 1 0\n\n0 1 0\n", 5),
+    ], ids=["same-lag", "other-lag", "blank-lines"])
+    def test_rejects_repeated_edge(self, tmp_path, lines, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_text(lines)
+        with pytest.raises(FileFormatError, match=rf":{lineno}: repeated edge \(0, 1\)"):
+            load_edge_list(str(path))
+
+    def test_absurd_node_count(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("100000000000000000000 1 0\n0 1 0\n")
+        with pytest.raises(FileFormatError, match="n=100000000000000000000"):
+            load_edge_list(str(path))
+        with pytest.raises(ConfigurationError, match="n=100000000000000000000"):
+            DirectedGraph(10**20, ((0, 1),))
 
     def test_rejects_wrong_count(self, tmp_path):
         path = tmp_path / "bad.txt"

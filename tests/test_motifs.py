@@ -226,6 +226,16 @@ class TestCovarianceSeries:
         with pytest.raises(StabilityError):
             covariance_series(a, eps=1.05, tau=1.0, sigma=0.2, dt_tau=1.0)
 
+    def test_eps_one_refused_on_every_graph(self):
+        # at eps = 1 the radius is 1 up to roundoff; the stability margin
+        # refuses every graph rather than summing a divergent series
+        for n in (3, 10):
+            for seed in range(5):
+                g = gen_graph_non_nilpotent(GraphConfig(n=n), np.random.default_rng(seed))
+                a, _ = normalize_adjacency(g)
+                with pytest.raises(StabilityError, match="needs < 1 - 1e-12"):
+                    covariance_series(a, eps=1.0, tau=1.0, sigma=0.2, dt_tau=0.5)
+
 
 class TestContributionTable:
     def test_var1_argmax_is_shared_driver(self):

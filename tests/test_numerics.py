@@ -4,8 +4,18 @@ import scipy.linalg
 import scipy.special
 from numpy.testing import assert_allclose
 
+from pemnet import numerics
+from pemnet.dynamics import SDDParams, step_matrices
 from pemnet.errors import ConvergenceError, NumericalError, StabilityError
+from pemnet.graphs import (
+    GraphConfig,
+    assign_lags,
+    gen_graph,
+    gen_graph_non_nilpotent,
+    normalize_adjacency,
+)
 from pemnet.numerics import (
+    _perron_root,
     hyp2f1_equal_ab,
     ols_fit,
     solve_continuous_lyapunov,
@@ -19,6 +29,38 @@ def ring_adjacency(n):
     for i in range(n):
         a[(i + 1) % n, i] = 1.0
     return a
+
+
+def block_triangular(n, rng, upstream_scale):
+    # two strongly connected blocks, the first feeding the second; rows 0-4
+    # are sources (no inputs) and rows n-5..n-1 are sinks (nobody reads them)
+    k = n // 3
+    up, down = slice(5, 5 + k), slice(5 + k, n - 5)
+    size = n - 10 - k
+    a = np.zeros((n, n))
+    a[up, up] = upstream_scale * (rng.random((k, k)) < 0.3) * rng.random((k, k))
+    a[down, down] = (rng.random((size, size)) < 0.3) * rng.random((size, size))
+    a[down, up] = (rng.random((size, k)) < 0.1) * rng.random((size, k))
+    a[5 : n - 5, :5] = rng.random((n - 10, 5)) < 0.2
+    a[n - 5 :, : n - 5] = rng.random((5, n - 5)) < 0.2
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def summed_step_matrices(n, dt_tau, seed):
+    rng = np.random.default_rng(seed)
+    g = gen_graph_non_nilpotent(GraphConfig(n=n, d_e=0.1, delta=2), rng)
+    _, mats = normalize_adjacency(assign_lags(g, 2, rng))
+    return step_matrices(mats, SDDParams(dt=dt_tau, delta=2)).sum(axis=0)
+
+
+def ring_lattice(n, seed):
+    g = gen_graph(GraphConfig(model="rr", n=n, d_e=0.1), np.random.default_rng(seed))
+    return g.adjacency()
+
+
+def largest_abs_eigenvalue(a):
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 class TestHyp2f1:
@@ -171,6 +213,75 @@ class TestSpectralRadius:
             assert_allclose(
                 spectral_radius(c * a), abs(c) * spectral_radius(a), rtol=1e-9
             )
+
+    @pytest.mark.parametrize("n", [64, 100, 150])
+    def test_perron_root_matches_eigensolve(self, n):
+        rng = np.random.default_rng(n)
+        cases = []
+        for _ in range(5):
+            sparse = (rng.random((n, n)) < 0.1) * rng.random((n, n))
+            cases.append(sparse)
+            cases.append(sparse + np.diag(3.0 * rng.random(n)))  # positive diagonal
+            cases.append(block_triangular(n, rng, upstream_scale=4.0))
+            cases.append(block_triangular(n, rng, upstream_scale=0.25))
+        cases += [summed_step_matrices(n, dt_tau, seed)
+                  for dt_tau in (0.1, 0.5, 1.0) for seed in range(3)]
+        cases += [ring_lattice(n, seed) for seed in range(3)]
+        for a in cases:
+            assert spectral_radius(a) == pytest.approx(largest_abs_eigenvalue(a), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 100, 150])
+    def test_bracket_closes_on_reducible_matrices(self, n):
+        # the dominant block feeds the rest, and sources decay out of the lower bound
+        rng = np.random.default_rng(n + 1)
+        for _ in range(5):
+            a = block_triangular(n, rng, upstream_scale=4.0)
+            assert _perron_root(a) == pytest.approx(largest_abs_eigenvalue(a), rel=1e-12)
+
+    def test_ring_lattice_falls_back_early(self):
+        # the bracket closes too slowly, so the early exit hands the matrix to
+        # eigvals after a few iterations rather than the full cap
+        a = ring_lattice(100, 0)
+        products = []
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other)
+                return np.asarray(self) @ other
+
+        assert _perron_root(a.view(Counting)) is None
+        assert len(products) <= 2 * numerics._PERRON_WINDOW + 3
+        assert spectral_radius(a) == pytest.approx(largest_abs_eigenvalue(a), rel=1e-12)
+
+    def test_large_nilpotent_is_exactly_zero(self):
+        rng = np.random.default_rng(5)
+        for n in (64, 100, 150):
+            a = np.triu(rng.random((n, n)), k=1)
+            perm = rng.permutation(n)
+            assert spectral_radius(a) == 0.0
+            assert spectral_radius(a[np.ix_(perm, perm)]) == 0.0
+
+    def test_gnm_adjacency_skips_the_eigensolve(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("dense eigensolve reached")
+
+        monkeypatch.setattr(numerics.np.linalg, "eigvals", refuse)
+        for seed in range(5):
+            g = gen_graph_non_nilpotent(GraphConfig(n=100, d_e=0.1),
+                                        np.random.default_rng(seed))
+            assert spectral_radius(g.adjacency()) > 0.0
+            assert spectral_radius(summed_step_matrices(100, 0.5, seed)) > 0.0
+
+    @pytest.mark.parametrize("a", [
+        np.ones((63, 63)),  # below _PERRON_MIN_N
+        np.ones((64, 64)) - 2.0 * np.eye(64),  # a negative entry
+    ], ids=["small", "negative"])
+    def test_other_matrices_take_the_eigensolve(self, a, monkeypatch):
+        def refuse(a):
+            raise AssertionError("Perron iteration reached")
+
+        monkeypatch.setattr(numerics, "_perron_root", refuse)
+        assert spectral_radius(a) == pytest.approx(largest_abs_eigenvalue(a), rel=1e-12)
 
 
 class TestOlsFit:
