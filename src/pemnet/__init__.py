@@ -20,7 +20,6 @@ from .bench import (
     write_sweep_csv,
 )
 from .dynamics import (
-    BACKEND,
     SDDParams,
     TimeSeries,
     add_measurement_noise,

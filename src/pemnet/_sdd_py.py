@@ -1,4 +1,4 @@
-"""Pure-numpy fallback kernel for the delay-difference recurrence.
+"""Numpy kernel for the delay-difference recurrence.
 
 The recurrence is linear, so L consecutive steps are one affine map of the p
 history rows and the L noise rows of a block (a blocked scan; Blelloch 1990,

@@ -5,12 +5,10 @@ The model iterates, with z = dt / tau,
     x_t = (1 - z) x_{t-dt} + z * eps * sum_k A_k x_{t-k*dt} + sigma * dw_t,
 
 where A_k couples inputs with transmission lag k - 1 and each component of dw_t
-is Gaussian with variance dt / n. The recurrence runs in a compiled kernel when
-the extension built and in a numpy fallback otherwise (BACKEND names which).
-The fallback is a blocked scan that advances L = 128 // n steps per matrix
-product; at L = 1 it is the per-step loop, and for L > 1 it agrees with that
-loop to about 1e-15 relative. Results are bit-reproducible for a fixed
-backend; the two backends agree to floating-point accumulation order.
+is Gaussian with variance dt / n. The recurrence runs in one numpy kernel, a
+blocked scan that advances L = 128 // n steps per matrix product; at L = 1 it
+is the per-step loop, bit for bit, and for L > 1 it agrees with that loop to
+about 1e-15 relative. Results are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._sdd_py import sdd_recurrence
 from .errors import (
     ConfigurationError,
     DataError,
@@ -30,14 +29,7 @@ from .errors import (
 )
 from .numerics import STABILITY_MARGIN, spectral_radius
 
-try:
-    from ._sdd_core import sdd_recurrence
-
-    BACKEND = "cython"
-except ImportError:
-    from ._sdd_py import sdd_recurrence
-
-    BACKEND = "python"
+BACKEND = "python"  # the only kernel; kept because perfbench records it as provenance
 
 
 @dataclass(frozen=True)
@@ -92,6 +84,8 @@ class TimeSeries:
     dt: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise DataError(f"sampling period dt must be finite and > 0, got {self.dt}")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 2:
             raise DataError(f"time series needs shape (N >= 2, n), got {values.shape}")
@@ -201,24 +195,29 @@ def save_time_series(ts: TimeSeries, path: str) -> None:
 
 
 def load_time_series(path: str) -> TimeSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Parse a time-series file; a bad header or row raises FileFormatError at its line."""
+    with open(path, "r", encoding="utf-8") as fh:  # (line number, text), blanks skipped
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise FileFormatError(f"{path}: empty time-series file")
-    header = lines[0].split()
+    lineno, header = lines[0]
+    tokens = header.split()
     try:
-        n, n_obs, dt = int(header[0]), int(header[1]), float(header[2])
+        n, n_obs, dt = int(tokens[0]), int(tokens[1]), float(tokens[2])
     except (IndexError, ValueError) as exc:
-        raise FileFormatError(f"{path}:1: bad header {lines[0]!r}") from exc
+        raise FileFormatError(f"{path}:{lineno}: bad header {header!r}") from exc
+    if n < 1 or n_obs < 2 or not (math.isfinite(dt) and dt > 0):
+        raise FileFormatError(f"{path}:{lineno}: bad header {header!r}: "
+                              "need n >= 1, N >= 2 and a finite dt > 0")
     if len(lines) - 1 != n_obs:
         raise FileFormatError(f"{path}: header claims {n_obs} rows, found {len(lines) - 1}")
-    values = np.empty((n_obs, n))
-    for t, line in enumerate(lines[1:]):
+    values = []
+    for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != n:
-            raise FileFormatError(f"{path}:{t + 2}: expected {n} values, got {len(parts)}")
+            raise FileFormatError(f"{path}:{lineno}: expected {n} values, got {len(parts)}")
         try:
-            values[t] = [float(tok) for tok in parts]
+            values.append([float(tok) for tok in parts])
         except ValueError as exc:
-            raise FileFormatError(f"{path}:{t + 2}: bad float in {line!r}") from exc
-    return TimeSeries(values=values, dt=dt)
+            raise FileFormatError(f"{path}:{lineno}: bad float in {line!r}") from exc
+    return TimeSeries(values=np.array(values), dt=dt)

@@ -292,15 +292,17 @@ def save_pem(pem: PEMMatrix, path: str) -> None:
 
 
 def load_pem(path: str) -> PEMMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("pem "):
+    """Parse a PEM file; a bad header or row raises FileFormatError at its line."""
+    with open(path, "r", encoding="utf-8") as fh:  # (line number, text), blanks skipped
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("pem "):
         raise FileFormatError(f"{path}: missing 'pem' header")
-    head = lines[0].split()
+    lineno, header = lines[0]
+    head = header.split()
     try:
         kind, n = head[1], int(head[2])
     except (IndexError, ValueError) as exc:
-        raise FileFormatError(f"{path}:1: bad header {lines[0]!r}") from exc
+        raise FileFormatError(f"{path}:{lineno}: bad header {header!r}") from exc
     params = {}
     for tok in head[3:]:
         key, _, val = tok.partition("=")
@@ -314,9 +316,12 @@ def load_pem(path: str) -> PEMMatrix:
     if len(lines) - 1 != n:
         raise FileFormatError(f"{path}: expected {n} matrix rows, found {len(lines) - 1}")
     values = np.empty((n, n))
-    for r, line in enumerate(lines[1:]):
+    for r, (lineno, line) in enumerate(lines[1:]):
         parts = line.split()
         if len(parts) != n:
-            raise FileFormatError(f"{path}:{r + 2}: expected {n} values")
-        values[r] = [float(tok) for tok in parts]
+            raise FileFormatError(f"{path}:{lineno}: expected {n} values")
+        try:
+            values[r] = [float(tok) for tok in parts]
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: bad float in {line!r}") from exc
     return PEMMatrix(values, kind, params)

@@ -105,6 +105,17 @@ class TestInfer:
         assert run(["infer", "--ts", ts, "--pem", "lc",
                     "--out", tmp_path / "pem.txt"]) == 3
 
+    @pytest.mark.parametrize("header", ["10 1000 0", "10 1000 -1", "-1 1000 0.5"])
+    def test_malformed_header_exits_4(self, tmp_path, capsys, header):
+        _, ts = self.make_inputs(tmp_path)
+        rows = ts.read_text().splitlines()[1:]
+        ts.write_text("\n".join([header, *rows]) + "\n")
+        assert run(["infer", "--ts", ts, "--pem", "lcrc", "--dt-tau", "auto",
+                    "--out", tmp_path / "pem.txt"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ":1: bad header" in err
+
     def test_gc_measure(self, tmp_path):
         g, ts = self.make_inputs(tmp_path)
         out = tmp_path / "pem.txt"

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pemnet.dynamics import SDDParams, TimeSeries, simulate_sdd
-from pemnet.errors import ConfigurationError, DataError
+from pemnet.errors import ConfigurationError, DataError, FileFormatError
 from pemnet.graphs import DirectedGraph, normalize_adjacency
 from pemnet.numerics import solve_discrete_lyapunov
 import pemnet.pem
@@ -485,6 +485,16 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("not a pem file\n")
         with pytest.raises(Exception):
+            load_pem(str(path))
+
+    @pytest.mark.parametrize("lines, lineno", [
+        ("pem lc 2\nnan 0.5\nx nan\n", 3),
+        ("pem lc 2\n\nnan 0.5\n\nx nan\n", 5),
+    ], ids=["plain", "blank-lines"])
+    def test_bad_float_names_physical_line(self, tmp_path, lines, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_text(lines)
+        with pytest.raises(FileFormatError, match=rf"bad\.txt:{lineno}: bad float"):
             load_pem(str(path))
 
     def test_matrix_requires_finite_off_diagonal(self):
