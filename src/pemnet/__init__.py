@@ -73,11 +73,13 @@ from .numerics import (
 from .pem import (
     AUTO,
     CorrectionFactor,
+    LagStack,
     PEMMatrix,
     alpha_from_contributions,
     alpha_lccf,
     alpha_lcrc,
     compute_pem,
+    compute_pems,
     estimate_tau_inv,
     load_pem,
     pem_gc,

@@ -9,7 +9,6 @@ results are independent of execution order and of the number of worker processes
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -25,7 +24,7 @@ from .graphs import (
     gen_graph_non_nilpotent,
     normalize_adjacency,
 )
-from .pem import AUTO, PEM_KINDS, PEMMatrix, compute_pem
+from .pem import AUTO, PEM_KINDS, PEMMatrix, compute_pems
 
 # Every sweep grid key with the type of its values, in cell and CSV order.
 # N is SDDParams.n_obs; delta sets both the graph's and the dynamics' max lag.
@@ -57,23 +56,33 @@ def derive_seed(*parts: int) -> int:
     return x
 
 
+def _top_m_mask(values: np.ndarray, m: int) -> np.ndarray:
+    """(n, n) mask of the m largest off-diagonal entries of a score matrix with
+    finite off-diagonal entries; ties break by ascending (row, column)."""
+    n = values.shape[0]
+    if not 1 <= m <= n * (n - 1):
+        raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
+    keys = -values.ravel()  # row-major positions
+    keys[:: n + 1] = np.inf  # the diagonal ranks below every score
+    kth = np.partition(keys, m - 1)[m - 1]
+    candidates = np.flatnonzero(keys <= kth)
+    mask = np.zeros(n * n, dtype=bool)
+    mask[candidates[np.argsort(keys[candidates], kind="stable")[:m]]] = True
+    return mask.reshape(n, n)
+
+
+def _mask_accuracy(inferred: np.ndarray, truth: np.ndarray) -> float:
+    n = truth.shape[0]
+    return 1.0 - int(np.count_nonzero(inferred != truth)) / (n * (n - 1))
+
+
 def threshold_pem(pem: PEMMatrix, m: int) -> DirectedGraph:
     """Keep the m largest off-diagonal scores as edges.
 
     Ties break deterministically by ascending (row, column) position. Entry
     (i, j) becomes the edge j -> i.
     """
-    n = pem.n
-    if not 1 <= m <= n * (n - 1):
-        raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major positions
-    keys = -pem.values[rows, cols]
-    kth = np.partition(keys, m - 1)[m - 1]
-    candidates = np.flatnonzero(keys <= kth)
-    top = candidates[np.argsort(keys[candidates], kind="stable")[:m]]
-    lag = np.full((n, n), NO_EDGE)
-    lag[rows[top], cols[top]] = 0
-    return DirectedGraph.from_lag_matrix(lag)
+    return DirectedGraph.from_lag_matrix(np.where(_top_m_mask(pem.values, m), 0, NO_EDGE))
 
 
 def accuracy(inferred: DirectedGraph, truth: DirectedGraph) -> float:
@@ -82,8 +91,7 @@ def accuracy(inferred: DirectedGraph, truth: DirectedGraph) -> float:
         raise ConfigurationError(
             f"size mismatch: inferred n={inferred.n}, truth n={truth.n}"
         )
-    mismatched = int(np.count_nonzero(inferred.mask != truth.mask))
-    return 1.0 - mismatched / (truth.n * (truth.n - 1))
+    return _mask_accuracy(inferred.mask, truth.mask)
 
 
 def baseline_accuracy(n: int, m: int) -> float:
@@ -154,8 +162,12 @@ def run_trial(
     """One seeded trial: sample, simulate, score each requested edge measure.
 
     delta_hat defaults to the true max lag; dt_tau defaults to the true dt/tau
-    (pass AUTO to estimate it from the data). Deterministic given the seed,
-    except for the wall-time fields, which cover the measure computation only.
+    (pass AUTO to estimate it from the data). The measures read one lag stack
+    (see compute_pems): one centering, lags 0..max(delta_hat + 1, 1) each
+    computed once, and dt/tau estimated at most once. Each is thresholded with
+    the true edge count and scored on masks. Deterministic given the seed,
+    except for wall_time_s: the time of the work that measure read, its lags,
+    the dt/tau estimate and its own scoring, independent of the order of pems.
     """
     if config.delta != params.delta:
         raise ConfigurationError(
@@ -183,23 +195,17 @@ def run_trial(
         ts = add_measurement_noise(ts, params.eta, rng)
     except PemnetError as exc:
         return fail("simulate", exc)
+    scored = compute_pems(ts, pems, dt_tau=z, delta_hat=d_hat)
     records = []
     for kind in pems:
-        try:
-            t0 = time.perf_counter()
-            pem = compute_pem(ts, kind, dt_tau=z, delta_hat=d_hat)
-            wall = time.perf_counter() - t0
-            inferred = threshold_pem(pem, graph.m)
-            phi = accuracy(inferred, graph)
-            records.append(
-                TrialRecord(config, params, kind, d_hat, trial, seed,
-                            phi, wall, pem.flags)
-            )
-        except PemnetError as exc:
-            records.append(
-                TrialRecord(config, params, kind, d_hat, trial, seed,
-                            error=f"pem[{kind}]: {exc}")
-            )
+        pem, wall = scored[kind]
+        if isinstance(pem, PemnetError):
+            records.append(TrialRecord(config, params, kind, d_hat, trial, seed,
+                                       error=f"pem[{kind}]: {pem}"))
+            continue
+        phi = _mask_accuracy(_top_m_mask(pem.values, graph.m), graph.mask)
+        records.append(TrialRecord(config, params, kind, d_hat, trial, seed,
+                                   phi, wall, pem.flags))
     return records
 
 
@@ -348,8 +354,8 @@ def run_timing(
     """Time the edge-measure computation along three one-at-a-time grids.
 
     Returns CSV rows (without header). Each grid varies one of n, N, delta_hat
-    from the defaults n=10, N=1000, delta_hat=0; wall time covers the measure
-    computation only.
+    from the defaults n=10, N=1000, delta_hat=0; wall time covers the work each
+    measure read (see run_trial), not graph sampling or simulation.
     """
     spec = SweepSpec(trials=trials, seed=seed, pems=tuple(pems))
     cells = (

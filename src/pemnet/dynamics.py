@@ -26,6 +26,7 @@ from .errors import (
     FileFormatError,
     NumericalError,
     StabilityError,
+    _data_lines,
 )
 from .numerics import STABILITY_MARGIN, spectral_radius
 
@@ -196,11 +197,7 @@ def save_time_series(ts: TimeSeries, path: str) -> None:
 
 def load_time_series(path: str) -> TimeSeries:
     """Parse a time-series file; a bad header or row raises FileFormatError at its line."""
-    with open(path, "r", encoding="utf-8") as fh:  # (line number, text), blanks skipped
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
-        raise FileFormatError(f"{path}: empty time-series file")
-    lineno, header = lines[0]
+    (lineno, header), rows = _data_lines(path, "empty time-series file")
     tokens = header.split()
     try:
         n, n_obs, dt = int(tokens[0]), int(tokens[1]), float(tokens[2])
@@ -209,10 +206,10 @@ def load_time_series(path: str) -> TimeSeries:
     if n < 1 or n_obs < 2 or not (math.isfinite(dt) and dt > 0):
         raise FileFormatError(f"{path}:{lineno}: bad header {header!r}: "
                               "need n >= 1, N >= 2 and a finite dt > 0")
-    if len(lines) - 1 != n_obs:
-        raise FileFormatError(f"{path}: header claims {n_obs} rows, found {len(lines) - 1}")
+    if len(rows) != n_obs:
+        raise FileFormatError(f"{path}: header claims {n_obs} rows, found {len(rows)}")
     values = []
-    for lineno, line in lines[1:]:
+    for lineno, line in rows:
         parts = line.split()
         if len(parts) != n:
             raise FileFormatError(f"{path}:{lineno}: expected {n} values, got {len(parts)}")

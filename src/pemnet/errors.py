@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all pemnet modules."""
+"""Exception hierarchy shared by all pemnet modules, and the line reader of
+their file loaders."""
 
 
 class PemnetError(Exception):
@@ -31,3 +32,14 @@ class NilpotentGraphError(PemnetError):
 
 class FileFormatError(PemnetError):
     """A serialized input file does not match its expected format."""
+
+
+def _data_lines(path: str, empty: str) -> tuple[tuple[int, str], list[tuple[int, str]]]:
+    """(header, rows) of a text file: its non-blank lines as (physical line
+    number, stripped text), the first one apart. A file with no non-blank line
+    raises FileFormatError "<path>: <empty>"."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines:
+        raise FileFormatError(f"{path}: {empty}")
+    return lines[0], lines[1:]

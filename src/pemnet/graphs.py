@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, FileFormatError, NilpotentGraphError
+from .errors import ConfigurationError, FileFormatError, NilpotentGraphError, _data_lines
 from .numerics import _pattern_nilpotent, spectral_radius
 
 GRAPH_MODELS = ("gnm", "er", "ba", "rr", "sw")
@@ -425,19 +425,15 @@ def save_edge_list(g: DirectedGraph, path: str) -> None:
 def load_edge_list(path: str) -> DirectedGraph:
     """Parse an edge-list file; a line that is no valid edge, or repeats one, raises
     FileFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:  # (line number, text), blanks skipped
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
-        raise FileFormatError(f"{path}: empty edge-list file")
-    lineno, header = lines[0]
+    (lineno, header), rows = _data_lines(path, "empty edge-list file")
     try:
         n, m, delta = (int(tok) for tok in header.split())
     except ValueError as exc:
         raise FileFormatError(f"{path}:{lineno}: bad header {header!r}") from exc
-    if len(lines) - 1 != m:
-        raise FileFormatError(f"{path}: header claims {m} edges, found {len(lines) - 1}")
+    if len(rows) != m:
+        raise FileFormatError(f"{path}: header claims {m} edges, found {len(rows)}")
     lags = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in rows:
         try:
             u, v, lag = (int(tok) for tok in line.split())
         except ValueError as exc:

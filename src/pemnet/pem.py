@@ -5,20 +5,24 @@ lagged-covariance orientation <x_{t+k*dt} x_t^T>. Diagonals are set to NaN and
 excluded from ranking. The corrected measures subtract alpha times the lag-0
 correlation from the lag-1 correlation, with alpha chosen so that either the
 shared-driver motif (1,1) or the reversed-edge motif (1,0) cancels exactly.
-Each lc, lccf or lcrc call centers the series once and reads one lag stack in
-which each lag is computed once; an estimated dt/tau takes S_0, S_1 from it.
+The lc family is a function of a LagStack: it centers the series once and
+computes each lag, and an estimated dt/tau (from S_0 and S_1), once. The
+measures of one compute_pems call, as in one trial, all read one stack.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import motifs
 from .dynamics import TimeSeries
-from .errors import ConfigurationError, DataError, FileFormatError, NumericalError
+from .errors import (
+    ConfigurationError, DataError, FileFormatError, NumericalError, PemnetError, _data_lines,
+)
 from .numerics import ols_fit
 
 AUTO = "auto"
@@ -74,29 +78,65 @@ def sample_lagged_cov(x: np.ndarray, k: int) -> np.ndarray:
     return x[k:].T @ x[: n_obs - k] / (n_obs - k - 1)
 
 
-def _lag_stack(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lag-0..k_max covariance and correlation stacks, each (k_max + 1, n, n).
+class LagStack:
+    """Lag-k covariances S_k and correlations C_k of one series, k = 0, 1, ...
 
-    Centers ts once, computes each lag-k covariance once and normalizes by the
-    lag-0 standard deviations. A node whose lag-0 variance is within the
-    roundoff of centering its mean (a constant column) raises DataError.
+    The measures of one call share a stack: it centers the series once and
+    builds each lag, and an estimated dt/tau, once, on first read. Nothing is
+    kept on the TimeSeries. seconds holds each part's build time (lag k, or
+    "tau") and reads the parts read, to charge a measure for what it read.
     """
-    if k_max < 0:
-        raise ConfigurationError(f"max lag must be >= 0, got {k_max}")
-    mean = ts.values.mean(axis=0)
-    x = ts.values - mean
-    covs = np.stack([sample_lagged_cov(x, k) for k in range(k_max + 1)])
-    s0_diag = np.diag(covs[0])
-    bad = np.flatnonzero(s0_diag <= (ts.n_obs * np.finfo(float).eps * np.abs(mean)) ** 2)
-    if bad.size:
-        raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
-    scale = np.sqrt(s0_diag)
-    return covs, covs / np.outer(scale, scale)
+
+    def __init__(self, ts: TimeSeries):
+        self.ts, self.covs, self.corrs = ts, [], []
+        self.seconds, self.reads = {}, set()
+        self._tau = None  # (dt/tau, flags), or the DataError of the estimate
+
+    def lags(self, k_max: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(S_0..S_k_max, C_0..C_k_max). A node whose lag-0 variance is within the
+        roundoff of centering its mean (a constant column) raises DataError."""
+        if k_max < 0:
+            raise ConfigurationError(f"max lag must be >= 0, got {k_max}")
+        for k in range(len(self.covs), k_max + 1):
+            t0 = time.perf_counter()
+            if k == 0:
+                mean = self.ts.values.mean(axis=0)
+                self._x = self.ts.values - mean
+            cov = sample_lagged_cov(self._x, k)
+            if k == 0:
+                scale = np.sqrt(np.diag(cov))
+                roundoff = self.ts.n_obs * np.finfo(float).eps * np.abs(mean)
+                bad = np.flatnonzero(np.diag(cov) <= roundoff**2)
+                if bad.size:
+                    raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
+                self._scale = np.outer(scale, scale)
+            self.covs.append(cov)
+            self.corrs.append(cov / self._scale)
+            self.seconds[k] = time.perf_counter() - t0
+        self.reads.update(range(k_max + 1))
+        return self.covs[: k_max + 1], self.corrs[: k_max + 1]
+
+    def estimated_dt_tau(self) -> tuple[float, tuple[str, ...]]:
+        """dt/tau from S_0 and S_1 (see estimate_tau_inv), with its flags."""
+        covs = self.lags(1)[0]
+        if self._tau is None:
+            t0 = time.perf_counter()
+            try:
+                est = estimate_tau_inv(self.ts, covs)
+                self._tau = est.dt_tau, ("dt_tau_clamped",) if est.clamped else ()
+            except DataError as exc:
+                self._tau = DataError(f"automatic dt/tau estimation failed ({exc}); "
+                                      "pass dt_tau explicitly")
+            self.seconds["tau"] = time.perf_counter() - t0
+        self.reads.add("tau")
+        if isinstance(self._tau, DataError):
+            raise self._tau
+        return self._tau
 
 
 def sample_lagged_corrs(ts: TimeSeries, k_max: int) -> np.ndarray:
     """Lag-0..k_max sample correlations as a (k_max + 1, n, n) stack."""
-    return _lag_stack(ts, k_max)[1]
+    return np.stack(LagStack(ts).lags(k_max)[1])
 
 
 def alpha_lccf(dt_tau: float) -> CorrectionFactor:
@@ -145,33 +185,7 @@ def _with_nan_diagonal(values: np.ndarray) -> np.ndarray:
 
 def pem_lc(ts: TimeSeries) -> PEMMatrix:
     """Plain lag-1 correlation."""
-    if ts.n_obs < 3:
-        raise DataError(f"need at least 3 observations, got {ts.n_obs}")
-    return PEMMatrix(_with_nan_diagonal(sample_lagged_corrs(ts, 1)[1]), "lc")
-
-
-def _estimated_dt_tau(ts: TimeSeries, covs) -> tuple[float, tuple[str, ...]]:
-    try:
-        est = estimate_tau_inv(ts, covs)
-    except DataError as exc:
-        raise DataError(
-            f"automatic dt/tau estimation failed ({exc}); pass dt_tau explicitly"
-        ) from exc
-    return est.dt_tau, ("dt_tau_clamped",) if est.clamped else ()
-
-
-def _corrected_pem(ts, dt_tau, delta_hat, kind, alpha_fn) -> PEMMatrix:
-    if delta_hat < 0:
-        raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
-    if ts.n_obs < delta_hat + 3:
-        raise DataError(f"need N >= delta_hat + 3, got N={ts.n_obs}")
-    z = None if dt_tau == AUTO else _check_dt_tau(dt_tau)
-    covs, corrs = _lag_stack(ts, delta_hat + 1)
-    z, flags = _estimated_dt_tau(ts, covs) if z is None else (z, ())
-    alpha = alpha_fn(z).alpha
-    best = (corrs[1:] - alpha * corrs[:-1]).max(axis=0)
-    params = {"dt_tau": z, "delta_hat": delta_hat, "alpha": alpha}
-    return PEMMatrix(_with_nan_diagonal(best), kind, params, flags)
+    return compute_pem(ts, "lc")
 
 
 def pem_lccf(ts: TimeSeries, dt_tau, delta_hat: int = 0) -> PEMMatrix:
@@ -181,12 +195,12 @@ def pem_lccf(ts: TimeSeries, dt_tau, delta_hat: int = 0) -> PEMMatrix:
     of corr_(1+d) - alpha_lccf * corr_d. dt_tau may be AUTO to estimate it from
     the data.
     """
-    return _corrected_pem(ts, dt_tau, delta_hat, "lccf", alpha_lccf)
+    return compute_pem(ts, "lccf", dt_tau, delta_hat)
 
 
 def pem_lcrc(ts: TimeSeries, dt_tau, delta_hat: int = 0) -> PEMMatrix:
     """Lagged correlation corrected for reverse causation (alpha = 1 - z)."""
-    return _corrected_pem(ts, dt_tau, delta_hat, "lcrc", alpha_lcrc)
+    return compute_pem(ts, "lcrc", dt_tau, delta_hat)
 
 
 def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInverseEstimate:
@@ -200,7 +214,7 @@ def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInver
     """
     if ts.n_obs < ts.n + 2:
         raise DataError(f"need N >= n + 2 for the estimate, got N={ts.n_obs}, n={ts.n}")
-    s0, s1 = (_lag_stack(ts, 1)[0] if covs is None else covs)[:2]
+    s0, s1 = (LagStack(ts).lags(1)[0] if covs is None else covs)[:2]
     try:
         m = np.linalg.solve(s0.T, s1.T).T
     except np.linalg.LinAlgError as exc:
@@ -270,15 +284,53 @@ def compute_pem(
     ts: TimeSeries, kind: str, dt_tau=AUTO, delta_hat: int = 0
 ) -> PEMMatrix:
     """Dispatch on the measure name; gc uses p_hat = delta_hat + 1."""
-    if kind == "lc":
-        return pem_lc(ts)
-    if kind == "lccf":
-        return pem_lccf(ts, dt_tau, delta_hat)
-    if kind == "lcrc":
-        return pem_lcrc(ts, dt_tau, delta_hat)
+    return _score(LagStack(ts), kind, dt_tau, delta_hat)
+
+
+def _score(stack: LagStack, kind: str, dt_tau, delta_hat: int) -> PEMMatrix:
+    n_obs = stack.ts.n_obs
     if kind == "gc":
-        return pem_gc(ts, p_hat=delta_hat + 1)
-    raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
+        return pem_gc(stack.ts, p_hat=delta_hat + 1)
+    if kind == "lc":
+        if n_obs < 3:
+            raise DataError(f"need at least 3 observations, got {n_obs}")
+        return PEMMatrix(_with_nan_diagonal(stack.lags(1)[1][1]), "lc")
+    if kind not in ("lccf", "lcrc"):
+        raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
+    if delta_hat < 0:
+        raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
+    if n_obs < delta_hat + 3:
+        raise DataError(f"need N >= delta_hat + 3, got N={n_obs}")
+    z = None if dt_tau == AUTO else _check_dt_tau(dt_tau)
+    corrs = np.stack(stack.lags(delta_hat + 1)[1])
+    z, flags = stack.estimated_dt_tau() if z is None else (z, ())
+    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z).alpha
+    best = (corrs[1:] - alpha * corrs[:-1]).max(axis=0)
+    params = {"dt_tau": z, "delta_hat": delta_hat, "alpha": alpha}
+    return PEMMatrix(_with_nan_diagonal(best), kind, params, flags)
+
+
+def compute_pems(
+    ts: TimeSeries, kinds, dt_tau=AUTO, delta_hat: int = 0
+) -> dict[str, tuple[PEMMatrix | PemnetError, float]]:
+    """compute_pem for each kind, all reading one LagStack of ts.
+
+    Maps each kind to its matrix, or the PemnetError it raised, and the seconds
+    of the work it read: its own call, plus the parts of the stack it read that
+    an earlier kind built. So a kind's time does not depend on the order of
+    kinds, and gc, which reads no stack, keeps its own timer.
+    """
+    stack, out = LagStack(ts), {}
+    for kind in kinds:
+        stack.reads, built = set(), set(stack.seconds)
+        t0 = time.perf_counter()
+        try:
+            result = _score(stack, kind, dt_tau, delta_hat)
+        except PemnetError as exc:
+            result = exc
+        reused = sum(stack.seconds[part] for part in stack.reads & built)
+        out[kind] = result, time.perf_counter() - t0 + reused
+    return out
 
 
 def save_pem(pem: PEMMatrix, path: str) -> None:
@@ -293,11 +345,9 @@ def save_pem(pem: PEMMatrix, path: str) -> None:
 
 def load_pem(path: str) -> PEMMatrix:
     """Parse a PEM file; a bad header or row raises FileFormatError at its line."""
-    with open(path, "r", encoding="utf-8") as fh:  # (line number, text), blanks skipped
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("pem "):
+    (lineno, header), rows = _data_lines(path, "missing 'pem' header")
+    if not header.startswith("pem "):
         raise FileFormatError(f"{path}: missing 'pem' header")
-    lineno, header = lines[0]
     head = header.split()
     try:
         kind, n = head[1], int(head[2])
@@ -313,10 +363,10 @@ def load_pem(path: str) -> PEMMatrix:
                 params[key] = float(val)
             except ValueError:
                 params[key] = val
-    if len(lines) - 1 != n:
-        raise FileFormatError(f"{path}: expected {n} matrix rows, found {len(lines) - 1}")
+    if len(rows) != n:
+        raise FileFormatError(f"{path}: expected {n} matrix rows, found {len(rows)}")
     values = np.empty((n, n))
-    for r, (lineno, line) in enumerate(lines[1:]):
+    for r, (lineno, line) in enumerate(rows):
         parts = line.split()
         if len(parts) != n:
             raise FileFormatError(f"{path}:{lineno}: expected {n} values")

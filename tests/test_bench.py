@@ -1,16 +1,21 @@
+import dataclasses
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import pemnet.pem
 from pemnet import cli
 from pemnet.bench import (
     GRID_KEYS,
     SWEEP_CSV_HEADER,
     SweepSpec,
+    TrialRecord,
     accuracy,
     baseline_accuracy,
     derive_seed,
@@ -22,10 +27,16 @@ from pemnet.bench import (
     threshold_pem,
     write_sweep_csv,
 )
-from pemnet.dynamics import SDDParams
-from pemnet.errors import ConfigurationError, DataError
-from pemnet.graphs import DirectedGraph, GraphConfig
-from pemnet.pem import AUTO, PEMMatrix
+from pemnet.dynamics import SDDParams, add_measurement_noise, simulate_sdd
+from pemnet.errors import ConfigurationError, DataError, PemnetError
+from pemnet.graphs import (
+    DirectedGraph,
+    GraphConfig,
+    assign_lags,
+    gen_graph_non_nilpotent,
+    normalize_adjacency,
+)
+from pemnet.pem import AUTO, PEMMatrix, compute_pem, compute_pems
 
 
 def pem_from(values):
@@ -231,6 +242,118 @@ class TestRunTrial:
         assert records[0].wall_time_s > 0.0
 
 
+def stage_by_stage(config, params, pems, seed, dt_tau=None):
+    """run_trial at delta_hat = delta as the per-kind stage path: compute_pem,
+    threshold_pem and accuracy for each kind on its own, wall_time_s left out."""
+    d_hat = config.delta
+    z = params.dt_tau if dt_tau is None else dt_tau
+    rng = np.random.default_rng(seed)
+    graph = assign_lags(gen_graph_non_nilpotent(config, rng), config.delta, rng)
+    ts = simulate_sdd(normalize_adjacency(graph)[1], params, rng)
+    ts = add_measurement_noise(ts, params.eta, rng)
+    records = []
+    for kind in pems:
+        try:
+            pem = compute_pem(ts, kind, dt_tau=z, delta_hat=d_hat)
+            phi = accuracy(threshold_pem(pem, graph.m), graph)
+            records.append(TrialRecord(config, params, kind, d_hat, 0, seed, phi,
+                                       flags=pem.flags))
+        except PemnetError as exc:
+            records.append(TrialRecord(config, params, kind, d_hat, 0, seed,
+                                       error=f"pem[{kind}]: {exc}"))
+    return records
+
+
+def without_wall_time(records):
+    return [dataclasses.replace(r, wall_time_s=0.0) for r in records]
+
+
+class TestOneStackPerTrial:
+    ORDERS = (["lc", "lccf", "lcrc", "gc"], ["lcrc", "gc", "lc"])
+
+    @pytest.mark.parametrize("pems", ORDERS)
+    @pytest.mark.parametrize("delta_hat", [0, 3])
+    @pytest.mark.parametrize("dt_tau", [None, AUTO])
+    def test_matches_stage_by_stage(self, pems, delta_hat, dt_tau):
+        config, params = GraphConfig(delta=delta_hat), SDDParams(delta=delta_hat)
+        got = run_trial(config, params, pems, 8, dt_tau=dt_tau)
+        assert all(not r.error and r.wall_time_s > 0.0 for r in got)
+        assert without_wall_time(got) == without_wall_time(
+            stage_by_stage(config, params, pems, 8, dt_tau=dt_tau))
+
+    @pytest.mark.parametrize("pems", ORDERS)
+    @pytest.mark.parametrize("config, params, dt_tau, failing", [
+        # zero signal: every lc-family kind fails on the variance, gc still runs
+        (GraphConfig(), SDDParams(sigma=0.0), None, {"lc", "lccf", "lcrc"}),
+        # N = delta_hat + 2: lc scores, the corrected kinds (and gc) fail
+        (GraphConfig(delta=3), SDDParams(delta=3, n_obs=5), None, {"lccf", "lcrc", "gc"}),
+        # an estimate at N < n + 2 fails only the kinds that read it (and gc)
+        (GraphConfig(), SDDParams(n_obs=8), AUTO, {"lccf", "lcrc", "gc"}),
+    ])
+    def test_errors_stay_per_kind(self, pems, config, params, dt_tau, failing):
+        got = run_trial(config, params, pems, 2, dt_tau=dt_tau)
+        assert {r.pem_kind for r in got if r.error} == failing & set(pems)
+        assert without_wall_time(got) == without_wall_time(
+            stage_by_stage(config, params, pems, 2, dt_tau=dt_tau))
+
+    @pytest.mark.parametrize("delta_hat", [0, 3])
+    @pytest.mark.parametrize("dt_tau, estimates", [(None, 0), (AUTO, 1)])
+    def test_each_lag_and_estimate_computed_once(self, monkeypatch, delta_hat, dt_tau,
+                                                 estimates):
+        calls = Counter()
+        real_cov, real_est = pemnet.pem.sample_lagged_cov, pemnet.pem.estimate_tau_inv
+
+        def counting_cov(x, k):
+            calls[k] += 1
+            return real_cov(x, k)
+
+        def counting_est(*args):
+            calls["tau"] += 1
+            return real_est(*args)
+
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", counting_cov)
+        monkeypatch.setattr(pemnet.pem, "estimate_tau_inv", counting_est)
+        run_trial(GraphConfig(delta=delta_hat), SDDParams(delta=delta_hat),
+                  ["lc", "lccf", "lcrc"], 4, dt_tau=dt_tau)
+        want = {k: 1 for k in range(delta_hat + 2)}
+        assert calls == Counter(want, tau=estimates)
+
+    def test_no_cache_across_calls(self, monkeypatch):
+        ts = simulate_sdd([np.zeros((4, 4))], SDDParams(n_obs=300), np.random.default_rng(1))
+        lags = []
+        real = pemnet.pem.sample_lagged_cov
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov",
+                            lambda x, k: lags.append(k) or real(x, k))
+        for _ in range(2):
+            compute_pem(ts, "lcrc", dt_tau=AUTO, delta_hat=2)
+        assert lags == [0, 1, 2, 3] * 2
+
+    @pytest.mark.parametrize("delta_hat", [0, 3])
+    def test_wall_time_charges_what_each_kind_read(self, monkeypatch, delta_hat):
+        # on a clock that only lags (1 s each) and the estimate (10 s) advance,
+        # each kind is charged the parts it read, in whatever order it ran
+        now = [0.0]
+        real_cov, real_est = pemnet.pem.sample_lagged_cov, pemnet.pem.estimate_tau_inv
+
+        def slow_cov(x, k):
+            now[0] += 1.0
+            return real_cov(x, k)
+
+        def slow_est(*args):
+            now[0] += 10.0
+            return real_est(*args)
+
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", slow_cov)
+        monkeypatch.setattr(pemnet.pem, "estimate_tau_inv", slow_est)
+        monkeypatch.setattr(pemnet.pem, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        ts = simulate_sdd([np.zeros((4, 4))], SDDParams(n_obs=300), np.random.default_rng(2))
+        corrected = delta_hat + 2 + 10.0
+        want = {"lc": 2.0, "lccf": corrected, "lcrc": corrected, "gc": 0.0}
+        for kinds in (["lc", "lccf", "lcrc", "gc"], ["lcrc", "gc", "lccf", "lc"]):
+            got = compute_pems(ts, kinds, dt_tau=AUTO, delta_hat=delta_hat)
+            assert {kind: wall for kind, (_, wall) in got.items()} == want
+
+
 class TestSweep:
     def test_single_cell_matches_run_trial(self):
         spec = SweepSpec(trials=1, seed=7, pems=("lcrc",))
@@ -391,3 +514,31 @@ class TestTracedBenchmark:
         (recurrence,) = [s for s in tracer.spans if s[3] == "dynamics.recurrence"]
         steps = 40 + params.n_obs  # 20 tau of burn-in at dt = 0.5
         assert recurrence[6] == {"steps": steps, "flops": 2 * 2 * 10 * 10 * steps}
+
+
+def load_perfbench(name, module_name=None):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(module_name or f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkCorrectnessGate:
+    """The benchmark's output check, run on a few items: a break between
+    run_trial and the stage-by-stage path fails here, not only in perfbench."""
+
+    @pytest.fixture
+    def workloads(self, monkeypatch):
+        # workloads.py imports its siblings by their bare names
+        for name in ("tracing", "reference"):
+            monkeypatch.setitem(sys.modules, name, load_perfbench(name, name))
+        return load_perfbench("workloads")
+
+    @pytest.mark.parametrize("name, items", [("sweep-paper", 60), ("sweep-n100", 4)])
+    def test_problems_empty(self, workloads, name, items):
+        workload = workloads.make(name, seed=1)
+        workload.setup()
+        for i in range(items):
+            workload.observe(i, workload.run_plain(i))
+        assert workload.problems() == []
