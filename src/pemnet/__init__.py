@@ -55,18 +55,14 @@ from .graphs import (
 )
 from .motifs import (
     contribution_cov,
-    contribution_delayed,
     contribution_lagk,
-    contribution_oup,
     contribution_table,
     covariance_series,
     psi,
     write_contribution_table,
 )
 from .numerics import (
-    hyp2f1_equal_ab,
     ols_fit,
-    solve_continuous_lyapunov,
     solve_discrete_lyapunov,
     spectral_radius,
 )
@@ -75,7 +71,6 @@ from .pem import (
     CorrectionFactor,
     LagStack,
     PEMMatrix,
-    alpha_from_contributions,
     alpha_lccf,
     alpha_lcrc,
     compute_pem,
@@ -83,10 +78,6 @@ from .pem import (
     estimate_tau_inv,
     load_pem,
     pem_gc,
-    pem_lc,
-    pem_lccf,
-    pem_lcrc,
-    sample_lagged_corrs,
     sample_lagged_cov,
     save_pem,
 )

@@ -137,26 +137,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    _echo(args, ["ts", "pem", "dt_tau", "delta_hat", "out"])
     ts = load_time_series(args.ts)
+    truth = load_edge_list(args.truth) if args.truth else None
+    if truth is not None:
+        args.m = truth.m  # the edge count used, whether from --m or --truth
+    _echo(args, ["ts", "pem", "dt_tau", "delta_hat", "m", "truth", "edges_out", "out"])
     t0 = time.perf_counter()
     pem = compute_pem(ts, args.pem, dt_tau=args.dt_tau, delta_hat=args.delta_hat)
     wall = time.perf_counter() - t0
     save_pem(pem, args.out)
-    print(f"wrote {args.out}: pem={pem.kind} n={pem.n} wall_time_s={wall:.6g}")
-    m = args.m
-    truth = None
-    if args.truth:
-        truth = load_edge_list(args.truth)
-        m = truth.m
-    if m is not None:
-        inferred = bench.threshold_pem(pem, m)
+    resolved = "".join(f" {k}={v:.10g}" for k, v in sorted(pem.params.items()))
+    print(f"wrote {args.out}: pem={pem.kind} n={pem.n}{resolved} "
+          f"flags={','.join(pem.flags) or 'none'} wall_time_s={wall:.6g}")
+    if args.m is not None:
+        inferred = bench.threshold_pem(pem, args.m)
         if args.edges_out:
             save_edge_list(inferred, args.edges_out)
             print(f"wrote {args.edges_out}: m={inferred.m}")
         if truth is not None:
             phi = bench.accuracy(inferred, truth)
-            print(f"accuracy={phi:.10g} baseline={bench.baseline_accuracy(truth.n, m):.10g}")
+            print(f"accuracy={phi:.10g} "
+                  f"baseline={bench.baseline_accuracy(truth.n, args.m):.10g}")
     return 0
 
 

@@ -84,42 +84,6 @@ def contribution_lagk(
     return row[l_f]
 
 
-def contribution_oup(
-    l_b: int, l_f: int, *, eps: float, tau: float, sigma: float, n: int
-) -> float:
-    """Covariance contribution of motif (l_b, l_f) in the continuous-time limit.
-
-    Equals tau sigma^2 eps^L / (2^(L+1) n) * C(L, l_f) with L = l_b + l_f; the
-    dt/tau -> 0 limit of contribution_cov.
-    """
-    if l_b < 0 or l_f < 0:
-        raise ConfigurationError(f"walk lengths must be >= 0, got ({l_b}, {l_f})")
-    total = l_b + l_f
-    return tau * sigma**2 * eps**total / (2 ** (total + 1) * n) * comb(total, l_f)
-
-
-def contribution_delayed(
-    k: int, l_b: int, l_f: int, delay_b: int, delay_f: int, *,
-    eps: float, tau: float, sigma: float, n: int, dt_tau: float,
-) -> float:
-    """Lag-k contribution of a motif whose edges carry transmission delays.
-
-    delay_b and delay_f are the summed delays along the backward and forward
-    walks; each delayed edge behaves like a path through silent relay nodes,
-    which divides out one factor of eps * dt_tau per delay step.
-    """
-    if delay_b < 0 or delay_f < 0:
-        raise ConfigurationError("delay sums must be >= 0")
-    extra = delay_b + delay_f
-    if extra > 0 and eps * dt_tau == 0.0:
-        raise ConfigurationError("eps * dt_tau = 0 with non-zero delays")
-    base = contribution_lagk(
-        k, l_b + delay_b, l_f + delay_f,
-        eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=dt_tau,
-    )
-    return base / (eps * dt_tau) ** extra
-
-
 @dataclass(frozen=True)
 class CovarianceSeries:
     """Truncated motif-series reconstruction of a lag-k covariance matrix."""

@@ -1,9 +1,9 @@
 """Dense-matrix numerical kernels used throughout the package.
 
-Provides a Gauss-series evaluator for the hypergeometric function 2F1(a, a; c; x),
-discrete- and continuous-time Lyapunov solvers, the spectral radius (the Perron
-root by power iteration for large nonnegative matrices), and ordinary least
-squares. All tolerances are fixed constants so that results are deterministic.
+Provides the spectral radius (exactly 0 for a nilpotent pattern, the Perron root
+by power iteration for large nonnegative matrices), the discrete-time Lyapunov
+solver, and ordinary least squares. All tolerances are fixed constants so that
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, StabilityError
-
-# Series termination: relative size of the current term vs. the partial sum.
-_SERIES_RTOL = 1e-15
-_SERIES_MAX_TERMS = 10**6
 
 # Fixed-point iteration for the discrete Lyapunov equation.
 _LYAP_RTOL = 1e-13
@@ -35,35 +31,6 @@ _PERRON_FLOOR = 2.0**-30
 _PERRON_RTOL = 1e-14
 _PERRON_MAX_ITER = 100
 _PERRON_WINDOW = 5
-
-
-def hyp2f1_equal_ab(a: int, c: int, x: float) -> float:
-    """Evaluate 2F1(a, a; c; x) by direct summation of the Gauss series.
-
-    Parameters
-    ----------
-    a, c : positive integers (the two upper parameters are equal).
-    x : argument in [0, 1).
-
-    The series sum_k [(a)_k (a)_k / ((c)_k k!)] x^k is accumulated until the
-    current term falls below 1e-15 times the partial sum. Near x = 1 the series
-    converges slowly; more than 1e6 terms raises ConvergenceError.
-    """
-    if a < 1 or c < 1:
-        raise ValueError(f"a and c must be positive integers, got a={a}, c={c}")
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must lie in [0, 1), got x={x}")
-    total = 1.0
-    term = 1.0
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) * (a + k) * x / ((c + k) * (k + 1))
-        total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            return total
-    raise ConvergenceError(
-        f"2F1({a},{a};{c};x) series did not converge within {_SERIES_MAX_TERMS} "
-        f"terms at x={x}"
-    )
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -179,25 +146,6 @@ def solve_discrete_lyapunov(k_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     raise ConvergenceError(
         f"discrete Lyapunov iteration did not converge within {_LYAP_MAX_ITER} steps"
     )
-
-
-def solve_continuous_lyapunov(m_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
-    """Solve M S + S M^T + Q = 0 via the Kronecker-product linear system.
-
-    Assembles the n^2 x n^2 system (I (x) M + M (x) I) vec(S) = -vec(Q) in
-    column-major vec convention. Intended for small n (test oracle use); a
-    singular system indicates M is not stable.
-    """
-    m_mat = np.asarray(m_mat, dtype=float)
-    q_mat = np.asarray(q_mat, dtype=float)
-    n = m_mat.shape[0]
-    eye = np.eye(n)
-    lhs = np.kron(eye, m_mat) + np.kron(m_mat, eye)
-    try:
-        vec_s = np.linalg.solve(lhs, -q_mat.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise StabilityError(f"continuous Lyapunov system is singular: {exc}") from exc
-    return vec_s.reshape((n, n), order="F")
 
 
 def ols_fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,13 +1,10 @@
 """Pairwise edge measures computed from time series.
 
-Entry (i, j) of every measure scores the directed edge j -> i, matching the
-lagged-covariance orientation <x_{t+k*dt} x_t^T>. Diagonals are set to NaN and
-excluded from ranking. The corrected measures subtract alpha times the lag-0
-correlation from the lag-1 correlation, with alpha chosen so that either the
-shared-driver motif (1,1) or the reversed-edge motif (1,0) cancels exactly.
-The lc family is a function of a LagStack: it centers the series once and
-computes each lag, and an estimated dt/tau (from S_0 and S_1), once. The
-measures of one compute_pems call, as in one trial, all read one stack.
+compute_pem scores a series with one measure and compute_pems with several, as
+in one trial; they are the one way to score. Entry (i, j) scores the directed
+edge j -> i, matching <x_{t+k*dt} x_t^T>; the diagonal is NaN and not ranked.
+The lc family reads a LagStack, which centers the series once and builds each
+lag, and an estimated dt/tau, once.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import motifs
 from .dynamics import TimeSeries
 from .errors import (
     ConfigurationError, DataError, FileFormatError, NumericalError, PemnetError, _data_lines,
@@ -41,6 +37,8 @@ class PEMMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise DataError(f"PEM matrix must be square, got shape {values.shape}")
         off = ~np.eye(values.shape[0], dtype=bool)
         if not np.isfinite(values[off]).all():
             raise DataError("PEM matrix has non-finite off-diagonal entries")
@@ -134,16 +132,11 @@ class LagStack:
         return self._tau
 
 
-def sample_lagged_corrs(ts: TimeSeries, k_max: int) -> np.ndarray:
-    """Lag-0..k_max sample correlations as a (k_max + 1, n, n) stack."""
-    return np.stack(LagStack(ts).lags(k_max)[1])
-
-
 def alpha_lccf(dt_tau: float) -> CorrectionFactor:
     """Correction factor cancelling the shared-driver motif (1, 1).
 
     Closed form 2(1 - z) / (2 - 2z + z^2); equal by construction to the ratio
-    of the motif's lag-1 to lag-0 contribution (see alpha_from_contributions).
+    of the motif's lag-1 to lag-0 contribution (motifs.contribution_lagk).
     """
     z = _check_dt_tau(dt_tau)
     return CorrectionFactor(2.0 * (1.0 - z) / (2.0 - 2.0 * z + z * z), "lccf", z)
@@ -153,22 +146,6 @@ def alpha_lcrc(dt_tau: float) -> CorrectionFactor:
     """Correction factor cancelling the reversed-edge motif (1, 0): 1 - z."""
     z = _check_dt_tau(dt_tau)
     return CorrectionFactor(1.0 - z, "lcrc", z)
-
-
-def alpha_from_contributions(kind: str, dt_tau: float, eps: float = 0.9) -> float:
-    """The defining contribution ratio c^(1)/c^(0) of the cancelled motif.
-
-    Cross-check route for the closed forms; the ratio is independent of eps,
-    tau, sigma, and n.
-    """
-    l_b, l_f = (1, 1) if kind == "lccf" else (1, 0)
-    if kind not in ("lccf", "lcrc"):
-        raise ConfigurationError(f"no correction factor for kind {kind!r}")
-    shared = dict(eps=eps, tau=1.0, sigma=1.0, n=1, dt_tau=dt_tau)
-    return (
-        motifs.contribution_lagk(1, l_b, l_f, **shared)
-        / motifs.contribution_cov(l_b, l_f, **shared)
-    )
 
 
 def _check_dt_tau(dt_tau: float) -> float:
@@ -181,26 +158,6 @@ def _with_nan_diagonal(values: np.ndarray) -> np.ndarray:
     out = values.copy()
     np.fill_diagonal(out, np.nan)
     return out
-
-
-def pem_lc(ts: TimeSeries) -> PEMMatrix:
-    """Plain lag-1 correlation."""
-    return compute_pem(ts, "lc")
-
-
-def pem_lccf(ts: TimeSeries, dt_tau, delta_hat: int = 0) -> PEMMatrix:
-    """Lagged correlation corrected for confounding factors.
-
-    Entry (i, j) is the maximum over assumed edge lags d in {0, ..., delta_hat}
-    of corr_(1+d) - alpha_lccf * corr_d. dt_tau may be AUTO to estimate it from
-    the data.
-    """
-    return compute_pem(ts, "lccf", dt_tau, delta_hat)
-
-
-def pem_lcrc(ts: TimeSeries, dt_tau, delta_hat: int = 0) -> PEMMatrix:
-    """Lagged correlation corrected for reverse causation (alpha = 1 - z)."""
-    return compute_pem(ts, "lcrc", dt_tau, delta_hat)
 
 
 def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInverseEstimate:
@@ -240,67 +197,60 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
     if n_obs < 2 * p_hat + 10:
         raise DataError(f"need N >= 2 * p_hat + 10, got N={n_obs}")
     x = ts.values - ts.values.mean(axis=0)
-    t_eff = n_obs - p_hat
     # lag block for node v: columns x_v,{t-1}, ..., x_v,{t-p_hat}
     lag_cols = {
         v: np.column_stack([x[p_hat - lag : n_obs - lag, v] for lag in range(1, p_hat + 1)])
         for v in range(n)
     }
-    targets = {v: x[p_hat:, v] for v in range(n)}
     values = np.zeros((n, n))
     flags: list[str] = []
     for i in range(n):
-        try:
-            _, rv_r = ols_fit(targets[i], lag_cols[i])
-            rss_r = rv_r * (t_eff - p_hat)
-            if rss_r <= 0.0:
-                raise NumericalError("zero restricted residual")
-            log_rss_r = math.log(rss_r)
-        except (NumericalError, ValueError):
-            log_rss_r = None
+        log_rss_r = _log_rss(x[p_hat:, i], lag_cols[i])
         for j in range(n):
             if i == j:
                 continue
-            if log_rss_r is None:
-                flags.append(f"gc_pair_failed:{i},{j}")
-                continue
             design = np.hstack([lag_cols[i], lag_cols[j]])
-            try:
-                _, rv_u = ols_fit(targets[i], design)
-                rss_u = rv_u * (t_eff - 2 * p_hat)
-                if rss_u <= 0.0:
-                    raise NumericalError("zero unrestricted residual")
-                # nested fits guarantee rss_u <= rss_r; clamp roundoff to 0
-                values[i, j] = max(0.0, log_rss_r - math.log(rss_u))
-            except (NumericalError, ValueError):
-                values[i, j] = 0.0
+            log_rss_u = None if log_rss_r is None else _log_rss(x[p_hat:, i], design)
+            if log_rss_u is None:
                 flags.append(f"gc_pair_failed:{i},{j}")
+            else:
+                # nested fits guarantee rss_u <= rss_r; clamp roundoff to 0
+                values[i, j] = max(0.0, log_rss_r - log_rss_u)
     return PEMMatrix(
         _with_nan_diagonal(values), "gc", {"p_hat": p_hat}, tuple(flags)
     )
 
 
+def _log_rss(y: np.ndarray, design: np.ndarray) -> float | None:
+    """log RSS of the OLS fit of y on design; None if rank deficient or no residual."""
+    try:
+        _, resid_var = ols_fit(y, design)
+    except (NumericalError, ValueError):
+        return None
+    rss = resid_var * (design.shape[0] - design.shape[1])
+    return None if rss <= 0.0 else math.log(rss)
+
+
 def compute_pem(
     ts: TimeSeries, kind: str, dt_tau=AUTO, delta_hat: int = 0
 ) -> PEMMatrix:
-    """Dispatch on the measure name; gc uses p_hat = delta_hat + 1."""
+    """Score every ordered pair of ts with one measure: lc is the lag-1 correlation
+    C_1; lccf and lcrc are the max over assumed edge lags d <= delta_hat of
+    C_(1+d) - alpha C_d, where alpha_lccf (alpha_lcrc) cancels the shared-driver
+    (reversed-edge) motif; gc is pem_gc at p_hat = delta_hat + 1. dt_tau, read by
+    lccf and lcrc only, lies in (0, 1] or is AUTO (estimate_tau_inv)."""
     return _score(LagStack(ts), kind, dt_tau, delta_hat)
 
 
 def _score(stack: LagStack, kind: str, dt_tau, delta_hat: int) -> PEMMatrix:
-    n_obs = stack.ts.n_obs
     if kind == "gc":
         return pem_gc(stack.ts, p_hat=delta_hat + 1)
     if kind == "lc":
-        if n_obs < 3:
-            raise DataError(f"need at least 3 observations, got {n_obs}")
         return PEMMatrix(_with_nan_diagonal(stack.lags(1)[1][1]), "lc")
     if kind not in ("lccf", "lcrc"):
         raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
     if delta_hat < 0:
         raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
-    if n_obs < delta_hat + 3:
-        raise DataError(f"need N >= delta_hat + 3, got N={n_obs}")
     z = None if dt_tau == AUTO else _check_dt_tau(dt_tau)
     corrs = np.stack(stack.lags(delta_hat + 1)[1])
     z, flags = stack.estimated_dt_tau() if z is None else (z, ())

@@ -32,11 +32,12 @@ from pemnet.motifs import (
     TruncationWarning,
     contribution_cov,
     contribution_lagk,
-    contribution_oup,
     covariance_series,
 )
 from pemnet.numerics import solve_discrete_lyapunov
-from pemnet.pem import alpha_lccf, alpha_lcrc, estimate_tau_inv, pem_lcrc
+from pemnet.pem import alpha_lccf, alpha_lcrc, compute_pem, estimate_tau_inv
+
+from oracles import contribution_oup
 
 DEFAULT_GRAPH = dict(model="gnm", n=10, d_e=0.5, r_e=0.5)
 
@@ -234,7 +235,7 @@ def test_criterion_10_shooting_star_dip():
         for trial in range(100):
             rng = np.random.default_rng(derive_seed(0, 10, arm, trial))
             ts = simulate_sdd(mats, SDDParams(), rng)
-            inferred = threshold_pem(pem_lcrc(ts, dt_tau=0.5), g.m)
+            inferred = threshold_pem(compute_pem(ts, "lcrc", dt_tau=0.5), g.m)
             accs.append(accuracy(inferred, g))
         means[hub_degree] = np.mean(accs)
     ok = means[5] < means[2] and means[5] < means[9]
@@ -308,7 +309,7 @@ def test_criterion_14_anticlustering_anticorrelates_with_accuracy():
                 anticls.append(anticlustering(g)[1])
                 _, mats = normalize_adjacency(g)
                 ts = simulate_sdd(mats, SDDParams(), rng)
-                inferred = threshold_pem(pem_lcrc(ts, dt_tau=0.5), g.m)
+                inferred = threshold_pem(compute_pem(ts, "lcrc", dt_tau=0.5), g.m)
                 accs.append(accuracy(inferred, g))
             cell_acc.append(np.mean(accs))
             cell_anticl.append(np.mean(anticls))

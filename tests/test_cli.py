@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,6 +85,7 @@ class TestInfer:
 
     def test_auto_mode_emits_accuracy(self, tmp_path, capsys):
         g, ts = self.make_inputs(tmp_path)
+        capsys.readouterr()
         out = tmp_path / "pem.txt"
         code = run(["infer", "--ts", ts, "--pem", "lcrc", "--dt-tau", "auto",
                     "--truth", g, "--out", out])
@@ -88,14 +94,20 @@ class TestInfer:
         assert "accuracy=" in text
         pem = load_pem(str(out))
         assert pem.kind == "lcrc"
+        # the echo resolves m from --truth, and auto to the estimated dt/tau
+        assert f" dt-tau=auto delta-hat=0 m=45 truth={g} edges-out=None " in text
+        assert (f" alpha={pem.params['alpha']:.10g} delta_hat=0 "
+                f"dt_tau={pem.params['dt_tau']:.10g} flags=none ") in text
 
-    def test_explicit_m_and_edges_out(self, tmp_path):
+    def test_explicit_m_and_edges_out(self, tmp_path, capsys):
         _, ts = self.make_inputs(tmp_path)
         out, edges = tmp_path / "pem.txt", tmp_path / "inferred.txt"
         code = run(["infer", "--ts", ts, "--pem", "lc", "--m", 45,
                     "--edges-out", edges, "--out", out])
         assert code == 0
         assert load_edge_list(str(edges)).m == 45
+        text = capsys.readouterr().out
+        assert f" m=45 truth=None edges-out={edges} " in text and " n=10 flags=none " in text
 
     def test_degenerate_data_exits_3(self, tmp_path):
         g = tmp_path / "g.txt"
@@ -259,3 +271,19 @@ class TestCliContract:
         text = capsys.readouterr().out
         for token in ("0.9", "1.0", "0.5", "0.2", "1000"):
             assert token in text
+
+
+class TestRuntimeDependencies:
+    def test_package_and_parser_load_numpy_only(self):
+        # numpy is the one runtime dependency; test-only packages and the test
+        # oracles must not be reachable from the package
+        code = ("import sys, pemnet.cli; pemnet.cli.build_parser(); "
+                "print(sorted({name.split('.')[0] for name in sys.modules} "
+                "& {'scipy', 'networkx', 'pytest', 'oracles'}))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        # the tests directory is on the path, so a leaked import is seen, not a crash
+        path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, cwd=src, check=True)
+        assert done.stdout.strip() == "[]"

@@ -5,14 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pemnet.dynamics
-from pemnet import _sdd_py, numerics
-from pemnet._sdd_py import sdd_recurrence as python_kernel
+from pemnet import numerics
 from pemnet.dynamics import (
     SDDParams,
     TimeSeries,
     add_measurement_noise,
     load_time_series,
     save_time_series,
+    sdd_recurrence,
     simulate_sdd,
     step_matrices,
 )
@@ -265,29 +265,29 @@ class TestBackends:
         rng = np.random.default_rng(p)
         w = rng.standard_normal((p, 6, 6)) * (0.3 / p)
         noise = rng.standard_normal((t_total, 6))
-        got, ref = python_kernel(w, noise), per_lag_recurrence(w, noise)
+        got, ref = sdd_recurrence(w, noise), per_lag_recurrence(w, noise)
         assert_blocked_matches(got, ref)
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     @pytest.mark.parametrize("n", [3, 10, 40])
     def test_blocked_kernel_matches_per_step_loop(self, n, p):
-        block = _sdd_py._BLOCK_ROWS // n
+        block = pemnet.dynamics._BLOCK_ROWS // n
         assert block > 1
         rng = np.random.default_rng(10 * n + p)
         w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
         for t_total in sorted({1, max(p - 1, 1), block - 1, block, block + 1,
                                7 * block + 3}):
             noise = rng.standard_normal((t_total, n))
-            assert_blocked_matches(python_kernel(w, noise),
+            assert_blocked_matches(sdd_recurrence(w, noise),
                                    per_step_recurrence(w, noise))
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_single_step_blocks_are_bit_identical(self, p):
-        n = _sdd_py._BLOCK_ROWS // 2 + 1  # block length 1
+        n = pemnet.dynamics._BLOCK_ROWS // 2 + 1  # block length 1
         rng = np.random.default_rng(p)
         w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
         noise = rng.standard_normal((300, n))
-        assert np.array_equal(python_kernel(w, noise), per_step_recurrence(w, noise))
+        assert np.array_equal(sdd_recurrence(w, noise), per_step_recurrence(w, noise))
 
     @pytest.mark.parametrize("eps, dt, tau", [
         (0.999, 0.05, 1.0),  # spectral radius ~0.99995: slow decay over a block
@@ -300,7 +300,7 @@ class TestBackends:
         w = step_matrices(lag_mats, SDDParams(eps=eps, dt=dt, tau=tau, delta=2))
         assert (dt / tau > 1) == (w < 0).any()
         noise = rng.standard_normal((2000, w.shape[1]))
-        assert_blocked_matches(python_kernel(w, noise), per_step_recurrence(w, noise))
+        assert_blocked_matches(sdd_recurrence(w, noise), per_step_recurrence(w, noise))
 
 
 class TestMeasurementNoise:
@@ -344,6 +344,10 @@ class TestTimeSeriesIO:
     def test_rejects_non_finite(self):
         with pytest.raises(DataError):
             TimeSeries(values=np.array([[0.0, np.inf], [1.0, 2.0]]), dt=0.5)
+
+    def test_rejects_no_columns(self):
+        with pytest.raises(DataError, match=r"n >= 1\), got \(50, 0\)"):
+            TimeSeries(values=np.zeros((50, 0)), dt=0.5)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_sampling_period(self, dt):

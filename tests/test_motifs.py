@@ -11,15 +11,15 @@ from pemnet.graphs import GraphConfig, gen_graph_non_nilpotent, normalize_adjace
 from pemnet.motifs import (
     TruncationWarning,
     contribution_cov,
-    contribution_delayed,
     contribution_lagk,
-    contribution_oup,
     contribution_table,
     covariance_series,
     psi,
     write_contribution_table,
 )
-from pemnet.numerics import hyp2f1_equal_ab, solve_discrete_lyapunov
+from pemnet.numerics import solve_discrete_lyapunov
+
+from oracles import contribution_delayed, contribution_oup, hyp2f1_equal_ab
 
 DEFAULTS = dict(eps=0.9, tau=1.0, sigma=0.2, n=5, dt_tau=0.5)
 

@@ -16,12 +16,12 @@ from pemnet.graphs import (
 )
 from pemnet.numerics import (
     _perron_root,
-    hyp2f1_equal_ab,
     ols_fit,
-    solve_continuous_lyapunov,
     solve_discrete_lyapunov,
     spectral_radius,
 )
+
+from oracles import hyp2f1_equal_ab, solve_continuous_lyapunov
 
 
 def ring_adjacency(n):

@@ -9,21 +9,19 @@ from pemnet.numerics import solve_discrete_lyapunov
 import pemnet.pem
 from pemnet.pem import (
     AUTO,
+    LagStack,
     PEMMatrix,
-    alpha_from_contributions,
     alpha_lccf,
     alpha_lcrc,
     compute_pem,
     estimate_tau_inv,
     load_pem,
     pem_gc,
-    pem_lc,
-    pem_lccf,
-    pem_lcrc,
-    sample_lagged_corrs,
     sample_lagged_cov,
     save_pem,
 )
+
+from oracles import alpha_from_contributions
 
 
 def ring_mats(n=3):
@@ -84,18 +82,18 @@ class TestSampleLaggedCorr:
     def test_unit_diagonal_exact(self):
         rng = np.random.default_rng(2)
         ts = TimeSeries(values=rng.standard_normal((500, 4)), dt=1.0)
-        assert_allclose(np.diag(sample_lagged_corrs(ts, 0)[0]), 1.0, rtol=1e-14)
+        assert_allclose(np.diag(LagStack(ts).lags(0)[1][0]), 1.0, rtol=1e-14)
 
     def test_lag0_symmetry(self):
         rng = np.random.default_rng(3)
         ts = TimeSeries(values=rng.standard_normal((500, 4)), dt=1.0)
-        r0 = sample_lagged_corrs(ts, 0)[0]
+        r0 = LagStack(ts).lags(0)[1][0]
         assert np.abs(r0 - r0.T).max() < 1e-14
 
     def test_memoryful_autocorrelation(self):
         params = SDDParams(n_obs=100_000, seed=4)  # dt_tau = 0.5
         ts = simulate_sdd(zero_mats(), params)
-        r1 = sample_lagged_corrs(ts, 1)[1]
+        r1 = LagStack(ts).lags(1)[1][1]
         assert np.abs(np.diag(r1) - 0.5).max() < 4.0 / np.sqrt(ts.n_obs)
 
     def test_zero_variance_names_node(self):
@@ -103,7 +101,7 @@ class TestSampleLaggedCorr:
         values[:, 1] = 2.5
         ts = TimeSeries(values=values, dt=1.0)
         with pytest.raises(DataError, match="node 1"):
-            sample_lagged_corrs(ts, 0)
+            LagStack(ts).lags(0)
 
     @pytest.mark.parametrize("n_obs", [997, 1000, 10_000])
     @pytest.mark.parametrize("level", [0.1, 1.0 / 3.0, 7.1])
@@ -115,14 +113,14 @@ class TestSampleLaggedCorr:
         values[:, 1] = level
         ts = TimeSeries(values=values, dt=0.5)
         with pytest.raises(DataError, match="node 1 has zero variance"):
-            pem_lc(ts)
+            compute_pem(ts, "lc")
         with pytest.raises(DataError, match="node 1 has zero variance"):
-            pem_lccf(ts, dt_tau=dt_tau, delta_hat=2)
+            compute_pem(ts, "lccf", dt_tau=dt_tau, delta_hat=2)
 
     def test_stack_shape_and_lags(self):
         rng = np.random.default_rng(13)
         ts = TimeSeries(values=rng.standard_normal((300, 4)), dt=1.0)
-        corrs = sample_lagged_corrs(ts, 3)
+        corrs = np.stack(LagStack(ts).lags(3)[1])
         assert corrs.shape == (4, 4, 4)
         for k in range(4):
             assert np.array_equal(corrs[k], corr_reference(ts, k))
@@ -130,7 +128,7 @@ class TestSampleLaggedCorr:
     def test_negative_max_lag(self):
         ts = TimeSeries(values=np.zeros((10, 2)), dt=1.0)
         with pytest.raises(ConfigurationError):
-            sample_lagged_corrs(ts, -1)
+            LagStack(ts).lags(-1)
 
 
 def corr_reference(ts, k):
@@ -168,7 +166,7 @@ class TestLagStack:
 
     def test_lc_matches_lag1_correlation(self, ts):
         want = corr_reference(ts, 1)
-        assert np.array_equal(off_diag(pem_lc(ts).values), off_diag(want))
+        assert np.array_equal(off_diag(compute_pem(ts, "lc").values), off_diag(want))
 
     @pytest.mark.parametrize("kind", ["lccf", "lcrc"])
     @pytest.mark.parametrize(
@@ -259,7 +257,7 @@ class TestPemLc:
     def test_white_noise_scores_near_zero(self):
         rng = np.random.default_rng(6)
         ts = TimeSeries(values=rng.standard_normal((100_000, 4)), dt=1.0)
-        pem = pem_lc(ts)
+        pem = compute_pem(ts, "lc")
         assert np.abs(off_diag(pem.values)).max() < 4.0 / np.sqrt(ts.n_obs)
         assert np.isnan(np.diag(pem.values)).all()
 
@@ -269,7 +267,7 @@ class TestPemLc:
         wins = 0
         for seed in range(100):
             ts = simulate_sdd(mats, SDDParams(seed=seed))
-            values = pem_lc(ts).values
+            values = compute_pem(ts, "lc").values
             edge_score = values[1, 0]
             non_edges = [
                 values[i, j]
@@ -283,7 +281,7 @@ class TestPemLc:
         pairs = ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0))
         _, mats = normalize_adjacency(DirectedGraph(3, pairs))
         ts = simulate_sdd(mats, SDDParams(n_obs=50_000, seed=7))
-        values = pem_lc(ts).values
+        values = compute_pem(ts, "lc").values
         asym = np.nanmax(np.abs(values - values.T))
         assert asym < 10.0 / np.sqrt(ts.n_obs)
 
@@ -291,21 +289,21 @@ class TestPemLc:
 class TestPemCorrected:
     def test_lccf_at_unit_dt_tau_equals_lc(self):
         ts = simulate_sdd(ring_mats(), SDDParams(dt=1.0, tau=1.0, seed=8))
-        a = pem_lccf(ts, dt_tau=1.0, delta_hat=0).values
-        b = pem_lc(ts).values
+        a = compute_pem(ts, "lccf", dt_tau=1.0, delta_hat=0).values
+        b = compute_pem(ts, "lc").values
         assert np.array_equal(off_diag(a), off_diag(b))
 
     def test_lccf_differs_from_lc_by_alpha_r0(self):
         ts = simulate_sdd(ring_mats(), SDDParams(seed=9))
         alpha = alpha_lccf(0.5).alpha
-        got = pem_lccf(ts, dt_tau=0.5, delta_hat=0).values
-        want = pem_lc(ts).values - alpha * sample_lagged_corrs(ts, 0)[0]
+        got = compute_pem(ts, "lccf", dt_tau=0.5, delta_hat=0).values
+        want = compute_pem(ts, "lc").values - alpha * LagStack(ts).lags(0)[1][0]
         assert np.abs(off_diag(got) - off_diag(want)).max() < 1e-14
 
     def test_lcrc_equals_lccf_at_unit_dt_tau(self):
         ts = simulate_sdd(ring_mats(), SDDParams(dt=1.0, tau=1.0, seed=10))
-        a = pem_lcrc(ts, dt_tau=1.0).values
-        b = pem_lccf(ts, dt_tau=1.0).values
+        a = compute_pem(ts, "lcrc", dt_tau=1.0).values
+        b = compute_pem(ts, "lccf", dt_tau=1.0).values
         assert np.array_equal(off_diag(a), off_diag(b))
 
     def test_confounder_score_is_reduced(self):
@@ -316,8 +314,8 @@ class TestPemCorrected:
         reduced = 0
         for seed in range(100):
             ts = simulate_sdd(mats, SDDParams(seed=200 + seed))
-            lc_score = pem_lc(ts).values[2, 1]
-            lccf_score = pem_lccf(ts, dt_tau=0.5).values[2, 1]
+            lc_score = compute_pem(ts, "lc").values[2, 1]
+            lccf_score = compute_pem(ts, "lccf", dt_tau=0.5).values[2, 1]
             reduced += lccf_score < lc_score
         assert reduced >= 95
 
@@ -327,7 +325,7 @@ class TestPemCorrected:
         correct = 0
         for seed in range(100):
             ts = simulate_sdd(mats, SDDParams(dt=0.2, seed=400 + seed))
-            values = pem_lcrc(ts, dt_tau=0.2).values
+            values = compute_pem(ts, "lcrc", dt_tau=0.2).values
             correct += values[1, 0] > values[0, 1]
         assert correct >= 95
 
@@ -335,15 +333,15 @@ class TestPemCorrected:
         g = graph_with_cycle([(0, 1), (1, 2)])
         _, mats = normalize_adjacency(g)
         ts = simulate_sdd(mats, SDDParams(seed=11))
-        prev = pem_lcrc(ts, dt_tau=0.5, delta_hat=0).values
+        prev = compute_pem(ts, "lcrc", dt_tau=0.5, delta_hat=0).values
         for delta_hat in (1, 2, 3):
-            cur = pem_lcrc(ts, dt_tau=0.5, delta_hat=delta_hat).values
+            cur = compute_pem(ts, "lcrc", dt_tau=0.5, delta_hat=delta_hat).values
             assert (off_diag(cur) >= off_diag(prev)).all()
             prev = cur
 
     def test_auto_mode_records_estimate(self):
         ts = simulate_sdd(ring_mats(), SDDParams(n_obs=5000, seed=12))
-        pem = pem_lcrc(ts, dt_tau=AUTO)
+        pem = compute_pem(ts, "lcrc", dt_tau=AUTO)
         assert abs(pem.params["dt_tau"] - 0.5) < 0.1
 
     def test_auto_failure_asks_for_explicit_value(self):
@@ -351,7 +349,7 @@ class TestPemCorrected:
         base = np.random.default_rng(20).standard_normal((200, 2))
         ts = TimeSeries(values=np.column_stack([base, base[:, 0]]), dt=0.5)
         with pytest.raises(DataError, match="pass dt_tau explicitly"):
-            pem_lcrc(ts, dt_tau=AUTO)
+            compute_pem(ts, "lcrc", dt_tau=AUTO)
 
 
 class TestEstimateTauInv:
@@ -472,7 +470,7 @@ class TestInvariances:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         ts = simulate_sdd(ring_mats(), SDDParams(seed=19))
-        pem = pem_lcrc(ts, dt_tau=0.5, delta_hat=2)
+        pem = compute_pem(ts, "lcrc", dt_tau=0.5, delta_hat=2)
         path = tmp_path / "pem.txt"
         save_pem(pem, str(path))
         loaded = load_pem(str(path))
@@ -496,6 +494,11 @@ class TestSerialization:
         path.write_text(lines)
         with pytest.raises(FileFormatError, match=rf"bad\.txt:{lineno}: bad float"):
             load_pem(str(path))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_matrix_must_be_square(self, shape):
+        with pytest.raises(DataError, match="must be square"):
+            PEMMatrix(np.zeros(shape), "lc")
 
     def test_matrix_requires_finite_off_diagonal(self):
         values = np.zeros((3, 3))
