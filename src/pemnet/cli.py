@@ -69,8 +69,6 @@ def _add_dyn_flags(p: argparse.ArgumentParser) -> None:
                    help="measurement noise strength " + _DEFAULTS_HELP)
     p.add_argument("--n-obs", type=int, default=SDDParams.n_obs,
                    help="number of observations " + _DEFAULTS_HELP)
-    p.add_argument("--burn-in", type=float, default=SDDParams.burn_in,
-                   help="burn-in time units (default: 20*tau)")
 
 
 def _echo(args: argparse.Namespace, keys: list[str]) -> None:
@@ -124,9 +122,8 @@ def cmd_simulate(args) -> int:
     graph = load_edge_list(args.graph)
     params = SDDParams(eps=args.eps, tau=args.tau, dt=args.dt, sigma=args.sigma,
                        eta=args.eta, delta=graph.delta, n_obs=args.n_obs,
-                       burn_in=args.burn_in, seed=args.seed)
-    _echo(args, ["graph", "eps", "tau", "dt", "sigma", "eta", "n_obs",
-                 "burn_in", "seed", "out"])
+                       seed=args.seed)
+    _echo(args, ["graph", "eps", "tau", "dt", "sigma", "eta", "n_obs", "seed", "out"])
     rng = np.random.default_rng(args.seed)
     _, lag_mats = normalize_adjacency(graph)
     ts = simulate_sdd(lag_mats, params, rng)
@@ -140,6 +137,10 @@ def cmd_infer(args) -> int:
     ts = load_time_series(args.ts)
     truth = load_edge_list(args.truth) if args.truth else None
     if truth is not None:
+        if args.m is not None and args.m != truth.m:
+            raise ConfigurationError(
+                f"--m {args.m} disagrees with the {truth.m} edges of --truth {args.truth}"
+            )
         args.m = truth.m  # the edge count used, whether from --m or --truth
     _echo(args, ["ts", "pem", "dt_tau", "delta_hat", "m", "truth", "edges_out", "out"])
     t0 = time.perf_counter()

@@ -17,8 +17,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigurationError, StabilityError
-from .numerics import STABILITY_MARGIN, spectral_radius
+from .errors import ConfigurationError
+from .numerics import require_stable, spectral_radius
 
 
 class TruncationWarning(UserWarning):
@@ -112,12 +112,8 @@ def covariance_series(
     if n is None:
         n = size
     z = dt_tau
-    rho = spectral_radius(eps * z * a + (1.0 - z) * np.eye(size))
-    if rho >= 1.0 - STABILITY_MARGIN:
-        raise StabilityError(
-            f"update rule for this adjacency is unstable (spectral radius {rho:.6g}, "
-            f"needs < 1 - {STABILITY_MARGIN:g})"
-        )
+    require_stable(spectral_radius(eps * z * a + (1.0 - z) * np.eye(size)),
+                   "update rule for this adjacency")
     powers = [np.eye(size)]
     for _ in range(l_max):
         powers.append(powers[-1] @ a)

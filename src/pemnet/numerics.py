@@ -1,9 +1,9 @@
 """Dense-matrix numerical kernels used throughout the package.
 
 Provides the spectral radius (exactly 0 for a nilpotent pattern, the Perron root
-by power iteration for large nonnegative matrices), the discrete-time Lyapunov
-solver, and ordinary least squares. All tolerances are fixed constants so that
-results are deterministic.
+by power iteration for large nonnegative matrices), the one stability check, the
+discrete-time Lyapunov solver, and ordinary least squares. All tolerances are
+fixed constants so that results are deterministic.
 """
 
 from __future__ import annotations
@@ -122,6 +122,20 @@ def _pattern_nilpotent(pattern: np.ndarray) -> bool:
     return not alive.any()
 
 
+def require_stable(rho: float, what: str) -> None:
+    """Raise StabilityError unless rho < 1 - STABILITY_MARGIN.
+
+    rho is the spectral radius of `what`, which names the matrix in the message.
+    Callers pass the radius, not the matrix: each measures it on its own matrix,
+    and simulate_sdd reads it again for its burn-in.
+    """
+    if rho >= 1.0 - STABILITY_MARGIN:
+        raise StabilityError(
+            f"{what} is unstable: spectral radius {rho:.6g}, "
+            f"needs < 1 - {STABILITY_MARGIN:g}"
+        )
+
+
 def solve_discrete_lyapunov(k_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     """Solve K S K^T - S + Q = 0 by fixed-point iteration S <- K S K^T + Q.
 
@@ -131,11 +145,7 @@ def solve_discrete_lyapunov(k_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     """
     k_mat = np.asarray(k_mat, dtype=float)
     q_mat = np.asarray(q_mat, dtype=float)
-    rho = spectral_radius(k_mat)
-    if rho >= 1.0 - STABILITY_MARGIN:
-        raise StabilityError(
-            f"spectral radius of K is {rho:.6g}, needs < 1 - {STABILITY_MARGIN:g}"
-        )
+    require_stable(spectral_radius(k_mat), "K")
     s = q_mat.copy()
     for _ in range(_LYAP_MAX_ITER):
         s_next = k_mat @ s @ k_mat.T + q_mat

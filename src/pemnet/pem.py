@@ -237,20 +237,21 @@ def compute_pem(
     """Score every ordered pair of ts with one measure: lc is the lag-1 correlation
     C_1; lccf and lcrc are the max over assumed edge lags d <= delta_hat of
     C_(1+d) - alpha C_d, where alpha_lccf (alpha_lcrc) cancels the shared-driver
-    (reversed-edge) motif; gc is pem_gc at p_hat = delta_hat + 1. dt_tau, read by
-    lccf and lcrc only, lies in (0, 1] or is AUTO (estimate_tau_inv)."""
+    (reversed-edge) motif; gc is pem_gc at p_hat = delta_hat + 1. Every kind needs
+    delta_hat >= 0. dt_tau, read by lccf and lcrc only, lies in (0, 1] or is AUTO
+    (estimate_tau_inv)."""
     return _score(LagStack(ts), kind, dt_tau, delta_hat)
 
 
 def _score(stack: LagStack, kind: str, dt_tau, delta_hat: int) -> PEMMatrix:
+    if delta_hat < 0:
+        raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
     if kind == "gc":
         return pem_gc(stack.ts, p_hat=delta_hat + 1)
     if kind == "lc":
         return PEMMatrix(_with_nan_diagonal(stack.lags(1)[1][1]), "lc")
     if kind not in ("lccf", "lcrc"):
         raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
-    if delta_hat < 0:
-        raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
     z = None if dt_tau == AUTO else _check_dt_tau(dt_tau)
     corrs = np.stack(stack.lags(delta_hat + 1)[1])
     z, flags = stack.estimated_dt_tau() if z is None else (z, ())

@@ -512,7 +512,9 @@ class TestTracedBenchmark:
         # one each from graphs.normalize_adjacency and the dynamics' stability check
         assert names["numerics.spectral_radius"] == 2
         (recurrence,) = [s for s in tracer.spans if s[3] == "dynamics.recurrence"]
-        steps = 40 + params.n_obs  # 20 tau of burn-in at dt = 0.5
+        # the burn-in spans 2.05 e-folds of rho^(1/p), the slowest companion
+        # radius the summed lag matrix's rho = 0.95 allows: 80 steps at p = 2
+        steps = 80 + params.n_obs
         assert recurrence[6] == {"steps": steps, "flops": 2 * 2 * 10 * 10 * steps}
 
 

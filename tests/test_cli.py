@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -56,7 +57,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "nan"), ("--tau", "inf"), ("--dt", "nan"), ("--sigma", "nan"),
-        ("--eta", "inf"), ("--burn-in", "nan"),
+        ("--eta", "inf"),
     ])
     def test_non_finite_parameter_exits_2(self, flag, value, tmp_path, capsys):
         g, ts = tmp_path / "g.txt", tmp_path / "ts.txt"
@@ -64,6 +65,14 @@ class TestSimulate:
         assert run(["simulate", "--graph", g, flag, value, "--out", ts]) == 2
         assert not ts.exists()
         assert "must be finite" in capsys.readouterr().err
+
+    def test_burn_in_flag_is_gone(self, tmp_path):
+        # the burn-in follows from the spectral radius; there is no knob for it
+        g = tmp_path / "g.txt"
+        run(["generate", "--seed", 1, "--out", g])
+        with pytest.raises(SystemExit) as err:
+            run(["simulate", "--graph", g, "--burn-in", 5, "--out", tmp_path / "ts.txt"])
+        assert err.value.code == 2
 
     def test_missing_graph_exits_4(self, tmp_path):
         assert run(["simulate", "--graph", tmp_path / "nope.txt",
@@ -127,6 +136,14 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ":1: bad header" in err
+
+    def test_m_disagreeing_with_truth_exits_2(self, tmp_path, capsys):
+        g, ts = self.make_inputs(tmp_path)
+        out = tmp_path / "pem.txt"
+        assert run(["infer", "--ts", ts, "--pem", "lccf", "--m", 30, "--truth", g,
+                    "--out", out]) == 2
+        assert not out.exists()
+        assert "--m 30 disagrees with the 45 edges" in capsys.readouterr().err
 
     def test_gc_measure(self, tmp_path):
         g, ts = self.make_inputs(tmp_path)
@@ -287,3 +304,23 @@ class TestRuntimeDependencies:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, cwd=src, check=True)
         assert done.stdout.strip() == "[]"
+
+
+def readme_commands():
+    """The pemnet commands of the README's "Command line" block, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("pemnet ")]
+
+
+class TestReadmeCommands:
+    def test_every_documented_command_runs(self, tmp_path, monkeypatch):
+        # a flag removed from the CLI but still shown in the README fails here
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == [
+            "generate", "simulate", "infer", "sweep", "motif-table", "bench-time"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, argv

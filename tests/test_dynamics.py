@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pemnet.dynamics
+import pemnet.motifs
 from pemnet import numerics
 from pemnet.dynamics import (
     SDDParams,
@@ -24,6 +25,7 @@ from pemnet.graphs import (
     gen_graph_non_nilpotent,
     normalize_adjacency,
 )
+from pemnet.motifs import covariance_series
 from pemnet.numerics import solve_discrete_lyapunov, spectral_radius
 
 
@@ -87,15 +89,11 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             SDDParams(n_obs=1)
 
-    @pytest.mark.parametrize("name", ["eps", "tau", "dt", "sigma", "eta", "burn_in"])
+    @pytest.mark.parametrize("name", ["eps", "tau", "dt", "sigma", "eta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             SDDParams(**{name: value})
-
-    def test_burn_in_default_is_twenty_tau(self):
-        assert SDDParams(tau=2.0).burn_in_time == 40.0
-        assert SDDParams(tau=2.0, burn_in=5.0).burn_in_time == 5.0
 
     def test_dt_tau_above_one_warns(self):
         with pytest.warns(UserWarning, match="outside the studied regime"):
@@ -188,13 +186,29 @@ class TestSimulate:
                 ts = simulate_sdd(mats, SDDParams(eps=0.999, n_obs=10), rng)
                 assert ts.values.shape == (10, n)
 
-    def test_one_stability_margin(self):
-        # the README names pemnet.dynamics.STABILITY_MARGIN; it is the margin
-        # the Lyapunov solver and covariance_series apply too
-        assert pemnet.dynamics.STABILITY_MARGIN is numerics.STABILITY_MARGIN
-        k = (1.0 - 1e-13) * np.eye(2)
-        with pytest.raises(StabilityError, match="needs < 1 - 1e-12"):
-            solve_discrete_lyapunov(k, np.eye(2))
+    def test_one_stability_margin(self, monkeypatch):
+        # the simulator, covariance_series and the Lyapunov solver refuse a
+        # radius of 1 - 1e-13 through the one check in numerics
+        checked = []
+        real = numerics.require_stable
+
+        def recording(rho, what):
+            checked.append(what)
+            return real(rho, what)
+
+        for module in (pemnet.dynamics, pemnet.motifs, numerics):
+            monkeypatch.setattr(module, "require_stable", recording)
+        z = 1e-13  # W_0 = (1 - z) I has radius 1 - 1e-13
+        calls = [
+            lambda: simulate_sdd(zero_mats(), SDDParams(dt=z, n_obs=10)),
+            lambda: covariance_series(np.zeros((2, 2)), eps=0.9, tau=1.0, sigma=1.0,
+                                      dt_tau=z),
+            lambda: solve_discrete_lyapunov((1.0 - z) * np.eye(2), np.eye(2)),
+        ]
+        for call in calls:
+            with pytest.raises(StabilityError, match="needs < 1 - 1e-12"):
+                call()
+        assert len(checked) == 3
 
     def test_order_p_dynamics(self):
         pairs = ((0, 1), (1, 0), (1, 2), (2, 1))
@@ -256,6 +270,101 @@ class TestSimulate:
         mats = [np.zeros((2, 2)), np.eye(2) * 0.1]
         with pytest.raises(ConfigurationError):
             simulate_sdd(mats, SDDParams(delta=0, n_obs=100))
+
+
+def companion(w):
+    p, n, _ = w.shape
+    comp = np.zeros((p * n, p * n))
+    comp[:n] = np.hstack(list(w))
+    comp[n:, : (p - 1) * n] = np.eye((p - 1) * n)
+    return comp
+
+
+def burn_of(lag_mats, params):
+    """The burn-in simulate_sdd uses: the noise rows it draws beyond n_obs."""
+    rows = []
+
+    def recording(w, noise):
+        rows.append(noise.shape[0])
+        return np.zeros_like(noise)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pemnet.dynamics, "sdd_recurrence", recording)
+        simulate_sdd(lag_mats, params)
+    return rows[0] - params.n_obs
+
+
+def paper_graph_mats(delta, seed=0):
+    rng = np.random.default_rng(seed)
+    g = assign_lags(gen_graph_non_nilpotent(GraphConfig(delta=delta), rng), delta, rng)
+    return normalize_adjacency(g)[1]
+
+
+class TestBurnIn:
+    @pytest.mark.parametrize("eps, dt, delta", [
+        (0.9, 0.5, 0),  # paper cell, radius 0.95: the 40 steps it always burned
+        (0.9, 0.1, 0),  # radius 0.99
+        (0.99, 0.1, 0),  # radius 0.999: 66% short after 20 tau
+        (0.999, 0.05, 0),  # radius 0.99995: 96% short after 20 tau
+        (0.9, 0.5, 2),  # p = 3: 4.2% short after 20 tau
+        (0.9, 0.5, 5),  # p = 6: 8.3% short after 20 tau
+    ])
+    def test_first_kept_sample_is_near_stationary(self, eps, dt, delta):
+        # from zero history the covariance after b steps is Sigma - C^b Sigma C^bT
+        mats = paper_graph_mats(delta, seed=delta)
+        params = SDDParams(eps=eps, dt=dt, delta=delta, n_obs=2)
+        b = burn_of(mats, params)
+        comp = companion(step_matrices(mats, params))
+        q = np.zeros_like(comp)
+        q[:10, :10] = np.eye(10)
+        sigma = solve_discrete_lyapunov(comp, q)
+        cb = np.linalg.matrix_power(comp, b)
+        deficit = np.abs(cb @ sigma @ cb.T).max() / np.abs(sigma).max()
+        assert deficit <= 0.02
+        if (eps, dt, delta) == (0.9, 0.5, 0):
+            assert b == 40
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_zero_radius_burns_p_times_n_steps(self, p):
+        # an acyclic graph at dt = tau: the update is nilpotent, so p * n steps
+        # forget the zero start exactly
+        a = np.zeros((p, 3, 3))
+        a[0, 1, 0] = a[p - 1, 2, 1] = 1.0
+        params = SDDParams(dt=1.0, tau=1.0, delta=p - 1, n_obs=50, seed=3)
+        w = step_matrices(list(a), params)
+        b = burn_of(list(a), params)
+        assert b == p * 3
+        assert not np.linalg.matrix_power(companion(w), b).any()
+        noise = np.random.default_rng(3).standard_normal((b + 50, 3)) * (
+            params.sigma * np.sqrt(params.dt / 3))
+        ts = simulate_sdd(list(a), params)
+        assert np.array_equal(ts.values, sdd_recurrence(w, noise)[b:])
+
+    def test_too_long_burn_in_refused_before_any_noise(self, monkeypatch):
+        # radius 1 - 5e-8 would need about 4.1e7 steps, 3.3 GB of noise at n = 10
+        def failing(w, noise):
+            raise AssertionError("recurrence ran")
+
+        monkeypatch.setattr(pemnet.dynamics, "sdd_recurrence", failing)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(StabilityError,
+                           match=r"radius 0\.9999999\d* needs a burn-in of 4\d{7} steps"):
+            simulate_sdd(paper_graph_mats(0), SDDParams(eps=0.9999999), rng)
+        assert rng.bit_generator.state == state
+
+    def test_order_three_returns_recurrence_after_burn_in(self):
+        # p = 3, every W_k >= 0: the companion radius is at most rho^(1/3)
+        mats = paper_graph_mats(2, seed=4)
+        params = SDDParams(delta=2, n_obs=300, seed=5)
+        w = step_matrices(mats, params)
+        rho = spectral_radius(w.sum(axis=0))
+        b = int(np.ceil(2.05 / -np.log(rho ** (1 / 3))))
+        assert b == 120
+        noise = np.random.default_rng(5).standard_normal((b + 300, 10)) * (
+            params.sigma * np.sqrt(params.dt / 10))
+        ts = simulate_sdd(mats, params)
+        assert np.array_equal(ts.values, sdd_recurrence(w, noise)[b:])
 
 
 class TestBackends:

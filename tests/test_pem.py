@@ -9,6 +9,7 @@ from pemnet.numerics import solve_discrete_lyapunov
 import pemnet.pem
 from pemnet.pem import (
     AUTO,
+    PEM_KINDS,
     LagStack,
     PEMMatrix,
     alpha_lccf,
@@ -209,15 +210,22 @@ class TestLagStack:
         assert all(x is arrays[0] for x in arrays)
         assert np.array_equal(arrays[0], centered(ts))
 
-    @pytest.mark.parametrize("dt_tau, delta_hat", [(0.5, -1), (1.5, 0), (0.0, 3)])
+    # delta_hat < 0 is refused for every kind; the lcrc cases keep their ids
+    CONFIG_ERRORS = [(0.5, -1, kind) for kind in PEM_KINDS] + [(1.5, 0, "lcrc"),
+                                                              (0.0, 3, "lcrc")]
+
+    @pytest.mark.parametrize("dt_tau, delta_hat, kind", CONFIG_ERRORS, ids=[
+        f"{z}-{d}" + ("" if kind == "lcrc" else f"-{kind}") for z, d, kind in CONFIG_ERRORS
+    ])
     def test_configuration_errors_before_any_covariance(self, ts, monkeypatch,
-                                                        dt_tau, delta_hat):
+                                                        dt_tau, delta_hat, kind):
         def failing(x, k):
             raise AssertionError("covariance computed before the configuration check")
 
         monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", failing)
-        with pytest.raises(ConfigurationError):
-            compute_pem(ts, "lcrc", dt_tau=dt_tau, delta_hat=delta_hat)
+        match = "delta_hat must be >= 0" if delta_hat < 0 else None
+        with pytest.raises(ConfigurationError, match=match):
+            compute_pem(ts, kind, dt_tau=dt_tau, delta_hat=delta_hat)
 
 
 class TestCorrectionFactors:
