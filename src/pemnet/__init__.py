@@ -68,7 +68,6 @@ from .numerics import (
 )
 from .pem import (
     AUTO,
-    CorrectionFactor,
     LagStack,
     PEMMatrix,
     alpha_lccf,

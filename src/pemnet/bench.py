@@ -1,10 +1,12 @@
-"""Thresholding, accuracy scoring, seeded trials, parameter sweeps, and timing.
+"""Thresholding, accuracy scoring, seeded trials and parameter sweeps.
 
 A trial samples a ground-truth graph (resampling nilpotent draws), simulates the
 dynamics, computes each requested edge measure, thresholds it with the true edge
 count, and scores the fraction of correctly classified ordered node pairs. Sweep
 seeds derive from (master seed, cell index, trial index) through SplitMix64, so
 results are independent of execution order and of the number of worker processes.
+Every record carries the wall time of the work its measure read, so a sweep over
+n, N or delta is also the timing table.
 """
 
 from __future__ import annotations
@@ -230,6 +232,16 @@ class SweepSpec:
                 raise ConfigurationError(f"unknown sweep parameter {key!r}")
         if any(len(v) == 0 for v in self.grid.values()):
             raise ConfigurationError("sweep grid has an empty value list")
+        for key, values in self.grid.items():
+            conv = GRID_KEYS[key]
+            for v in values:
+                try:  # a string must parse; 10.7 is no int; NaN is left to the configs
+                    kept = conv(v) == v or isinstance(v, str) or v != v
+                except (TypeError, ValueError):
+                    kept = False
+                if not kept:
+                    raise ConfigurationError(
+                        f"sweep value {v!r} for {key!r} is not of type {conv.__name__}")
         if self.trials < 1:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
         if self.jobs < 1:
@@ -278,15 +290,16 @@ def _sweep_task(args):
                      dt_tau=AUTO if spec.dt_tau == "auto" else None, trial=trial)
 
 
-def _run_cells(spec: SweepSpec, cells: list[dict]) -> list[TrialRecord]:
+def sweep(spec: SweepSpec) -> list[TrialRecord]:
     """Run spec.trials trials of each cell, trial t of cell i seeded by
     derive_seed(spec.seed, i, t); serial, or in spec.jobs worker processes.
 
-    Records come cell by cell, trial by trial, one per measure, whatever the
-    number of jobs. Every cell's configuration is built first, so an invalid
-    value raises ConfigurationError before any trial runs.
+    Failures become records with a non-empty error field. Records come cell by
+    cell, trial by trial, one per measure, whatever the number of jobs. Every
+    cell's configuration is built first, so an invalid value raises
+    ConfigurationError before any trial runs.
     """
-    setups = [_cell_setup(cell) for cell in cells]
+    setups = [_cell_setup(cell) for cell in spec.cells()]
     tasks = [
         (spec, cell_index, setup, trial)
         for cell_index, setup in enumerate(setups)
@@ -298,14 +311,6 @@ def _run_cells(spec: SweepSpec, cells: list[dict]) -> list[TrialRecord]:
     else:
         chunks = [_sweep_task(t) for t in tasks]
     return [record for chunk in chunks for record in chunk]
-
-
-def sweep(spec: SweepSpec) -> list[TrialRecord]:
-    """Run the full grid; failures become records with a non-empty error field.
-
-    Output ordering and content are independent of spec.jobs.
-    """
-    return _run_cells(spec, spec.cells())
 
 
 def _fmt(value) -> str:
@@ -338,39 +343,3 @@ def write_sweep_csv(records: list[TrialRecord], path: str) -> None:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for row in sweep_rows(records):
             fh.write(row + "\n")
-
-
-TIMING_CSV_HEADER = "varied,n,N,delta_hat,pem,trial,seed,wall_time_s"
-
-
-def run_timing(
-    pems: list[str],
-    n_values: list[int],
-    n_obs_values: list[int],
-    delta_hat_values: list[int],
-    trials: int = 10,
-    seed: int = 0,
-) -> list[str]:
-    """Time the edge-measure computation along three one-at-a-time grids.
-
-    Returns CSV rows (without header). Each grid varies one of n, N, delta_hat
-    from the defaults n=10, N=1000, delta_hat=0; wall time covers the work each
-    measure read (see run_trial), not graph sampling or simulation.
-    """
-    spec = SweepSpec(trials=trials, seed=seed, pems=tuple(pems))
-    cells = (
-        [("n", {"n": v}) for v in n_values]
-        + [("N", {"N": v}) for v in n_obs_values]
-        + [("delta_hat", {"delta_hat": v, "delta": v}) for v in delta_hat_values]
-    )
-    if not cells:
-        raise ConfigurationError("timing grid is empty: give n, N or delta_hat values")
-    records = _run_cells(spec, [cell for _, cell in cells])
-    varied = [name for name, _ in cells for _ in range(trials * len(pems))]
-    return [
-        ",".join(_fmt(f) for f in (
-            name, rec.config.n, rec.params.n_obs, rec.delta_hat,
-            rec.pem_kind, rec.trial, rec.seed, rec.wall_time_s,
-        ))
-        for name, rec in zip(varied, records)
-    ]

@@ -1,4 +1,4 @@
-"""Command-line front end: generate, simulate, infer, sweep, motif-table, bench-time.
+"""Command-line front end: generate, simulate, infer, sweep, motif-table.
 
 Every run echoes its fully resolved configuration to stdout and is reproducible
 from --seed. Exit codes: 0 success, 2 configuration error, 3 data or numerical
@@ -104,11 +104,18 @@ def _dt_tau_arg(text: str):
         ) from None
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of generate and simulate; numpy refuses negative seeds."""
+    if seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def cmd_generate(args) -> int:
     config = GraphConfig(model=args.model, n=args.n, d_e=args.d_e, r_e=args.r_e,
                          delta=args.delta, rewire_p=args.rewire_p)
+    rng = _rng(args.seed)
     _echo(args, ["model", "n", "d_e", "r_e", "delta", "rewire_p", "seed", "out"])
-    rng = np.random.default_rng(args.seed)
     graph = gen_graph_non_nilpotent(config, rng)
     graph = assign_lags(graph, config.delta, rng)
     save_edge_list(graph, args.out)
@@ -121,10 +128,9 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     graph = load_edge_list(args.graph)
     params = SDDParams(eps=args.eps, tau=args.tau, dt=args.dt, sigma=args.sigma,
-                       eta=args.eta, delta=graph.delta, n_obs=args.n_obs,
-                       seed=args.seed)
+                       eta=args.eta, delta=graph.delta, n_obs=args.n_obs)
+    rng = _rng(args.seed)
     _echo(args, ["graph", "eps", "tau", "dt", "sigma", "eta", "n_obs", "seed", "out"])
-    rng = np.random.default_rng(args.seed)
     _, lag_mats = normalize_adjacency(graph)
     ts = simulate_sdd(lag_mats, params, rng)
     ts = add_measurement_noise(ts, args.eta, rng)
@@ -196,21 +202,6 @@ def cmd_motif_table(args) -> int:
     return 0
 
 
-def cmd_bench_time(args) -> int:
-    _echo(args, ["pems", "n_list", "n_obs_list", "delta_hat_list",
-                 "trials", "seed", "out"])
-    rows = bench.run_timing(
-        args.pems, args.n_list, args.n_obs_list, args.delta_hat_list,
-        trials=args.trials, seed=args.seed,
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(bench.TIMING_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-    print(f"wrote {args.out}: {len(rows)} rows")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pemnet",
@@ -276,21 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, help="node count " + _DEFAULTS_HELP)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_motif_table)
-
-    p = sub.add_parser("bench-time", help="time edge measures over size grids")
-    p.add_argument("--pems", type=_csv_of(str), default="lcrc,lccf,lc,gc",
-                   help="comma-separated edge measures " + _DEFAULTS_HELP)
-    p.add_argument("--n-list", type=_csv_of(int), default="10",
-                   help="node counts " + _DEFAULTS_HELP)
-    p.add_argument("--n-obs-list", type=_csv_of(int), default="1000",
-                   help="observation counts " + _DEFAULTS_HELP)
-    p.add_argument("--delta-hat-list", type=_csv_of(int), default="0",
-                   help="assumed max lags " + _DEFAULTS_HELP)
-    p.add_argument("--trials", type=int, default=10,
-                   help="trials per grid point " + _DEFAULTS_HELP)
-    p.add_argument("--seed", type=int, default=0, help="master seed " + _DEFAULTS_HELP)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_bench_time)
 
     return parser
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -119,7 +119,6 @@ class SDDParams:
     eta: float = 0.0
     delta: int = 0
     n_obs: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("eps", "tau", "dt", "sigma", "eta"):
@@ -140,9 +139,6 @@ class SDDParams:
     @property
     def dt_tau(self) -> float:
         return self.dt / self.tau
-
-    def with_(self, **kwargs) -> "SDDParams":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -200,20 +196,19 @@ def _companion_radius(w: np.ndarray) -> float:
 def simulate_sdd(
     lag_mats: list[np.ndarray],
     params: SDDParams,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> TimeSeries:
     """Simulate the delay-difference model on normalized per-lag coupling matrices.
 
     lag_mats[k] couples inputs with transmission lag k (usually the output of
-    normalize_adjacency). Starts from zero history, discards b burn-in steps
-    and returns the next n_obs states. b = ceil(2.05 / -ln r), where r is the
-    companion matrix's radius, or rho^(1/p) when every W_k >= 0 and rho is the
-    radius of their sum; a radius of 0 burns p * n steps. Raises StabilityError
-    for a radius within STABILITY_MARGIN of 1, and, before drawing any noise,
-    when the burn-in would need more than 10^7 noise values (b * n).
+    normalize_adjacency). Draws its noise from rng, starts from zero history,
+    discards b burn-in steps and returns the next n_obs states.
+    b = ceil(2.05 / -ln r), where r is the companion matrix's radius, or
+    rho^(1/p) when every W_k >= 0 and rho is the radius of their sum; a radius
+    of 0 burns p * n steps. Raises StabilityError for a radius within
+    STABILITY_MARGIN of 1, and, before drawing any noise, when the burn-in
+    would need more than 10^7 noise values (b * n).
     """
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
     if params.dt_tau > 1.0:
         warnings.warn(
             f"dt/tau = {params.dt_tau:.3g} > 1 is outside the studied regime",

@@ -23,6 +23,9 @@ GRAPH_MODELS = ("gnm", "er", "ba", "rr", "sw")
 
 NO_EDGE = -1
 
+# gen_graph_non_nilpotent gives up after this many nilpotent draws.
+_MAX_NILPOTENT_DRAWS = 1000
+
 Edge = tuple[int, int]
 
 
@@ -331,16 +334,14 @@ def gen_graph(config: GraphConfig, rng: np.random.Generator) -> DirectedGraph:
     return gen_backbone(config, rng)
 
 
-def gen_graph_non_nilpotent(
-    config: GraphConfig, rng: np.random.Generator, max_attempts: int = 1000
-) -> DirectedGraph:
+def gen_graph_non_nilpotent(config: GraphConfig, rng: np.random.Generator) -> DirectedGraph:
     """Sample from config, rejecting nilpotent adjacency matrices."""
-    for _ in range(max_attempts):
+    for _ in range(_MAX_NILPOTENT_DRAWS):
         g = gen_graph(config, rng)
         if not is_nilpotent(g):
             return g
     raise ConfigurationError(
-        f"no non-nilpotent sample within {max_attempts} attempts for {config}"
+        f"no non-nilpotent sample within {_MAX_NILPOTENT_DRAWS} attempts for {config}"
     )
 
 

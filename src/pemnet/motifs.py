@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -97,7 +97,7 @@ class CovarianceSeries:
 def covariance_series(
     a: np.ndarray, *,
     eps: float, tau: float, sigma: float, dt_tau: float,
-    k: int = 0, l_max: int = 80, tol: float = 1e-12, n: int | None = None,
+    k: int = 0, l_max: int = 80, tol: float = 1e-12,
 ) -> CovarianceSeries:
     """Sum motif contributions times walk counts, layer by total walk length.
 
@@ -108,21 +108,19 @@ def covariance_series(
     TruncationWarning and converged=False.
     """
     a = np.asarray(a, dtype=float)
-    size = a.shape[0]
-    if n is None:
-        n = size
+    n = a.shape[0]
     z = dt_tau
-    require_stable(spectral_radius(eps * z * a + (1.0 - z) * np.eye(size)),
+    require_stable(spectral_radius(eps * z * a + (1.0 - z) * np.eye(n)),
                    "update rule for this adjacency")
-    powers = [np.eye(size)]
+    powers = [np.eye(n)]
     for _ in range(l_max):
         powers.append(powers[-1] @ a)
     powers_t = [p.T.copy() for p in powers]
-    total = np.zeros((size, size))
+    total = np.zeros((n, n))
     last_inc = np.inf
     layers = 0
     for layer in range(l_max + 1):
-        inc = np.zeros((size, size))
+        inc = np.zeros((n, n))
         for l_f in range(layer + 1):
             c = contribution_lagk(
                 k, layer - l_f, l_f, eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=z
@@ -159,6 +157,12 @@ def contribution_table(
     eps: float, tau: float, sigma: float, n: int, dt_tau: float,
 ) -> list[ContributionRow]:
     """Exhaustive grid of lag-k contributions for walk lengths up to l_max."""
+    for name, value in (("eps", eps), ("tau", tau), ("sigma", sigma), ("dt_tau", dt_tau)):
+        if not isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+    if n < 1 or tau <= 0 or sigma < 0 or eps < 0:
+        raise ConfigurationError(f"need n >= 1, tau > 0, sigma >= 0 and eps >= 0; "
+                                 f"got n={n}, tau={tau}, sigma={sigma}, eps={eps}")
     if l_max > 12:
         raise ConfigurationError(f"l_max is capped at 12, got {l_max}")
     if l_max < 1:

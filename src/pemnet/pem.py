@@ -50,13 +50,6 @@ class PEMMatrix:
 
 
 @dataclass(frozen=True)
-class CorrectionFactor:
-    alpha: float
-    kind: str
-    dt_tau: float
-
-
-@dataclass(frozen=True)
 class TauInverseEstimate:
     tau_inv: float
     dt_tau: float
@@ -132,20 +125,20 @@ class LagStack:
         return self._tau
 
 
-def alpha_lccf(dt_tau: float) -> CorrectionFactor:
+def alpha_lccf(dt_tau: float) -> float:
     """Correction factor cancelling the shared-driver motif (1, 1).
 
     Closed form 2(1 - z) / (2 - 2z + z^2); equal by construction to the ratio
     of the motif's lag-1 to lag-0 contribution (motifs.contribution_lagk).
     """
     z = _check_dt_tau(dt_tau)
-    return CorrectionFactor(2.0 * (1.0 - z) / (2.0 - 2.0 * z + z * z), "lccf", z)
+    return 2.0 * (1.0 - z) / (2.0 - 2.0 * z + z * z)
 
 
-def alpha_lcrc(dt_tau: float) -> CorrectionFactor:
+def alpha_lcrc(dt_tau: float) -> float:
     """Correction factor cancelling the reversed-edge motif (1, 0): 1 - z."""
     z = _check_dt_tau(dt_tau)
-    return CorrectionFactor(1.0 - z, "lcrc", z)
+    return 1.0 - z
 
 
 def _check_dt_tau(dt_tau: float) -> float:
@@ -255,7 +248,7 @@ def _score(stack: LagStack, kind: str, dt_tau, delta_hat: int) -> PEMMatrix:
     z = None if dt_tau == AUTO else _check_dt_tau(dt_tau)
     corrs = np.stack(stack.lags(delta_hat + 1)[1])
     z, flags = stack.estimated_dt_tau() if z is None else (z, ())
-    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z).alpha
+    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z)
     best = (corrs[1:] - alpha * corrs[:-1]).max(axis=0)
     params = {"dt_tau": z, "delta_hat": delta_hat, "alpha": alpha}
     return PEMMatrix(_with_nan_diagonal(best), kind, params, flags)

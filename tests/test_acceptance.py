@@ -137,9 +137,9 @@ def test_criterion_04_correction_factor_identities():
                 1, 1, **shared)
             ratio_rc = contribution_lagk(1, 1, 0, **shared) / contribution_cov(
                 1, 0, **shared)
-            worst = max(worst, abs(alpha_lccf(z).alpha - ratio_cf),
-                        abs(alpha_lcrc(z).alpha - ratio_rc))
-    boundary = abs(alpha_lccf(1.0).alpha) + abs(alpha_lcrc(1.0).alpha)
+            worst = max(worst, abs(alpha_lccf(z) - ratio_cf),
+                        abs(alpha_lcrc(z) - ratio_rc))
+    boundary = abs(alpha_lccf(1.0)) + abs(alpha_lcrc(1.0))
     ok = worst < 1e-12 and boundary == 0.0
     report(4, ok, f"max |closed form - contribution ratio| = {worst:.3g} "
                   f"(tol 1e-12) on 9-point grid, both factors 0 at dt/tau=1")

@@ -19,7 +19,6 @@ from pemnet.bench import (
     accuracy,
     baseline_accuracy,
     derive_seed,
-    run_timing,
     run_trial,
     spearman,
     sweep,
@@ -405,6 +404,21 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             SweepSpec(grid={"bogus": [1]})
 
+    @pytest.mark.parametrize("grid, key", [
+        ({"n": [10.7], "delta": [0.9]}, "n"),  # int() would run n = 10, delta = 0
+        ({"delta": [0, 0.9]}, "delta"),
+        ({"N": ["1e3"]}, "N"),
+        ({"eps": ["x"]}, "eps"),
+        ({"model": [5]}, "model"),
+    ])
+    def test_rejects_value_its_type_changes(self, grid, key):
+        with pytest.raises(ConfigurationError, match=f"for '{key}' is not of type"):
+            SweepSpec(grid=grid)
+
+    def test_accepts_values_that_keep_their_value(self):
+        spec = SweepSpec(grid={"n": [10.0, np.int64(5), "12"], "eps": [1, "0.5"]})
+        assert [cell["n"] for cell in spec.cells()] == [10.0, 10.0, 5, 5, "12", "12"]
+
     def test_rejects_unknown_dt_tau_mode(self):
         with pytest.raises(ConfigurationError, match="unknown dt/tau mode 'bogus'"):
             SweepSpec(dt_tau="bogus")
@@ -455,30 +469,6 @@ class TestGoldenSweep:
         golden = (Path(__file__).parent / "data" / "golden_sweep.csv").read_text()
         assert len(golden.splitlines()) == 1 + 5 * 2 * 2 * 2 * 3
         assert columns(out.read_text()) == columns(golden)
-
-
-class TestRunTiming:
-    def test_rows_cover_grids(self):
-        rows = run_timing(["lcrc", "gc"], [5], [500], [0], trials=2, seed=0)
-        assert len(rows) == 3 * 2 * 2  # three grids x trials x pems
-        assert all(len(r.split(",")) == 8 for r in rows)
-
-    def test_cells_indexed_across_grids(self):
-        rows = [r.split(",") for r in run_timing(["lc"], [5], [500], [0, 1],
-                                                 trials=2, seed=9)]
-        assert [r[0] for r in rows] == ["n"] * 2 + ["N"] * 2 + ["delta_hat"] * 4
-        assert [int(r[6]) for r in rows] == [
-            derive_seed(9, cell, trial) for cell in range(4) for trial in range(2)
-        ]
-        assert [r[1:4] for r in rows[-2:]] == [["10", "1000", "1"]] * 2
-
-    def test_gc_slower_than_lcrc(self):
-        rows = run_timing(["lcrc", "gc"], [10], [1000], [0], trials=5, seed=1)
-        times = {"lcrc": [], "gc": []}
-        for row in rows:
-            parts = row.split(",")
-            times[parts[4]].append(float(parts[7]))
-        assert np.median(times["gc"]) > np.median(times["lcrc"])
 
 
 def load_tracing():

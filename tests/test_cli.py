@@ -38,6 +38,12 @@ class TestGenerate:
                     "--out", tmp_path / "g.txt"])
         assert code == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert run(["generate", "--seed", -1, "--out", out]) == 2
+        assert not out.exists()
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_pipeline_files(self, tmp_path):
@@ -73,6 +79,13 @@ class TestSimulate:
         with pytest.raises(SystemExit) as err:
             run(["simulate", "--graph", g, "--burn-in", 5, "--out", tmp_path / "ts.txt"])
         assert err.value.code == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        g, ts = tmp_path / "g.txt", tmp_path / "ts.txt"
+        run(["generate", "--seed", 1, "--out", g])
+        assert run(["simulate", "--graph", g, "--seed", -3, "--out", ts]) == 2
+        assert not ts.exists()
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
 
     def test_missing_graph_exits_4(self, tmp_path):
         assert run(["simulate", "--graph", tmp_path / "nope.txt",
@@ -221,32 +234,50 @@ class TestMotifTable:
 
 class TestBenchTime:
     def test_gc_slower_at_desk_scale(self, tmp_path):
+        # the timing table is a sweep: every row has its measure's wall time
         out = tmp_path / "timing.csv"
-        code = run(["bench-time", "--pems", "lcrc,lccf,lc,gc", "--n-list", "10",
+        code = run(["sweep", "--pems", "lcrc,lccf,lc,gc", "--n-list", "10",
                     "--n-obs-list", "1000", "--delta-hat-list", "0",
                     "--trials", 5, "--seed", 0, "--out", out])
         assert code == 0
+        header, *rows = out.read_text().strip().splitlines()
+        pem, wall = header.split(",").index("pem"), header.split(",").index("wall_time_s")
         times = {}
-        for line in out.read_text().strip().splitlines()[1:]:
+        for line in rows:
             parts = line.split(",")
-            times.setdefault(parts[4], []).append(float(parts[7]))
+            times.setdefault(parts[pem], []).append(float(parts[wall]))
         assert np.median(times["gc"]) > np.median(times["lcrc"])
+
+    def test_bench_time_command_is_gone(self, tmp_path):
+        # sweep writes the same timings; there is no second timing command
+        with pytest.raises(SystemExit) as err:
+            run(["bench-time", "--out", tmp_path / "timing.csv"])
+        assert err.value.code == 2
 
 
 class TestConfigurationErrors:
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--pems", "lcrc,foo", "--trials", 1], "unknown PEM kind 'foo'"),
-        (["bench-time", "--pems", "foo", "--trials", 1], "unknown PEM kind 'foo'"),
-        (["bench-time", "--trials", 0], "need trials >= 1"),
+        (["sweep", "--pems", "foo", "--n-list", "10,20", "--trials", 1],
+         "unknown PEM kind 'foo'"),
+        (["sweep", "--trials", 0], "need trials >= 1"),
         (["sweep", "--jobs", 0, "--trials", 1], "need jobs >= 1"),
         (["sweep", "--jobs", -2, "--trials", 1], "need jobs >= 1"),
-        (["bench-time", "--n-list", "", "--n-obs-list", "", "--delta-hat-list", "",
-          "--trials", 1], "timing grid is empty"),
+        (["motif-table", "--n", 0], "got n=0, tau=1.0"),
         (["sweep", "--eps-list", "0.5,-1", "--trials", 200],
          "coupling strength must be >= 0"),
         (["sweep", "--eps-list", "nan"], "eps must be finite"),
         (["sweep", "--tau-list", "1,inf"], "tau must be finite"),
-        (["bench-time", "--n-list", "10,1", "--trials", 1], "need n >= 2"),
+        (["sweep", "--n-list", "10,1", "--trials", 1], "need n >= 2"),
+        (["motif-table", "--n", -3, "--tau", -1], "got n=-3, tau=-1.0"),
+        (["motif-table", "--tau", -1], "need n >= 1, tau > 0"),
+        (["motif-table", "--tau", 0], "tau=0.0,"),
+        (["motif-table", "--sigma", -0.5], "sigma=-0.5,"),
+        (["motif-table", "--eps", -0.1], "eps=-0.1"),
+        (["motif-table", "--eps", "nan"], "eps must be finite, got nan"),
+        (["motif-table", "--tau", "inf"], "tau must be finite, got inf"),
+        (["motif-table", "--sigma=-inf"], "sigma must be finite, got -inf"),
+        (["motif-table", "--dt-tau", "nan"], "dt_tau must be finite, got nan"),
     ])
     def test_exit_2_before_any_trial(self, argv, message, tmp_path, capsys,
                                      monkeypatch):
@@ -272,8 +303,8 @@ class TestCliContract:
         ["sweep", "--dt-list", "0.5,fast", "--out", "sweep.csv"],
         ["motif-table", "--k-list", "0,one", "--out", "t.csv"],
         ["motif-table", "--dt-tau", "half", "--out", "t.csv"],
-        ["bench-time", "--n-list", "10,2x", "--out", "timing.csv"],
-        ["bench-time", "--n-obs-list", "1e3", "--out", "timing.csv"],
+        ["sweep", "--n-list", "10,2x", "--out", "timing.csv"],
+        ["sweep", "--n-obs-list", "1e3", "--out", "timing.csv"],
     ])
     def test_malformed_number_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -320,7 +351,7 @@ class TestReadmeCommands:
         # a flag removed from the CLI but still shown in the README fails here
         commands = readme_commands()
         assert [argv[0] for argv in commands] == [
-            "generate", "simulate", "infer", "sweep", "motif-table", "bench-time"]
+            "generate", "simulate", "infer", "sweep", "motif-table", "sweep"]
         monkeypatch.chdir(tmp_path)
         for argv in commands:
             assert main(argv) == 0, argv

@@ -97,26 +97,27 @@ class TestParams:
 
     def test_dt_tau_above_one_warns(self):
         with pytest.warns(UserWarning, match="outside the studied regime"):
-            simulate_sdd(zero_mats(), SDDParams(dt=1.5, tau=1.0, n_obs=10, seed=0))
+            simulate_sdd(zero_mats(), SDDParams(dt=1.5, tau=1.0, n_obs=10),
+                         np.random.default_rng(0))
 
 
 class TestSimulate:
     def test_deterministic_given_seed(self):
-        params = SDDParams(n_obs=500, seed=99)
-        a = simulate_sdd(ring_mats(), params)
-        b = simulate_sdd(ring_mats(), params)
+        params = SDDParams(n_obs=500)
+        a = simulate_sdd(ring_mats(), params, np.random.default_rng(99))
+        b = simulate_sdd(ring_mats(), params, np.random.default_rng(99))
         assert np.array_equal(a.values, b.values)
 
     def test_memoryless_case_white(self):
         # no coupling and dt = tau: samples are i.i.d. Gaussian
-        params = SDDParams(dt=1.0, tau=1.0, n_obs=50_000, seed=1)
-        ts = simulate_sdd(zero_mats(), params)
+        params = SDDParams(dt=1.0, tau=1.0, n_obs=50_000)
+        ts = simulate_sdd(zero_mats(), params, np.random.default_rng(1))
         assert np.abs(lag1_autocorr(ts.values)).max() < 4.0 / np.sqrt(ts.n_obs)
 
     def test_scalar_ar_autocorrelation(self):
         # no coupling, dt/tau = 0.5: per-node autocorrelation at lag k is 0.5^k
-        params = SDDParams(dt=0.5, tau=1.0, n_obs=100_000, seed=2)
-        ts = simulate_sdd(zero_mats(), params)
+        params = SDDParams(dt=0.5, tau=1.0, n_obs=100_000)
+        ts = simulate_sdd(zero_mats(), params, np.random.default_rng(2))
         x = ts.values - ts.values.mean(axis=0)
         den = (x * x).sum(axis=0)
         for k in (1, 2, 3):
@@ -124,8 +125,8 @@ class TestSimulate:
             assert np.abs(rk - 0.5**k).max() < 4.0 / np.sqrt(ts.n_obs)
 
     def test_covariance_matches_lyapunov_oracle(self):
-        params = SDDParams(n_obs=200_000, seed=3)  # defaults: eps .9, dt .5
-        ts = simulate_sdd(ring_mats(), params)
+        params = SDDParams(n_obs=200_000)  # defaults: eps .9, dt .5
+        ts = simulate_sdd(ring_mats(), params, np.random.default_rng(3))
         x = ts.values - ts.values.mean(axis=0)
         sample_cov = x.T @ x / (ts.n_obs - 1)
         k_mat = step_matrices(ring_mats(), params)[0]
@@ -135,8 +136,8 @@ class TestSimulate:
         assert rel.max() < 0.05
 
     def test_lag1_covariance_recursion(self):
-        params = SDDParams(n_obs=200_000, seed=4)
-        ts = simulate_sdd(ring_mats(), params)
+        params = SDDParams(n_obs=200_000)
+        ts = simulate_sdd(ring_mats(), params, np.random.default_rng(4))
         x = ts.values - ts.values.mean(axis=0)
         n_obs = ts.n_obs
         s0 = x.T @ x / (n_obs - 1)
@@ -147,16 +148,16 @@ class TestSimulate:
         assert np.abs(s1 - expected).max() / scale < 0.05
 
     def test_stationary_mean(self):
-        params = SDDParams(n_obs=50_000, seed=5)
-        ts = simulate_sdd(ring_mats(), params)
+        params = SDDParams(n_obs=50_000)
+        ts = simulate_sdd(ring_mats(), params, np.random.default_rng(5))
         n_eff = ts.n_obs * params.dt_tau
         bound = 4.0 * ts.values.std(axis=0) / np.sqrt(n_eff)
         assert (np.abs(ts.values.mean(axis=0)) < bound).all()
 
     def test_var1_limit(self):
         # dt = tau: the update reduces to x_t = eps * A x_{t-1} + noise
-        params = SDDParams(dt=1.0, tau=1.0, n_obs=200, seed=6)
-        ts = simulate_sdd(ring_mats(), params)
+        params = SDDParams(dt=1.0, tau=1.0, n_obs=200)
+        ts = simulate_sdd(ring_mats(), params, np.random.default_rng(6))
         rng = np.random.default_rng(6)
         burn = 20
         noise = rng.standard_normal((burn + 200, 3)) * (
@@ -171,7 +172,7 @@ class TestSimulate:
 
     def test_unstable_raises(self):
         with pytest.raises(StabilityError):
-            simulate_sdd(ring_mats(), SDDParams(eps=1.2, n_obs=100))
+            simulate_sdd(ring_mats(), SDDParams(eps=1.2, n_obs=100), np.random.default_rng(0))
 
     def test_eps_one_refused_on_every_graph(self):
         # at eps = 1 the radius of a normalized graph is 1 up to roundoff, on
@@ -200,7 +201,8 @@ class TestSimulate:
             monkeypatch.setattr(module, "require_stable", recording)
         z = 1e-13  # W_0 = (1 - z) I has radius 1 - 1e-13
         calls = [
-            lambda: simulate_sdd(zero_mats(), SDDParams(dt=z, n_obs=10)),
+            lambda: simulate_sdd(zero_mats(), SDDParams(dt=z, n_obs=10),
+                                 np.random.default_rng(0)),
             lambda: covariance_series(np.zeros((2, 2)), eps=0.9, tau=1.0, sigma=1.0,
                                       dt_tau=z),
             lambda: solve_discrete_lyapunov((1.0 - z) * np.eye(2), np.eye(2)),
@@ -215,10 +217,10 @@ class TestSimulate:
         g = DirectedGraph(3, pairs)
         g = assign_lags(g, 2, np.random.default_rng(7))
         _, mats = normalize_adjacency(g)
-        params = SDDParams(delta=2, n_obs=5000, seed=8)
-        ts = simulate_sdd(mats, params)
+        params = SDDParams(delta=2, n_obs=5000)
+        ts = simulate_sdd(mats, params, np.random.default_rng(8))
         assert ts.values.shape == (5000, 3)
-        b = simulate_sdd(mats, params)
+        b = simulate_sdd(mats, params, np.random.default_rng(8))
         assert np.array_equal(ts.values, b.values)
 
     def test_order_p_companion_stability(self):
@@ -227,7 +229,7 @@ class TestSimulate:
         a[0, 1] = a[1, 0] = 1.0
         mats = [np.zeros((2, 2)), a]
         with pytest.raises(StabilityError):
-            simulate_sdd(mats, SDDParams(eps=2.5, delta=1, n_obs=100))
+            simulate_sdd(mats, SDDParams(eps=2.5, delta=1, n_obs=100), np.random.default_rng(0))
 
     @pytest.mark.parametrize("eps", [0.5, 0.9, 0.99, 1.01, 1.2])
     def test_summed_lag_matrix_decides_like_companion(self, eps):
@@ -263,13 +265,13 @@ class TestSimulate:
         params = SDDParams(dt=dt, eps=eps, delta=1, n_obs=100)
         with pytest.warns(UserWarning) if dt > 1.0 else nullcontext():
             with pytest.raises(StabilityError, match=which):
-                simulate_sdd([np.zeros((2, 2)), a], params)
+                simulate_sdd([np.zeros((2, 2)), a], params, np.random.default_rng(0))
         assert shapes == [shape]
 
     def test_graph_lags_exceed_params_delta(self):
         mats = [np.zeros((2, 2)), np.eye(2) * 0.1]
         with pytest.raises(ConfigurationError):
-            simulate_sdd(mats, SDDParams(delta=0, n_obs=100))
+            simulate_sdd(mats, SDDParams(delta=0, n_obs=100), np.random.default_rng(0))
 
 
 def companion(w):
@@ -290,7 +292,7 @@ def burn_of(lag_mats, params):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pemnet.dynamics, "sdd_recurrence", recording)
-        simulate_sdd(lag_mats, params)
+        simulate_sdd(lag_mats, params, np.random.default_rng(0))
     return rows[0] - params.n_obs
 
 
@@ -330,14 +332,14 @@ class TestBurnIn:
         # forget the zero start exactly
         a = np.zeros((p, 3, 3))
         a[0, 1, 0] = a[p - 1, 2, 1] = 1.0
-        params = SDDParams(dt=1.0, tau=1.0, delta=p - 1, n_obs=50, seed=3)
+        params = SDDParams(dt=1.0, tau=1.0, delta=p - 1, n_obs=50)
         w = step_matrices(list(a), params)
         b = burn_of(list(a), params)
         assert b == p * 3
         assert not np.linalg.matrix_power(companion(w), b).any()
         noise = np.random.default_rng(3).standard_normal((b + 50, 3)) * (
             params.sigma * np.sqrt(params.dt / 3))
-        ts = simulate_sdd(list(a), params)
+        ts = simulate_sdd(list(a), params, np.random.default_rng(3))
         assert np.array_equal(ts.values, sdd_recurrence(w, noise)[b:])
 
     def test_too_long_burn_in_refused_before_any_noise(self, monkeypatch):
@@ -356,14 +358,14 @@ class TestBurnIn:
     def test_order_three_returns_recurrence_after_burn_in(self):
         # p = 3, every W_k >= 0: the companion radius is at most rho^(1/3)
         mats = paper_graph_mats(2, seed=4)
-        params = SDDParams(delta=2, n_obs=300, seed=5)
+        params = SDDParams(delta=2, n_obs=300)
         w = step_matrices(mats, params)
         rho = spectral_radius(w.sum(axis=0))
         b = int(np.ceil(2.05 / -np.log(rho ** (1 / 3))))
         assert b == 120
         noise = np.random.default_rng(5).standard_normal((b + 300, 10)) * (
             params.sigma * np.sqrt(params.dt / 10))
-        ts = simulate_sdd(mats, params)
+        ts = simulate_sdd(mats, params, np.random.default_rng(5))
         assert np.array_equal(ts.values, sdd_recurrence(w, noise)[b:])
 
 
@@ -414,21 +416,21 @@ class TestBackends:
 
 class TestMeasurementNoise:
     def test_zero_eta_is_identity(self):
-        ts = simulate_sdd(ring_mats(), SDDParams(n_obs=100, seed=9))
+        ts = simulate_sdd(ring_mats(), SDDParams(n_obs=100), np.random.default_rng(9))
         out = add_measurement_noise(ts, 0.0, np.random.default_rng(0))
         assert np.array_equal(out.values, ts.values)
 
     def test_variance_additivity_on_white_noise(self):
         # eta = sigma doubles the variance of a memoryless series
-        params = SDDParams(dt=1.0, tau=1.0, n_obs=100_000, seed=10)
-        ts = simulate_sdd(zero_mats(), params)
+        params = SDDParams(dt=1.0, tau=1.0, n_obs=100_000)
+        ts = simulate_sdd(zero_mats(), params, np.random.default_rng(10))
         noisy = add_measurement_noise(ts, params.sigma, np.random.default_rng(11))
         ratio = noisy.values.var(axis=0) / ts.values.var(axis=0)
         assert np.abs(ratio - 2.0).max() < 0.1
 
     def test_large_eta_dilutes_autocorrelation(self):
-        params = SDDParams(n_obs=50_000, seed=12)  # dt_tau = 0.5, autocorrelated
-        ts = simulate_sdd(zero_mats(), params)
+        params = SDDParams(n_obs=50_000)  # dt_tau = 0.5, autocorrelated
+        ts = simulate_sdd(zero_mats(), params, np.random.default_rng(12))
         noisy = add_measurement_noise(ts, 10 * params.sigma, np.random.default_rng(13))
         assert np.abs(lag1_autocorr(noisy.values)).max() < np.abs(
             lag1_autocorr(ts.values)
@@ -437,7 +439,7 @@ class TestMeasurementNoise:
 
 class TestTimeSeriesIO:
     def test_round_trip_exact(self, tmp_path):
-        ts = simulate_sdd(ring_mats(), SDDParams(n_obs=50, seed=14))
+        ts = simulate_sdd(ring_mats(), SDDParams(n_obs=50), np.random.default_rng(14))
         path = tmp_path / "ts.txt"
         save_time_series(ts, str(path))
         loaded = load_time_series(str(path))

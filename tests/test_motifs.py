@@ -184,7 +184,7 @@ class TestContributionDelayed:
 class TestCovarianceSeries:
     def test_decoupled_diagonal(self):
         res = covariance_series(np.zeros((4, 4)), eps=0.9, tau=1.0, sigma=0.2,
-                                dt_tau=0.5, n=4)
+                                dt_tau=0.5)
         scale = 1.0 * 0.04 / 4 / 1.5
         assert res.converged
         assert_allclose(res.matrix, scale * np.eye(4), atol=1e-15)

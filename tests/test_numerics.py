@@ -142,6 +142,11 @@ class TestDiscreteLyapunov:
             scipy.linalg.solve_discrete_lyapunov(k, q),
             atol=1e-10,
         )
+        # radius 0.9999: the sum over j of K^j Q K^jT needs ~10^5 terms to converge
+        k *= 0.9999 / 0.85
+        want = scipy.linalg.solve_discrete_lyapunov(k, q)
+        got = solve_discrete_lyapunov(k, q)
+        assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
 
     def test_unstable_k_raises(self):
         with pytest.raises(StabilityError):

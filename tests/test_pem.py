@@ -65,8 +65,8 @@ class TestSampleLaggedCov:
         assert np.array_equal(s0, s0.T)
 
     def test_lag1_matches_one_step_update(self):
-        params = SDDParams(n_obs=200_000, seed=1)
-        ts = simulate_sdd(ring_mats(), params)
+        params = SDDParams(n_obs=200_000)
+        ts = simulate_sdd(ring_mats(), params, np.random.default_rng(1))
         s0 = sample_lagged_cov(centered(ts), 0)
         s1 = sample_lagged_cov(centered(ts), 1)
         k_mat = 0.5 * np.eye(3) + 0.5 * 0.9 * ring_mats()[0]
@@ -92,8 +92,8 @@ class TestSampleLaggedCorr:
         assert np.abs(r0 - r0.T).max() < 1e-14
 
     def test_memoryful_autocorrelation(self):
-        params = SDDParams(n_obs=100_000, seed=4)  # dt_tau = 0.5
-        ts = simulate_sdd(zero_mats(), params)
+        params = SDDParams(n_obs=100_000)  # dt_tau = 0.5
+        ts = simulate_sdd(zero_mats(), params, np.random.default_rng(4))
         r1 = LagStack(ts).lags(1)[1][1]
         assert np.abs(np.diag(r1) - 0.5).max() < 4.0 / np.sqrt(ts.n_obs)
 
@@ -142,7 +142,7 @@ def corr_reference(ts, k):
 def per_lag_reference(ts, kind, dt_tau, delta_hat):
     """The corrected score as a loop over lags, one correlation pair at a time."""
     z = estimate_tau_inv(ts).dt_tau if dt_tau == AUTO else dt_tau
-    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z).alpha
+    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z)
     best = None
     for lag in range(delta_hat + 1):
         f = corr_reference(ts, lag + 1) - alpha * corr_reference(ts, lag)
@@ -155,7 +155,7 @@ class TestLagStack:
     def ts(self):
         g = graph_with_cycle([(0, 1), (1, 2), (0, 3)], n=6)
         _, mats = normalize_adjacency(g)
-        return simulate_sdd(mats, SDDParams(n_obs=2000, seed=31))
+        return simulate_sdd(mats, SDDParams(n_obs=2000), np.random.default_rng(31))
 
     @pytest.mark.parametrize("kind", ["lccf", "lcrc"])
     @pytest.mark.parametrize("delta_hat", [0, 5, 8])
@@ -230,12 +230,12 @@ class TestLagStack:
 
 class TestCorrectionFactors:
     def test_boundary_at_one(self):
-        assert alpha_lccf(1.0).alpha == 0.0
-        assert alpha_lcrc(1.0).alpha == 0.0
+        assert alpha_lccf(1.0) == 0.0
+        assert alpha_lcrc(1.0) == 0.0
 
     def test_half_values(self):
-        assert alpha_lccf(0.5).alpha == pytest.approx(0.8, rel=1e-14)
-        assert alpha_lcrc(0.5).alpha == pytest.approx(0.5, rel=1e-14)
+        assert alpha_lccf(0.5) == pytest.approx(0.8, rel=1e-14)
+        assert alpha_lcrc(0.5) == pytest.approx(0.5, rel=1e-14)
 
     def test_match_contribution_ratios_for_any_coupling(self):
         rng = np.random.default_rng(21)
@@ -243,15 +243,15 @@ class TestCorrectionFactors:
             z = rng.uniform(0.01, 1.0)
             eps = rng.uniform(0.05, 2.0)
             assert abs(
-                alpha_lccf(z).alpha - alpha_from_contributions("lccf", z, eps)
+                alpha_lccf(z) - alpha_from_contributions("lccf", z, eps)
             ) < 1e-12
             assert abs(
-                alpha_lcrc(z).alpha - alpha_from_contributions("lcrc", z, eps)
+                alpha_lcrc(z) - alpha_from_contributions("lcrc", z, eps)
             ) < 1e-12
 
     def test_ordering_and_range(self):
         for z in np.arange(0.05, 1.0, 0.05):
-            a_cf, a_rc = alpha_lccf(z).alpha, alpha_lcrc(z).alpha
+            a_cf, a_rc = alpha_lccf(z), alpha_lcrc(z)
             assert 0.0 <= a_rc < a_cf <= 1.0
 
     def test_domain(self):
@@ -274,7 +274,7 @@ class TestPemLc:
         _, mats = normalize_adjacency(g)
         wins = 0
         for seed in range(100):
-            ts = simulate_sdd(mats, SDDParams(seed=seed))
+            ts = simulate_sdd(mats, SDDParams(), np.random.default_rng(seed))
             values = compute_pem(ts, "lc").values
             edge_score = values[1, 0]
             non_edges = [
@@ -288,7 +288,7 @@ class TestPemLc:
     def test_reciprocal_graph_gives_symmetric_scores(self):
         pairs = ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0))
         _, mats = normalize_adjacency(DirectedGraph(3, pairs))
-        ts = simulate_sdd(mats, SDDParams(n_obs=50_000, seed=7))
+        ts = simulate_sdd(mats, SDDParams(n_obs=50_000), np.random.default_rng(7))
         values = compute_pem(ts, "lc").values
         asym = np.nanmax(np.abs(values - values.T))
         assert asym < 10.0 / np.sqrt(ts.n_obs)
@@ -296,20 +296,20 @@ class TestPemLc:
 
 class TestPemCorrected:
     def test_lccf_at_unit_dt_tau_equals_lc(self):
-        ts = simulate_sdd(ring_mats(), SDDParams(dt=1.0, tau=1.0, seed=8))
+        ts = simulate_sdd(ring_mats(), SDDParams(dt=1.0, tau=1.0), np.random.default_rng(8))
         a = compute_pem(ts, "lccf", dt_tau=1.0, delta_hat=0).values
         b = compute_pem(ts, "lc").values
         assert np.array_equal(off_diag(a), off_diag(b))
 
     def test_lccf_differs_from_lc_by_alpha_r0(self):
-        ts = simulate_sdd(ring_mats(), SDDParams(seed=9))
-        alpha = alpha_lccf(0.5).alpha
+        ts = simulate_sdd(ring_mats(), SDDParams(), np.random.default_rng(9))
+        alpha = alpha_lccf(0.5)
         got = compute_pem(ts, "lccf", dt_tau=0.5, delta_hat=0).values
         want = compute_pem(ts, "lc").values - alpha * LagStack(ts).lags(0)[1][0]
         assert np.abs(off_diag(got) - off_diag(want)).max() < 1e-14
 
     def test_lcrc_equals_lccf_at_unit_dt_tau(self):
-        ts = simulate_sdd(ring_mats(), SDDParams(dt=1.0, tau=1.0, seed=10))
+        ts = simulate_sdd(ring_mats(), SDDParams(dt=1.0, tau=1.0), np.random.default_rng(10))
         a = compute_pem(ts, "lcrc", dt_tau=1.0).values
         b = compute_pem(ts, "lccf", dt_tau=1.0).values
         assert np.array_equal(off_diag(a), off_diag(b))
@@ -321,7 +321,7 @@ class TestPemCorrected:
         _, mats = normalize_adjacency(g)
         reduced = 0
         for seed in range(100):
-            ts = simulate_sdd(mats, SDDParams(seed=200 + seed))
+            ts = simulate_sdd(mats, SDDParams(), np.random.default_rng(200 + seed))
             lc_score = compute_pem(ts, "lc").values[2, 1]
             lccf_score = compute_pem(ts, "lccf", dt_tau=0.5).values[2, 1]
             reduced += lccf_score < lc_score
@@ -332,7 +332,7 @@ class TestPemCorrected:
         _, mats = normalize_adjacency(g)
         correct = 0
         for seed in range(100):
-            ts = simulate_sdd(mats, SDDParams(dt=0.2, seed=400 + seed))
+            ts = simulate_sdd(mats, SDDParams(dt=0.2), np.random.default_rng(400 + seed))
             values = compute_pem(ts, "lcrc", dt_tau=0.2).values
             correct += values[1, 0] > values[0, 1]
         assert correct >= 95
@@ -340,7 +340,7 @@ class TestPemCorrected:
     def test_delta_hat_monotonicity_is_exact(self):
         g = graph_with_cycle([(0, 1), (1, 2)])
         _, mats = normalize_adjacency(g)
-        ts = simulate_sdd(mats, SDDParams(seed=11))
+        ts = simulate_sdd(mats, SDDParams(), np.random.default_rng(11))
         prev = compute_pem(ts, "lcrc", dt_tau=0.5, delta_hat=0).values
         for delta_hat in (1, 2, 3):
             cur = compute_pem(ts, "lcrc", dt_tau=0.5, delta_hat=delta_hat).values
@@ -348,7 +348,7 @@ class TestPemCorrected:
             prev = cur
 
     def test_auto_mode_records_estimate(self):
-        ts = simulate_sdd(ring_mats(), SDDParams(n_obs=5000, seed=12))
+        ts = simulate_sdd(ring_mats(), SDDParams(n_obs=5000), np.random.default_rng(12))
         pem = compute_pem(ts, "lcrc", dt_tau=AUTO)
         assert abs(pem.params["dt_tau"] - 0.5) < 0.1
 
@@ -372,7 +372,7 @@ class TestEstimateTauInv:
     def test_uncoupled_estimate(self):
         estimates = [
             estimate_tau_inv(
-                simulate_sdd(zero_mats(), SDDParams(n_obs=10_000, seed=s))
+                simulate_sdd(zero_mats(), SDDParams(n_obs=10_000), np.random.default_rng(s))
             ).tau_inv
             for s in range(5)
         ]
@@ -381,7 +381,8 @@ class TestEstimateTauInv:
     def test_slower_time_scale(self):
         estimates = [
             estimate_tau_inv(
-                simulate_sdd(ring_mats(), SDDParams(tau=2.0, n_obs=10_000, seed=s))
+                simulate_sdd(ring_mats(), SDDParams(tau=2.0, n_obs=10_000),
+                             np.random.default_rng(s))
             ).tau_inv
             for s in range(5)
         ]
@@ -403,7 +404,7 @@ class TestEstimateTauInv:
     def test_precomputed_stack_gives_identical_estimate(self, k_max):
         g = graph_with_cycle([(0, 1), (1, 2)])
         _, mats = normalize_adjacency(g)
-        ts = simulate_sdd(mats, SDDParams(n_obs=3000, seed=16))
+        ts = simulate_sdd(mats, SDDParams(n_obs=3000), np.random.default_rng(16))
         x = centered(ts)
         stack = np.stack([sample_lagged_cov(x, k) for k in range(k_max + 1)])
         assert estimate_tau_inv(ts, stack) == estimate_tau_inv(ts)
@@ -430,7 +431,7 @@ class TestPemGc:
         params = SDDParams(dt=1.0, tau=1.0, n_obs=10_000)
         correct = 0
         for seed in range(100):
-            ts = simulate_sdd(mats, params.with_(seed=600 + seed))
+            ts = simulate_sdd(mats, params, np.random.default_rng(600 + seed))
             values = pem_gc(ts, p_hat=1).values
             correct += values[1, 0] > values[0, 1]
         assert correct >= 99
@@ -452,7 +453,7 @@ class TestInvariances:
     def make_ts(self, n_obs=2000, seed=18):
         g = graph_with_cycle([(0, 1), (1, 2), (3, 0)])
         _, mats = normalize_adjacency(g)
-        return simulate_sdd(mats, SDDParams(n_obs=n_obs, seed=seed))
+        return simulate_sdd(mats, SDDParams(n_obs=n_obs), np.random.default_rng(seed))
 
     def test_scale_invariance(self):
         ts = self.make_ts()
@@ -477,7 +478,7 @@ class TestInvariances:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        ts = simulate_sdd(ring_mats(), SDDParams(seed=19))
+        ts = simulate_sdd(ring_mats(), SDDParams(), np.random.default_rng(19))
         pem = compute_pem(ts, "lcrc", dt_tau=0.5, delta_hat=2)
         path = tmp_path / "pem.txt"
         save_pem(pem, str(path))
