@@ -109,11 +109,16 @@ def baseline_accuracy(n: int, m: int) -> float:
 
 
 def spearman(xs, ys) -> float:
-    """Spearman rank correlation; ties receive their mean rank."""
+    """Spearman rank correlation; ties receive their mean rank.
+
+    A NaN or inf has no rank, so a non-finite value raises DataError.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.size < 3:
         raise ConfigurationError("need two equal-length lists of at least 3 values")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DataError("rank correlation undefined for a NaN or inf input")
     rx, ry = _mean_ranks(xs), _mean_ranks(ys)
     if rx.std() == 0.0 or ry.std() == 0.0:
         raise DataError("rank correlation undefined for a constant input")
@@ -165,8 +170,8 @@ def run_trial(
 
     delta_hat defaults to the true max lag; dt_tau defaults to the true dt/tau
     (pass AUTO to estimate it from the data). The measures read one lag stack
-    (see compute_pems): one centering, lags 0..max(delta_hat + 1, 1) each
-    computed once, and dt/tau estimated at most once. Each is thresholded with
+    (see compute_pems): one centering, one pass for lags 0..max(delta_hat + 1, 1),
+    and dt/tau estimated at most once. Each is thresholded with
     the true edge count and scored on masks. Deterministic given the seed,
     except for wall_time_s: the time of the work that measure read, its lags,
     the dt/tau estimate and its own scoring, independent of the order of pems.

@@ -3,8 +3,9 @@
 compute_pem scores a series with one measure and compute_pems with several, as
 in one trial; they are the one way to score. Entry (i, j) scores the directed
 edge j -> i, matching <x_{t+k*dt} x_t^T>; the diagonal is NaN and not ranked.
-The lc family reads a LagStack, which centers the series once and builds each
-lag, and an estimated dt/tau, once.
+The lc family reads a LagStack, which centers the series once and builds every
+lag it needs in one pass of sample_lagged_cov, the one lag kernel, and an
+estimated dt/tau at most once.
 """
 
 from __future__ import annotations
@@ -56,56 +57,106 @@ class TauInverseEstimate:
     clamped: bool
 
 
-def sample_lagged_cov(x: np.ndarray, k: int) -> np.ndarray:
-    """Lag-k sample covariance S_k[i, j] = cov(x_i at t+k, x_j at t).
+# sample_lagged_cov takes the blocked pass for a series of at least this many
+# values whose block Gram is at most this wide; per-lag products are faster on
+# shorter series, and a wider Gram costs more memory than it saves (shape table
+# in CHANGES.md).
+_BLOCKED_MIN_VALUES = 2**17
+_BLOCKED_MAX_GRAM = 2048
 
-    x is the (N, n) series centered by its per-node mean; divides by N - k - 1.
+
+def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
+    """Lag-k sample covariances S_k[i, j] = cov(x_i at t+k, x_j at t), k = 0..k_max.
+
+    x is the (N, n) series centered by its per-node mean; S_k divides by
+    N - k - 1. Returns the (k_max + 1, n, n) stack. A short series gets one
+    product x[k:].T @ x[:N-k] per lag. A long one gets every lag from one pass
+    over blocks of k_max + 1 steps (_blocked_lagged_cov), which agrees with the
+    per-lag products to roundoff.
     """
-    n_obs = x.shape[0]
-    if k < 0:
-        raise ConfigurationError(f"lag must be >= 0, got {k}")
-    if n_obs - k < 2:
-        raise DataError(f"need N - k >= 2, got N={n_obs}, k={k}")
-    return x[k:].T @ x[: n_obs - k] / (n_obs - k - 1)
+    n_obs, n = x.shape
+    if k_max < 0:
+        raise ConfigurationError(f"lag must be >= 0, got {k_max}")
+    if n_obs - k_max < 2:
+        # name the first lag that does not fit
+        raise DataError(f"need N - k >= 2, got N={n_obs}, k={n_obs - 1}")
+    if x.size >= _BLOCKED_MIN_VALUES and (k_max + 1) * n <= _BLOCKED_MAX_GRAM:
+        return _blocked_lagged_cov(x, k_max)
+    return np.stack([x[k:].T @ x[: n_obs - k] / (n_obs - k - 1) for k in range(k_max + 1)])
+
+
+def _blocked_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
+    """sample_lagged_cov from blocks of b = k_max + 1 steps.
+
+    The first m * b rows, viewed without a copy as an (m, b n) array z whose
+    row r holds steps rb .. rb + b - 1, give every pair of steps at most k_max
+    apart in one of three ways: inside a block (the symmetric Gram z^T z),
+    straddling two adjacent blocks (b - 1 products of one block column against
+    the later ones), or ending in the < b leftover rows (one small product per
+    lag). The flops are those of the per-lag products, but the series is
+    packed about twice instead of 2b times.
+    """
+    n_obs, n = x.shape
+    b = k_max + 1
+    m = n_obs // b
+    z = x[: m * b].reshape(m, b * n)
+    gram = (z.T @ z).reshape(b, n, b, n)
+    sums = np.empty((b, n, n))
+    for k in range(b):
+        # steps at positions q + k and q of one block
+        sums[k] = gram[np.arange(k, b), :, np.arange(b - k), :].sum(axis=0)
+    for p in range(b - 1):
+        # position p of block r + 1 against positions q > p of block r: lag b + p - q
+        later = z[1:, p * n : (p + 1) * n].T @ z[:-1, (p + 1) * n :]
+        sums[p + 1 :][::-1] += later.reshape(n, b - 1 - p, n).transpose(1, 0, 2)
+    if m * b < n_obs:
+        for k in range(b):
+            sums[k] += x[m * b :].T @ x[m * b - k : n_obs - k]
+    return sums / (n_obs - 1 - np.arange(b))[:, None, None]
 
 
 class LagStack:
-    """Lag-k covariances S_k and correlations C_k of one series, k = 0, 1, ...
+    """Lag-k covariances S_k and correlations C_k of one series, k = 0..depth.
 
-    The measures of one call share a stack: it centers the series once and
-    builds each lag, and an estimated dt/tau, once, on first read. Nothing is
-    kept on the TimeSeries. seconds holds each part's build time (lag k, or
-    "tau") and reads the parts read, to charge a measure for what it read.
+    The measures of one call share a stack. On first read it centers the series
+    and builds every lag up to depth in one sample_lagged_cov pass; it
+    estimates dt/tau at most once. depth is the deepest lag the caller will
+    read, capped at N - 2, the deepest the series has: a short series still
+    serves its shallow reads, and a read past the cap raises the kernel's
+    DataError. A deeper read than depth builds the stack again. Nothing is kept
+    on the TimeSeries. seconds holds each part's build time ("lags", "tau") and
+    reads the parts read, to charge a measure for what it read.
     """
 
-    def __init__(self, ts: TimeSeries):
-        self.ts, self.covs, self.corrs = ts, [], []
+    def __init__(self, ts: TimeSeries, depth: int = 1):
+        self.ts, self.depth = ts, min(depth, ts.n_obs - 2)
+        self.covs = self.corrs = None
         self.seconds, self.reads = {}, set()
         self._tau = None  # (dt/tau, flags), or the DataError of the estimate
 
-    def lags(self, k_max: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(S_0..S_k_max, C_0..C_k_max). A node whose lag-0 variance is within the
-        roundoff of centering its mean (a constant column) raises DataError."""
+    def lags(self, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """(S_0..S_k_max, C_0..C_k_max) as (k_max + 1, n, n) stacks. A node whose
+        lag-0 variance is within the roundoff of centering its mean (a constant
+        column) raises DataError."""
         if k_max < 0:
             raise ConfigurationError(f"max lag must be >= 0, got {k_max}")
-        for k in range(len(self.covs), k_max + 1):
-            t0 = time.perf_counter()
-            if k == 0:
-                mean = self.ts.values.mean(axis=0)
-                self._x = self.ts.values - mean
-            cov = sample_lagged_cov(self._x, k)
-            if k == 0:
-                scale = np.sqrt(np.diag(cov))
-                roundoff = self.ts.n_obs * np.finfo(float).eps * np.abs(mean)
-                bad = np.flatnonzero(np.diag(cov) <= roundoff**2)
-                if bad.size:
-                    raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
-                self._scale = np.outer(scale, scale)
-            self.covs.append(cov)
-            self.corrs.append(cov / self._scale)
-            self.seconds[k] = time.perf_counter() - t0
-        self.reads.update(range(k_max + 1))
+        if self.covs is None or k_max >= len(self.covs):
+            self._build(max(k_max, self.depth))
+        self.reads.add("lags")
         return self.covs[: k_max + 1], self.corrs[: k_max + 1]
+
+    def _build(self, k_max: int) -> None:
+        t0 = time.perf_counter()
+        mean = self.ts.values.mean(axis=0)
+        covs = sample_lagged_cov(self.ts.values - mean, k_max)
+        var = np.diagonal(covs[0])
+        roundoff = self.ts.n_obs * np.finfo(float).eps * np.abs(mean)
+        bad = np.flatnonzero(var <= roundoff**2)
+        if bad.size:
+            raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
+        scale = np.sqrt(var)
+        self.covs, self.corrs = covs, covs / np.outer(scale, scale)
+        self.seconds["lags"] = self.seconds.get("lags", 0.0) + time.perf_counter() - t0
 
     def estimated_dt_tau(self) -> tuple[float, tuple[str, ...]]:
         """dt/tau from S_0 and S_1 (see estimate_tau_inv), with its flags."""
@@ -233,7 +284,13 @@ def compute_pem(
     (reversed-edge) motif; gc is pem_gc at p_hat = delta_hat + 1. Every kind needs
     delta_hat >= 0. dt_tau, read by lccf and lcrc only, lies in (0, 1] or is AUTO
     (estimate_tau_inv)."""
-    return _score(LagStack(ts), kind, dt_tau, delta_hat)
+    return _score(LagStack(ts, _depth([kind], delta_hat)), kind, dt_tau, delta_hat)
+
+
+def _depth(kinds, delta_hat: int) -> int:
+    """The deepest lag that the lc-family kinds among kinds read."""
+    return max((1 if kind == "lc" else delta_hat + 1 for kind in kinds
+                if kind in ("lc", "lccf", "lcrc")), default=0)
 
 
 def _score(stack: LagStack, kind: str, dt_tau, delta_hat: int) -> PEMMatrix:
@@ -246,7 +303,7 @@ def _score(stack: LagStack, kind: str, dt_tau, delta_hat: int) -> PEMMatrix:
     if kind not in ("lccf", "lcrc"):
         raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
     z = None if dt_tau == AUTO else _check_dt_tau(dt_tau)
-    corrs = np.stack(stack.lags(delta_hat + 1)[1])
+    corrs = stack.lags(delta_hat + 1)[1]
     z, flags = stack.estimated_dt_tau() if z is None else (z, ())
     alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z)
     best = (corrs[1:] - alpha * corrs[:-1]).max(axis=0)
@@ -259,20 +316,24 @@ def compute_pems(
 ) -> dict[str, tuple[PEMMatrix | PemnetError, float]]:
     """compute_pem for each kind, all reading one LagStack of ts.
 
-    Maps each kind to its matrix, or the PemnetError it raised, and the seconds
-    of the work it read: its own call, plus the parts of the stack it read that
-    an earlier kind built. So a kind's time does not depend on the order of
-    kinds, and gc, which reads no stack, keeps its own timer.
+    The stack is one lag pass at the depth of the deepest kind. Maps each kind
+    to its matrix, or the PemnetError it raised, and the seconds of the work it
+    read: its own call, plus the parts of the stack it read that an earlier
+    kind built. So a kind's time does not depend on the order of kinds; lc,
+    beside lccf or lcrc at delta_hat > 0, is charged the whole shared pass,
+    deeper than its own lag 1; and gc, which reads no stack, keeps its own
+    timer.
     """
-    stack, out = LagStack(ts), {}
+    kinds = tuple(kinds)
+    stack, out = LagStack(ts, _depth(kinds, delta_hat)), {}
     for kind in kinds:
-        stack.reads, built = set(), set(stack.seconds)
+        stack.reads, built = set(), dict(stack.seconds)
         t0 = time.perf_counter()
         try:
             result = _score(stack, kind, dt_tau, delta_hat)
         except PemnetError as exc:
             result = exc
-        reused = sum(stack.seconds[part] for part in stack.reads & built)
+        reused = sum(built[part] for part in built.keys() & stack.reads)
         out[kind] = result, time.perf_counter() - t0 + reused
     return out
 

@@ -202,6 +202,15 @@ class TestSpearman:
         with pytest.raises(DataError):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_non_finite_input_raises(self, bad, side):
+        # a NaN once ranked last and gave 0.8 here
+        values, ranks = [1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0]
+        args = (values, ranks) if side == "xs" else (ranks, values)
+        with pytest.raises(DataError, match="NaN or inf"):
+            spearman(*args)
+
 
 class TestDeriveSeed:
     def test_deterministic_and_order_sensitive(self):
@@ -314,8 +323,8 @@ class TestOneStackPerTrial:
         monkeypatch.setattr(pemnet.pem, "estimate_tau_inv", counting_est)
         run_trial(GraphConfig(delta=delta_hat), SDDParams(delta=delta_hat),
                   ["lc", "lccf", "lcrc"], 4, dt_tau=dt_tau)
-        want = {k: 1 for k in range(delta_hat + 2)}
-        assert calls == Counter(want, tau=estimates)
+        # one pass for every lag, read by all three kinds
+        assert calls == Counter({delta_hat + 1: 1}, tau=estimates)
 
     def test_no_cache_across_calls(self, monkeypatch):
         ts = simulate_sdd([np.zeros((4, 4))], SDDParams(n_obs=300), np.random.default_rng(1))
@@ -325,12 +334,13 @@ class TestOneStackPerTrial:
                             lambda x, k: lags.append(k) or real(x, k))
         for _ in range(2):
             compute_pem(ts, "lcrc", dt_tau=AUTO, delta_hat=2)
-        assert lags == [0, 1, 2, 3] * 2
+        assert lags == [3, 3]
 
     @pytest.mark.parametrize("delta_hat", [0, 3])
     def test_wall_time_charges_what_each_kind_read(self, monkeypatch, delta_hat):
-        # on a clock that only lags (1 s each) and the estimate (10 s) advance,
-        # each kind is charged the parts it read, in whatever order it ran
+        # on a clock that only the lag pass (1 s) and the estimate (10 s)
+        # advance, each kind is charged the parts it read, in whatever order it
+        # ran; lc reads the pass built as deep as the corrected kinds need
         now = [0.0]
         real_cov, real_est = pemnet.pem.sample_lagged_cov, pemnet.pem.estimate_tau_inv
 
@@ -346,8 +356,7 @@ class TestOneStackPerTrial:
         monkeypatch.setattr(pemnet.pem, "estimate_tau_inv", slow_est)
         monkeypatch.setattr(pemnet.pem, "time", SimpleNamespace(perf_counter=lambda: now[0]))
         ts = simulate_sdd([np.zeros((4, 4))], SDDParams(n_obs=300), np.random.default_rng(2))
-        corrected = delta_hat + 2 + 10.0
-        want = {"lc": 2.0, "lccf": corrected, "lcrc": corrected, "gc": 0.0}
+        want = {"lc": 1.0, "lccf": 11.0, "lcrc": 11.0, "gc": 0.0}
         for kinds in (["lc", "lccf", "lcrc", "gc"], ["lcrc", "gc", "lccf", "lc"]):
             got = compute_pems(ts, kinds, dt_tau=AUTO, delta_hat=delta_hat)
             assert {kind: wall for kind, (_, wall) in got.items()} == want

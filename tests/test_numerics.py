@@ -5,6 +5,7 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from pemnet import numerics
+from pemnet.bench import derive_seed
 from pemnet.dynamics import SDDParams, step_matrices
 from pemnet.errors import ConvergenceError, NumericalError, StabilityError
 from pemnet.graphs import (
@@ -61,6 +62,24 @@ def ring_lattice(n, seed):
 
 def largest_abs_eigenvalue(a):
     return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def bracket_root(a):
+    """_perron_root's bracket iterated until it closes, with no early exit."""
+    n = a.shape[0]
+    diag = np.diagonal(a)
+    shift = numerics._PERRON_SHIFT * float(a.sum() - diag.sum()) / n - float(diag.min())
+    b = a + shift * np.eye(n)
+    x = np.ones(n)
+    for _ in range(numerics._PERRON_MAX_ITER):
+        y = b @ x
+        keep = x >= numerics._PERRON_FLOOR
+        hi = float((y / x).max())
+        lo = float(((b @ np.where(keep, x, 0.0))[keep] / x[keep]).min())
+        if hi - lo <= numerics._PERRON_RTOL * (hi - shift):
+            return 0.5 * (hi + lo) - shift
+        x = y / y.max()
+    raise AssertionError("bracket did not close")
 
 
 class TestHyp2f1:
@@ -257,6 +276,40 @@ class TestSpectralRadius:
         assert _perron_root(a.view(Counting)) is None
         assert len(products) <= 2 * numerics._PERRON_WINDOW + 3
         assert spectral_radius(a) == pytest.approx(largest_abs_eigenvalue(a), rel=1e-12)
+
+    @pytest.mark.parametrize("d_e", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("n", [64, 100])
+    @pytest.mark.parametrize("model", ["rr", "sw"])
+    def test_slowly_mixing_lattices_fall_back_within_ten_steps(self, model, n, d_e):
+        # sparse ring lattices close the bracket too slowly for the cap; the
+        # rate of x's steps tells so after 5 to 10 power steps, where the
+        # upper bound's drops took 11 to 16
+        for seed in range(2):
+            g = gen_graph(GraphConfig(model=model, n=n, d_e=d_e), np.random.default_rng(seed))
+            a = g.adjacency()
+            products = []
+
+            class Counting(np.ndarray):
+                def __matmul__(self, other):
+                    products.append(other)
+                    return np.asarray(self) @ other
+
+            assert _perron_root(a.view(Counting)) is None
+            assert len(products) <= 10
+            assert spectral_radius(a) == largest_abs_eigenvalue(a)
+
+    @pytest.mark.parametrize("model", ["gnm", "ba"])
+    def test_sweep_graphs_keep_their_bracket_root(self, model):
+        # the early exit never fires on the n = 100 graphs of the sweeps: the
+        # root is the one the bracket closes on, bit for bit
+        config = GraphConfig(model=model, n=100, d_e=0.1, r_e=0.5)
+        for seed in range(1, 4):
+            for item in range(10):
+                rng = np.random.default_rng(derive_seed(seed, 0, item))
+                graph = assign_lags(gen_graph_non_nilpotent(config, rng), 0, rng)
+                _, mats = normalize_adjacency(graph)
+                for a in (graph.adjacency(), step_matrices(mats, SDDParams()).sum(axis=0)):
+                    assert _perron_root(a) == bracket_root(a)
 
     def test_large_nilpotent_is_exactly_zero(self):
         rng = np.random.default_rng(5)

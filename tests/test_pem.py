@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from pemnet.dynamics import SDDParams, TimeSeries, simulate_sdd
 from pemnet.errors import ConfigurationError, DataError, FileFormatError
-from pemnet.graphs import DirectedGraph, normalize_adjacency
+from pemnet.graphs import (
+    DirectedGraph, GraphConfig, assign_lags, gen_graph_non_nilpotent, normalize_adjacency,
+)
 from pemnet.numerics import solve_discrete_lyapunov
 import pemnet.pem
 from pemnet.pem import (
@@ -15,6 +17,7 @@ from pemnet.pem import (
     alpha_lccf,
     alpha_lcrc,
     compute_pem,
+    compute_pems,
     estimate_tau_inv,
     load_pem,
     pem_gc,
@@ -44,6 +47,17 @@ def centered(ts):
     return ts.values - ts.values.mean(axis=0)
 
 
+def lag_product(x, k):
+    """The lag-k covariance as one product: the oracle of the lag kernel."""
+    n_obs = x.shape[0]
+    return x[k:].T @ x[: n_obs - k] / (n_obs - k - 1)
+
+
+def takes_blocked_pass(x, k_max):
+    return (x.size >= pemnet.pem._BLOCKED_MIN_VALUES
+            and (k_max + 1) * x.shape[1] <= pemnet.pem._BLOCKED_MAX_GRAM)
+
+
 def graph_with_cycle(extra_pairs, n=5):
     # embeds directed pairs beside a 2-cycle so the adjacency is not nilpotent
     pairs = tuple(extra_pairs) + ((n - 2, n - 1), (n - 1, n - 2))
@@ -53,12 +67,12 @@ def graph_with_cycle(extra_pairs, n=5):
 class TestSampleLaggedCov:
     def test_constant_series_is_zero(self):
         ts = TimeSeries(values=np.full((100, 3), 7.0), dt=1.0)
-        assert_allclose(sample_lagged_cov(centered(ts), 0), 0.0, atol=1e-12)
+        assert_allclose(sample_lagged_cov(centered(ts), 0)[0], 0.0, atol=1e-12)
 
     def test_iid_noise_identity(self):
         rng = np.random.default_rng(0)
         ts = TimeSeries(values=rng.standard_normal((100_000, 4)), dt=1.0)
-        s0 = sample_lagged_cov(centered(ts), 0)
+        s0 = sample_lagged_cov(centered(ts), 0)[0]
         bound = 4.0 / np.sqrt(ts.n_obs)
         assert np.abs(np.diag(s0) - 1.0).max() < bound
         assert np.abs(off_diag(s0)).max() < bound
@@ -67,8 +81,7 @@ class TestSampleLaggedCov:
     def test_lag1_matches_one_step_update(self):
         params = SDDParams(n_obs=200_000)
         ts = simulate_sdd(ring_mats(), params, np.random.default_rng(1))
-        s0 = sample_lagged_cov(centered(ts), 0)
-        s1 = sample_lagged_cov(centered(ts), 1)
+        s0, s1 = sample_lagged_cov(centered(ts), 1)
         k_mat = 0.5 * np.eye(3) + 0.5 * 0.9 * ring_mats()[0]
         expected = k_mat @ s0
         scale = np.abs(expected).max()
@@ -77,6 +90,30 @@ class TestSampleLaggedCov:
     def test_insufficient_data(self):
         with pytest.raises(DataError):
             sample_lagged_cov(np.zeros((5, 2)), 4)
+
+    @pytest.mark.parametrize("n, n_obs, k_max", [
+        (1, 2**17, 3), (30, 10_000, 6), (30, 10_003, 6), (5, 40_000, 8),
+    ])
+    def test_blocked_pass_matches_lag_products(self, n, n_obs, k_max):
+        # 10 003 leaves 0 < rows < k_max + 1 after the last full block
+        values = np.random.default_rng(n_obs).standard_normal((n_obs, n)) + 3.0
+        x = centered(TimeSeries(values=values, dt=1.0))
+        assert takes_blocked_pass(x, k_max)
+        got = sample_lagged_cov(x, k_max)
+        assert got.shape == (k_max + 1, n, n)
+        want = np.stack([lag_product(x, k) for k in range(k_max + 1)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want[0]).max()
+        assert np.array_equal(got[0], got[0].T)
+
+    @pytest.mark.parametrize("n, n_obs, k_max", [
+        (1, 2**17 - 1, 3), (12, 3000, 9), (100, 1000, 6), (30, 10_000, 68),
+    ])
+    def test_short_path_is_lag_products_bit_for_bit(self, n, n_obs, k_max):
+        # short series, and (last case) a Gram wider than the blocked pass takes
+        x = np.random.default_rng(n).standard_normal((n_obs, n))
+        assert not takes_blocked_pass(x, k_max)
+        want = np.stack([lag_product(x, k) for k in range(k_max + 1)])
+        assert np.array_equal(sample_lagged_cov(x, k_max), want)
 
 
 class TestSampleLaggedCorr:
@@ -103,6 +140,15 @@ class TestSampleLaggedCorr:
         ts = TimeSeries(values=values, dt=1.0)
         with pytest.raises(DataError, match="node 1"):
             LagStack(ts).lags(0)
+
+    @pytest.mark.parametrize("n_obs", [1000, 40_000])
+    def test_constant_node_is_named_on_either_path(self, n_obs):
+        values = np.random.default_rng(7).standard_normal((n_obs, 5))
+        values[:, 3] = 0.1
+        ts = TimeSeries(values=values, dt=1.0)
+        assert takes_blocked_pass(values, 4) == (n_obs == 40_000)
+        with pytest.raises(DataError, match="node 3 has zero variance"):
+            LagStack(ts, 4).lags(4)
 
     @pytest.mark.parametrize("n_obs", [997, 1000, 10_000])
     @pytest.mark.parametrize("level", [0.1, 1.0 / 3.0, 7.1])
@@ -135,14 +181,16 @@ class TestSampleLaggedCorr:
 def corr_reference(ts, k):
     """Lag-k correlation formed one lag at a time: the reference for the stack."""
     x = centered(ts)
-    scale = np.sqrt(np.diag(sample_lagged_cov(x, 0)))
-    return sample_lagged_cov(x, k) / np.outer(scale, scale)
+    scale = np.sqrt(np.diag(lag_product(x, 0)))
+    return lag_product(x, k) / np.outer(scale, scale)
 
 
 def per_lag_reference(ts, kind, dt_tau, delta_hat):
     """The corrected score as a loop over lags, one correlation pair at a time."""
-    z = estimate_tau_inv(ts).dt_tau if dt_tau == AUTO else dt_tau
-    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z)
+    if dt_tau == AUTO:
+        x = centered(ts)
+        dt_tau = estimate_tau_inv(ts, [lag_product(x, 0), lag_product(x, 1)]).dt_tau
+    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(dt_tau)
     best = None
     for lag in range(delta_hat + 1):
         f = corr_reference(ts, lag + 1) - alpha * corr_reference(ts, lag)
@@ -171,11 +219,12 @@ class TestLagStack:
 
     @pytest.mark.parametrize("kind", ["lccf", "lcrc"])
     @pytest.mark.parametrize(
-        "dt_tau, delta_hat, calls",
+        "dt_tau, delta_hat, lags",
         [(0.5, 0, 2), (0.5, 5, 7), (0.5, 8, 10), (AUTO, 0, 2), (AUTO, 5, 7)],
     )
     def test_each_lag_computed_once(self, ts, monkeypatch, kind, dt_tau,
-                                    delta_hat, calls):
+                                    delta_hat, lags):
+        # one pass builds all the lags, the estimate's included
         count = []
         real = pemnet.pem.sample_lagged_cov
 
@@ -185,7 +234,7 @@ class TestLagStack:
 
         monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", counting)
         compute_pem(ts, kind, dt_tau=dt_tau, delta_hat=delta_hat)
-        assert len(count) == calls
+        assert count == [lags - 1]
 
     @pytest.mark.parametrize("kind", ["lccf", "lcrc"])
     @pytest.mark.parametrize("delta_hat", [0, 5])
@@ -206,9 +255,36 @@ class TestLagStack:
         monkeypatch.setattr(pemnet.pem, "estimate_tau_inv", counting_est)
         compute_pem(ts, kind, dt_tau=AUTO, delta_hat=delta_hat)
         assert len(estimates) == 1
-        assert len(arrays) == delta_hat + 2
-        assert all(x is arrays[0] for x in arrays)
+        assert len(arrays) == 1
         assert np.array_equal(arrays[0], centered(ts))
+
+    @pytest.mark.parametrize("dt_tau", [0.5, AUTO])
+    @pytest.mark.parametrize("delta_hat", [0, 5])
+    @pytest.mark.parametrize("kind", ["lc", "lccf", "lcrc"])
+    def test_long_series_matches_per_lag_loop(self, long_ts, kind, delta_hat, dt_tau):
+        assert takes_blocked_pass(long_ts.values, delta_hat + 1)
+        got = compute_pem(long_ts, kind, dt_tau=dt_tau, delta_hat=delta_hat)
+        if kind == "lc":
+            want = corr_reference(long_ts, 1)
+        else:
+            want = per_lag_reference(long_ts, kind, dt_tau, delta_hat)
+        assert np.abs(off_diag(got.values) - off_diag(want)).max() < 1e-12
+
+    @pytest.fixture(scope="class")
+    def long_ts(self):
+        rng = np.random.default_rng(32)
+        config = GraphConfig(model="gnm", n=30, d_e=0.2, r_e=0.5, delta=5)
+        graph = assign_lags(gen_graph_non_nilpotent(config, rng), 5, rng)
+        _, mats = normalize_adjacency(graph)
+        return simulate_sdd(mats, SDDParams(delta=5, n_obs=10_000), rng)
+
+    def test_short_series_scores_the_lags_it_has(self):
+        # N = 6 holds lags up to 4: lc scores, lccf at delta_hat = 5 needs lag 6
+        values = np.random.default_rng(33).standard_normal((6, 3))
+        got = compute_pems(TimeSeries(values=values, dt=1.0), ["lc", "lccf"], delta_hat=5)
+        assert isinstance(got["lc"][0], PEMMatrix)
+        assert isinstance(got["lccf"][0], DataError)
+        assert str(got["lccf"][0]) == "need N - k >= 2, got N=6, k=5"
 
     # delta_hat < 0 is refused for every kind; the lcrc cases keep their ids
     CONFIG_ERRORS = [(0.5, -1, kind) for kind in PEM_KINDS] + [(1.5, 0, "lcrc"),
@@ -405,8 +481,7 @@ class TestEstimateTauInv:
         g = graph_with_cycle([(0, 1), (1, 2)])
         _, mats = normalize_adjacency(g)
         ts = simulate_sdd(mats, SDDParams(n_obs=3000), np.random.default_rng(16))
-        x = centered(ts)
-        stack = np.stack([sample_lagged_cov(x, k) for k in range(k_max + 1)])
+        stack = sample_lagged_cov(centered(ts), k_max)
         assert estimate_tau_inv(ts, stack) == estimate_tau_inv(ts)
 
     def test_needs_enough_rows(self):
