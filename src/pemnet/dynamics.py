@@ -9,11 +9,19 @@ is Gaussian with variance dt / n. The recurrence runs in one numpy kernel,
 sdd_recurrence. It is linear, so L consecutive steps are one affine map of the
 p history rows and the L noise rows of a block (a blocked scan; Blelloch 1990,
 "Prefix sums and their applications"). The kernel advances L = _BLOCK_ROWS // n
-steps per matrix product: one GEMM gives the noise response of every block and
-one loop over blocks carries the history. At L = 1 (n > _BLOCK_ROWS / 2) that
-loop is the plain per-step recurrence, bit for bit; for L > 1 the summation
-order changes and results agree with it to ~1e-15 relative to max|x| (2e-14 at
-a spectral radius of 0.99995). Results are bit-reproducible for a fixed seed.
+steps per matrix product: one GEMM gives the noise response of every block.
+Fewer than _CHUNK_MIN_BLOCKS = 128 blocks (the paper cell has 87) are carried
+by one loop over blocks; at L = 1 (n > _BLOCK_ROWS / 2) that loop is the plain
+per-step recurrence, bit for bit. From 128 blocks on, the blocks run as C
+chunks of S ~ sqrt(blocks / 2) in lockstep, one GEMM over all chunks per
+block position: a first pass from zero history gives each chunk's end state,
+a short carry through the companion power A^(S L) gives each chunk's true
+starting history, and a second pass writes the states. Where that power would
+cost more flops than the recurrence (large p n, short T) the one loop stays.
+Wherever L > 1 or chunks run, the summation order changes and results agree
+with the per-step loop to ~1e-15 relative to max|x|; at a spectral radius of
+0.99995 to 5e-14 over 2000 steps and 5e-13 over 10^5, with or without
+chunks. Results are bit-reproducible for a fixed seed.
 
 simulate_sdd starts from zero history. Its burn-in length follows from the
 spectral radius its stability check measures: 2.05 e-folds of the slowest mode
@@ -47,6 +55,9 @@ BACKEND = "python"  # the only kernel; kept because perfbench records it as prov
 # _BLOCK_ROWS**2 doubles. 192 was faster at larger n and p, but slower at the
 # paper cell (n = 10, p = 1), where L = 19 costs more to set up than it saves.
 _BLOCK_ROWS = 128
+# sdd_recurrence runs its blocks as chunks in lockstep from this many blocks
+# on; fewer keep the one block loop, bit for bit (the paper cell has 87).
+_CHUNK_MIN_BLOCKS = 128
 
 # The burn-in lasts this many e-folds of the slowest mode; 0.95^40 = e^-2.05,
 # so the paper cell keeps the 40 steps (20 tau at dt = 0.5) it always burned.
@@ -55,17 +66,20 @@ _BURN_EFOLDS = 2.05
 _MAX_BURN_VALUES = 10**7
 
 
-def _block_operators(w: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_operators(w: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Responses of `block` steps to the history rows and to the noise rows.
 
     Runs the recurrence itself for `block` steps from every unit history
     vector. Returns G (block*n, p*n), mapping the last p states (oldest first)
     to the block's states, and the block-lower-triangular Toeplitz operator
     (block*n, block*n) of impulse responses H_0 = I, H_1, ..., H_{block-1},
-    mapping the block's noise rows to its states.
+    mapping the block's noise rows to its states. At block = 1, G is the block
+    row [W_p ... W_1] and the operator, the identity, is None.
     """
     p, n, _ = w.shape
     w_rev = np.hstack(w[::-1])
+    if block == 1:
+        return w_rev, None
     x = np.zeros((p + block, n, p * n))
     x[:p] = np.eye(p * n).reshape(p, n, p * n)
     x[p] = w_rev  # one step from the unit history
@@ -90,6 +104,15 @@ def sdd_recurrence(w: np.ndarray, noise: np.ndarray) -> np.ndarray:
     Each block of L steps is its noise response plus G times the last p
     states, behind p rows of zero history; at L = 1, G is the companion
     matrix's block row [W_p ... W_1] and the noise response is the noise.
+
+    Below _CHUNK_MIN_BLOCKS blocks (or where _chunk_blocks finds the carry
+    power too dear) one loop carries the history from block to block.
+    Otherwise the blocks form C chunks of S, padded with zero noise, and a
+    time-major (S, C, rows) view of them makes each step of a pass one GEMM
+    over all chunks. A first pass runs every chunk from zero history and
+    keeps its last p states e_c; a short carry gives the true histories
+    h_0 = 0, h_{c+1} = e_c + A^(S L) h_c (A the companion matrix); a second
+    pass runs every chunk again from h_c and writes the states.
     """
     p = w.shape[0]
     t_total, n = noise.shape
@@ -97,15 +120,85 @@ def sdd_recurrence(w: np.ndarray, noise: np.ndarray) -> np.ndarray:
     n_blocks = -(-t_total // block)
     history, rows = p * n, block * n
     g, toeplitz = _block_operators(w, block)
+    per_chunk = _chunk_blocks(n_blocks, block, p, n)
+    if per_chunk:
+        n_chunks = -(-n_blocks // per_chunk)
+        n_blocks = n_chunks * per_chunk
     x = np.zeros(history + n_blocks * rows)  # row-major states, flat
     x[history : history + t_total * n] = noise.ravel()
     blocks = x[history:].reshape(n_blocks, rows)
     if block > 1:
         blocks[:] = blocks @ toeplitz.T
-    pasts = sliding_window_view(x, history)[::rows]
-    for out, past in zip(blocks, pasts):
-        out += np.dot(g, past)
+    if per_chunk:
+        by_time = blocks.reshape(n_chunks, per_chunk, rows).transpose(1, 0, 2)
+        g_t = np.ascontiguousarray(g.T)
+        ends = _lockstep(g_t, by_time, np.zeros((n_chunks, history)))
+        _lockstep(g_t, by_time, _chunk_starts(w, ends, per_chunk * block), write=True)
+    else:
+        pasts = sliding_window_view(x, history)[::rows]
+        for out, past in zip(blocks, pasts):
+            out += np.dot(g, past)
     return x[history : history + t_total * n].reshape(t_total, n)
+
+
+def _chunk_blocks(n_blocks: int, block: int, p: int, n: int) -> int:
+    """Blocks per chunk S of the lockstep passes, or 0 for the one block loop.
+
+    S = ceil(sqrt(n_blocks / 2)) balances the 2 S lockstep products against
+    the n_blocks / S steps of the carry. Each pass costs the flops of the one
+    loop, 2 p n^2 per step; the carry power A^(S L) adds bit_length +
+    popcount - 2 products of two (p n) x (p n) matrices. Chunks run from
+    _CHUNK_MIN_BLOCKS blocks on, while the power costs at most one pass. Past
+    that, at T = 1040, chunks ran at 0.8-1.2x the one loop's speed at n = 200,
+    p = 1, 1.1-1.35x at n = 30, p = 3, and 0.15x at n = 100, p = 6 (kernel
+    table in CHANGES.md).
+    """
+    if n_blocks < _CHUNK_MIN_BLOCKS:
+        return 0
+    per_chunk = math.ceil(math.sqrt(n_blocks / 2))
+    steps = per_chunk * block
+    products = steps.bit_length() + bin(steps).count("1") - 2
+    if products * p * p * n > n_blocks * block:
+        return 0
+    return per_chunk
+
+
+def _lockstep(g_t: np.ndarray, blocks: np.ndarray, hist: np.ndarray,
+              write: bool = False) -> np.ndarray:
+    """Run every chunk through its blocks, one GEMM with G^T per block position.
+
+    blocks (S, C, rows) holds the blocks' noise responses, time major; hist
+    (C, p n) each chunk's p states before its first block, oldest first.
+    With write the states replace the noise responses in place. Returns each
+    chunk's last p states.
+    """
+    history, rows = hist.shape[1], blocks.shape[2]
+    for out in blocks:
+        if write:
+            out += hist @ g_t
+            new = out
+        else:
+            new = hist @ g_t
+            new += out
+        if rows >= history:
+            hist = new[:, rows - history :]
+        else:
+            hist = np.concatenate((hist[:, rows:], new), axis=1)
+    return hist
+
+
+def _chunk_starts(w: np.ndarray, ends: np.ndarray, steps: int) -> np.ndarray:
+    """True histories h_c of the chunks from the ends e_c of the zero-history
+    pass: h_0 = 0, h_{c+1} = e_c + A^steps h_c, all oldest first."""
+    p, n, _ = w.shape
+    power = np.linalg.matrix_power(_companion(w), steps)
+    # the companion state is newest first; reverse both block orders
+    power = power.reshape(p, n, p, n)[::-1, :, ::-1].reshape(p * n, p * n)
+    starts = np.zeros_like(ends)
+    for c in range(1, len(ends)):
+        np.dot(power, starts[c - 1], out=starts[c])
+        starts[c] += ends[c - 1]
+    return starts
 
 
 @dataclass(frozen=True)
@@ -185,12 +278,18 @@ def step_matrices(lag_mats: list[np.ndarray], params: SDDParams) -> np.ndarray:
     return w
 
 
-def _companion_radius(w: np.ndarray) -> float:
+def _companion(w: np.ndarray) -> np.ndarray:
+    """The (p n, p n) companion matrix of the recurrence: it maps the state
+    (x_t, x_{t-1}, ..., x_{t-p+1}), newest first, one step on."""
     p, n, _ = w.shape
     comp = np.zeros((p * n, p * n))
     comp[:n] = np.hstack(list(w))
     comp[n:, : (p - 1) * n] = np.eye((p - 1) * n)
-    return spectral_radius(comp)
+    return comp
+
+
+def _companion_radius(w: np.ndarray) -> float:
+    return spectral_radius(_companion(w))
 
 
 def simulate_sdd(
@@ -282,13 +381,23 @@ def load_time_series(path: str) -> TimeSeries:
                               "need n >= 1, N >= 2 and a finite dt > 0")
     if len(rows) != n_obs:
         raise FileFormatError(f"{path}: header claims {n_obs} rows, found {len(rows)}")
-    values = []
-    for lineno, line in rows:
-        parts = line.split()
-        if len(parts) != n:
-            raise FileFormatError(f"{path}:{lineno}: expected {n} values, got {len(parts)}")
-        try:
-            values.append([float(tok) for tok in parts])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: bad float in {line!r}") from exc
-    return TimeSeries(values=np.array(values), dt=dt)
+    try:
+        # numpy's parser takes a subset of what float() takes, to the same bits
+        values = np.loadtxt([line for _, line in rows], dtype=float, ndmin=2,
+                            comments=None)
+    except ValueError:
+        values = None
+    if values is None or values.shape[1] != n:
+        # token by token: names the bad line, or reads a token only float()
+        # takes (such as 1_000)
+        values = []
+        for lineno, line in rows:
+            parts = line.split()
+            if len(parts) != n:
+                raise FileFormatError(f"{path}:{lineno}: expected {n} values, got {len(parts)}")
+            try:
+                values.append([float(tok) for tok in parts])
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: bad float in {line!r}") from exc
+        values = np.array(values)
+    return TimeSeries(values=values, dt=dt)

@@ -60,7 +60,8 @@ class TauInverseEstimate:
 # sample_lagged_cov takes the blocked pass for a series of at least this many
 # values whose block Gram is at most this wide; per-lag products are faster on
 # shorter series, and a wider Gram costs more memory than it saves (shape table
-# in CHANGES.md).
+# in CHANGES.md). A single node always takes the per-lag products: each is a
+# dot product, which needs no packing.
 _BLOCKED_MIN_VALUES = 2**17
 _BLOCKED_MAX_GRAM = 2048
 
@@ -69,10 +70,10 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     """Lag-k sample covariances S_k[i, j] = cov(x_i at t+k, x_j at t), k = 0..k_max.
 
     x is the (N, n) series centered by its per-node mean; S_k divides by
-    N - k - 1. Returns the (k_max + 1, n, n) stack. A short series gets one
-    product x[k:].T @ x[:N-k] per lag. A long one gets every lag from one pass
-    over blocks of k_max + 1 steps (_blocked_lagged_cov), which agrees with the
-    per-lag products to roundoff.
+    N - k - 1. Returns the (k_max + 1, n, n) stack. A short series, or a
+    single node, gets one product x[k:].T @ x[:N-k] per lag. A long one gets
+    every lag from one pass over blocks of k_max + 1 steps
+    (_blocked_lagged_cov), which agrees with the per-lag products to roundoff.
     """
     n_obs, n = x.shape
     if k_max < 0:
@@ -80,7 +81,7 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     if n_obs - k_max < 2:
         # name the first lag that does not fit
         raise DataError(f"need N - k >= 2, got N={n_obs}, k={n_obs - 1}")
-    if x.size >= _BLOCKED_MIN_VALUES and (k_max + 1) * n <= _BLOCKED_MAX_GRAM:
+    if n > 1 and x.size >= _BLOCKED_MIN_VALUES and (k_max + 1) * n <= _BLOCKED_MAX_GRAM:
         return _blocked_lagged_cov(x, k_max)
     return np.stack([x[k:].T @ x[: n_obs - k] / (n_obs - k - 1) for k in range(k_max + 1)])
 

@@ -1,3 +1,4 @@
+import re
 from contextlib import nullcontext
 
 import numpy as np
@@ -10,6 +11,7 @@ from pemnet import numerics
 from pemnet.dynamics import (
     SDDParams,
     TimeSeries,
+    _companion,
     add_measurement_noise,
     load_time_series,
     save_time_series,
@@ -65,6 +67,21 @@ def per_step_recurrence(w, noise):
     for t in range(t_total):
         x[p + t] = noise[t] + w_rev @ x[t : t + p].ravel()
     return x[p:]
+
+
+def chunks_of(t_total, n, p):
+    """Blocks per chunk sdd_recurrence takes for T steps; 0 is the one loop."""
+    block = max(1, pemnet.dynamics._BLOCK_ROWS // n)
+    return pemnet.dynamics._chunk_blocks(-(-t_total // block), block, p, n)
+
+
+def first_chunked_length(n, p):
+    """The shortest T that sdd_recurrence runs as chunks."""
+    block = max(1, pemnet.dynamics._BLOCK_ROWS // n)
+    t_total = block * pemnet.dynamics._CHUNK_MIN_BLOCKS
+    while not chunks_of(t_total, n, p):
+        t_total += block
+    return t_total
 
 
 def assert_blocked_matches(got, ref):
@@ -274,14 +291,6 @@ class TestSimulate:
             simulate_sdd(mats, SDDParams(delta=0, n_obs=100), np.random.default_rng(0))
 
 
-def companion(w):
-    p, n, _ = w.shape
-    comp = np.zeros((p * n, p * n))
-    comp[:n] = np.hstack(list(w))
-    comp[n:, : (p - 1) * n] = np.eye((p - 1) * n)
-    return comp
-
-
 def burn_of(lag_mats, params):
     """The burn-in simulate_sdd uses: the noise rows it draws beyond n_obs."""
     rows = []
@@ -316,7 +325,7 @@ class TestBurnIn:
         mats = paper_graph_mats(delta, seed=delta)
         params = SDDParams(eps=eps, dt=dt, delta=delta, n_obs=2)
         b = burn_of(mats, params)
-        comp = companion(step_matrices(mats, params))
+        comp = _companion(step_matrices(mats, params))
         q = np.zeros_like(comp)
         q[:10, :10] = np.eye(10)
         sigma = solve_discrete_lyapunov(comp, q)
@@ -336,7 +345,7 @@ class TestBurnIn:
         w = step_matrices(list(a), params)
         b = burn_of(list(a), params)
         assert b == p * 3
-        assert not np.linalg.matrix_power(companion(w), b).any()
+        assert not np.linalg.matrix_power(_companion(w), b).any()
         noise = np.random.default_rng(3).standard_normal((b + 50, 3)) * (
             params.sigma * np.sqrt(params.dt / 3))
         ts = simulate_sdd(list(a), params, np.random.default_rng(3))
@@ -394,11 +403,55 @@ class TestBackends:
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_single_step_blocks_are_bit_identical(self, p):
+        # fewer blocks than chunking needs: the one loop, which at L = 1 is
+        # the per-step loop
         n = pemnet.dynamics._BLOCK_ROWS // 2 + 1  # block length 1
+        t_total = pemnet.dynamics._CHUNK_MIN_BLOCKS - 1
         rng = np.random.default_rng(p)
         w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
-        noise = rng.standard_normal((300, n))
+        noise = rng.standard_normal((t_total, n))
         assert np.array_equal(sdd_recurrence(w, noise), per_step_recurrence(w, noise))
+
+    @pytest.mark.parametrize("p", [3, 6])
+    def test_costly_carry_power_keeps_one_loop(self, p):
+        # at n = 100 and p > 1 the (p n)^3 carry power costs more than the
+        # 1040-step recurrence it would split, so the one loop stays
+        n, t_total = 100, 1040
+        assert not chunks_of(t_total, n, p)
+        assert chunks_of(t_total, n, 1)
+        rng = np.random.default_rng(p)
+        w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
+        noise = rng.standard_normal((t_total, n))
+        assert np.array_equal(sdd_recurrence(w, noise), per_step_recurrence(w, noise))
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_chunked_kernel_matches_per_step_loop(self, n, p):
+        t_total = first_chunked_length(n, p)
+        rng = np.random.default_rng(10 * n + p)
+        w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
+        noise = rng.standard_normal((t_total, n))
+        assert_blocked_matches(sdd_recurrence(w, noise), per_step_recurrence(w, noise))
+
+    @pytest.mark.parametrize("n, p", [(40, 1), (40, 3), (65, 1)])
+    def test_chunked_kernel_at_edge_lengths(self, n, p):
+        # the whole chunk length C S L and one step either side of it; at
+        # n = 40 (L = 3) the lengths around it are not whole blocks either
+        block = pemnet.dynamics._BLOCK_ROWS // n
+        t_whole = first_chunked_length(n, p)
+        while t_whole % (chunks_of(t_whole, n, p) * block):
+            t_whole += 1
+        for t_total in (t_whole - 1, t_whole, t_whole + 1):
+            assert chunks_of(t_total, n, p)
+        # below the chunking threshold, and shorter than the history
+        lengths = (max(p - 1, 1), block * pemnet.dynamics._CHUNK_MIN_BLOCKS - 1,
+                   t_whole - 1, t_whole, t_whole + 1)
+        rng = np.random.default_rng(n + p)
+        w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
+        for t_total in lengths:
+            noise = rng.standard_normal((t_total, n))
+            assert_blocked_matches(sdd_recurrence(w, noise),
+                                   per_step_recurrence(w, noise))
 
     @pytest.mark.parametrize("eps, dt, tau", [
         (0.999, 0.05, 1.0),  # spectral radius ~0.99995: slow decay over a block
@@ -410,8 +463,12 @@ class TestBackends:
         _, lag_mats = normalize_adjacency(graph)
         w = step_matrices(lag_mats, SDDParams(eps=eps, dt=dt, tau=tau, delta=2))
         assert (dt / tau > 1) == (w < 0).any()
-        noise = rng.standard_normal((2000, w.shape[1]))
-        assert_blocked_matches(sdd_recurrence(w, noise), per_step_recurrence(w, noise))
+        # one loop, then chunks: 2000 steps make 17 chunks, 20 000 make 58
+        for t_total in (1000, 2000, 20_000):
+            assert bool(chunks_of(t_total, 10, 3)) == (t_total > 1000)
+            noise = rng.standard_normal((t_total, w.shape[1]))
+            assert_blocked_matches(sdd_recurrence(w, noise),
+                                   per_step_recurrence(w, noise))
 
 
 class TestMeasurementNoise:
@@ -445,6 +502,35 @@ class TestTimeSeriesIO:
         loaded = load_time_series(str(path))
         assert np.array_equal(loaded.values, ts.values)  # %.17g round-trips exactly
         assert loaded.dt == ts.dt
+
+    def test_round_trip_exact_on_any_double(self, tmp_path):
+        # the numpy parse reads %.17g back to the same bits as float() does
+        bits = np.random.default_rng(15).integers(0, 2**63, 3000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:2000].reshape(-1, 4)
+        path = tmp_path / "ts.txt"
+        save_time_series(TimeSeries(values=values, dt=0.5), str(path))
+        assert np.array_equal(load_time_series(str(path)).values, values)
+
+    def test_reads_tokens_only_float_takes(self, tmp_path):
+        # numpy's parser refuses 1_000; the token-by-token pass reads it
+        path = tmp_path / "ts.txt"
+        path.write_text("2 2 0.5\n1_000 0.5\n-2 3e-3\n")
+        assert np.array_equal(load_time_series(str(path)).values,
+                              [[1000.0, 0.5], [-2.0, 0.003]])
+
+    @pytest.mark.parametrize("lines, message", [
+        ("2 2 0.5\n0.0 0.0\n1.0\n", ":3: expected 2 values, got 1"),
+        ("2 2 0.5\n0.0 0.0 0.0\n1.0 2.0\n", ":2: expected 2 values, got 3"),
+        ("2 2 0.5\n0.0 0.0 0.0\n1.0 2.0 3.0\n", ":2: expected 2 values, got 3"),
+        ("2 2 0.5\n0.0 0.0\n1.0 0x10\n", ":3: bad float in '1.0 0x10'"),
+        ("2 2 0.5\n# 0.0\n1.0 2.0\n", ":2: bad float in '# 0.0'"),
+    ], ids=["short", "long", "every-row-wide", "hex", "comment"])
+    def test_bad_row_names_its_line(self, tmp_path, lines, message):
+        path = tmp_path / "ts.txt"
+        path.write_text(lines)
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_time_series(str(path))
 
     def test_rejects_short_rows(self, tmp_path):
         path = tmp_path / "ts.txt"

@@ -54,7 +54,7 @@ def lag_product(x, k):
 
 
 def takes_blocked_pass(x, k_max):
-    return (x.size >= pemnet.pem._BLOCKED_MIN_VALUES
+    return (x.shape[1] > 1 and x.size >= pemnet.pem._BLOCKED_MIN_VALUES
             and (k_max + 1) * x.shape[1] <= pemnet.pem._BLOCKED_MAX_GRAM)
 
 
@@ -92,7 +92,7 @@ class TestSampleLaggedCov:
             sample_lagged_cov(np.zeros((5, 2)), 4)
 
     @pytest.mark.parametrize("n, n_obs, k_max", [
-        (1, 2**17, 3), (30, 10_000, 6), (30, 10_003, 6), (5, 40_000, 8),
+        (2, 2**16, 3), (30, 10_000, 6), (30, 10_003, 6), (5, 40_000, 8),
     ])
     def test_blocked_pass_matches_lag_products(self, n, n_obs, k_max):
         # 10 003 leaves 0 < rows < k_max + 1 after the last full block
@@ -106,14 +106,27 @@ class TestSampleLaggedCov:
         assert np.array_equal(got[0], got[0].T)
 
     @pytest.mark.parametrize("n, n_obs, k_max", [
-        (1, 2**17 - 1, 3), (12, 3000, 9), (100, 1000, 6), (30, 10_000, 68),
+        (1, 2**17 - 1, 3), (1, 2**17, 3), (12, 3000, 9), (100, 1000, 6),
+        (30, 10_000, 68),
     ])
     def test_short_path_is_lag_products_bit_for_bit(self, n, n_obs, k_max):
-        # short series, and (last case) a Gram wider than the blocked pass takes
+        # short series, a single node however long, and (last case) a Gram
+        # wider than the blocked pass takes
         x = np.random.default_rng(n).standard_normal((n_obs, n))
         assert not takes_blocked_pass(x, k_max)
         want = np.stack([lag_product(x, k) for k in range(k_max + 1)])
         assert np.array_equal(sample_lagged_cov(x, k_max), want)
+
+    def test_single_node_never_takes_blocked_pass(self, monkeypatch):
+        # each lag product of one column is a dot product; the blocked pass
+        # would only add the packing
+        def failing(x, k_max):
+            raise AssertionError("blocked pass ran")
+
+        monkeypatch.setattr(pemnet.pem, "_blocked_lagged_cov", failing)
+        x = np.random.default_rng(3).standard_normal((2**18, 1))
+        want = np.stack([lag_product(x, k) for k in range(4)])
+        assert np.array_equal(sample_lagged_cov(x, 3), want)
 
 
 class TestSampleLaggedCorr:
