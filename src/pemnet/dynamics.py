@@ -364,8 +364,7 @@ def save_time_series(ts: TimeSeries, path: str) -> None:
     """Write 'n N dt' then one row of %.17g values per observation."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{ts.n} {ts.n_obs} {ts.dt:.17g}\n")
-        for row in ts.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, ts.values, fmt="%.17g")
 
 
 def load_time_series(path: str) -> TimeSeries:

@@ -417,10 +417,10 @@ def graph_metrics(g: DirectedGraph) -> tuple[float, float]:
 
 def save_edge_list(g: DirectedGraph, path: str) -> None:
     """Write 'n m delta' then one 'source target lag' line per edge."""
+    edges = np.column_stack([*np.nonzero(g.mask.T), g.lag.T[g.mask.T]])  # sorted
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.m} {g.delta}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v} {g.lags[(u, v)]}\n")
+        np.savetxt(fh, edges, fmt="%d")
 
 
 def load_edge_list(path: str) -> DirectedGraph:

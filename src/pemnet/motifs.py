@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb, isfinite
 
 import numpy as np
@@ -65,23 +66,35 @@ def contribution_lagk(
     k: int, l_b: int, l_f: int, *,
     eps: float, tau: float, sigma: float, n: int, dt_tau: float,
 ) -> float:
-    """Contribution of motif (l_b, l_f) to the lag-k steady-state covariance.
+    """Contribution of motif (l_b, l_f) to the lag-k steady-state covariance."""
+    if min(l_b, l_f) < 0:
+        raise ConfigurationError(f"walk lengths must be >= 0, got ({l_b}, {l_f})")
+    return float(_coefficients(k, l_b + l_f + 1, eps=eps, tau=tau, sigma=sigma, n=n,
+                               dt_tau=dt_tau)[l_b, l_f])
+
+
+def _coefficients(
+    k: int, size: int, *, eps: float, tau: float, sigma: float, n: int, dt_tau: float,
+) -> np.ndarray:
+    """(size, size) table of c^(k)[l_b, l_f] for l_b + l_f < size, 0 elsewhere.
 
     Built from the lag-0 contributions through the recursion
     c^(k)_{b,f} = (1 - z) c^(k-1)_{b,f} + eps z c^(k-1)_{b,f-1}, with
     c_{b,-1} = 0 (the boundary forced by the one-step update of the dynamics).
+    Row l_b reads only its own smaller l_f, so the lag-0 triangle suffices.
     """
     if k < 0:
         raise ConfigurationError(f"lag must be >= 0, got {k}")
     z = dt_tau
-    lo = max(0, l_f - k)
-    row = {
-        f: contribution_cov(l_b, f, eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=z)
-        for f in range(lo, l_f + 1)
-    }
+    # contribution_cov's product, in its order: (tau sigma^2 / n eps^L) psi
+    scale = [tau * sigma**2 / n * eps**total for total in range(size)]
+    c = np.zeros((size, size))
+    for b in range(size):
+        c[b, : size - b] = [scale[b + f] * psi(b, f, z) for f in range(size - b)]
     for _ in range(k):
-        row = {f: row[f] * (1.0 - z) + row.get(f - 1, 0.0) * eps * z for f in row}
-    return row[l_f]
+        c[:, 1:] = c[:, 1:] * (1.0 - z) + c[:, :-1] * eps * z
+        c[:, 0] *= 1.0 - z
+    return np.fliplr(np.triu(np.fliplr(c)))  # 0 where l_b + l_f >= size
 
 
 @dataclass(frozen=True)
@@ -112,31 +125,27 @@ def covariance_series(
     z = dt_tau
     require_stable(spectral_radius(eps * z * a + (1.0 - z) * np.eye(n)),
                    "update rule for this adjacency")
-    powers = [np.eye(n)]
-    for _ in range(l_max):
-        powers.append(powers[-1] @ a)
-    powers_t = [p.T.copy() for p in powers]
+    coef = _coefficients(k, l_max + 1, eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=z)
+    # walks[:, j] = A^j: any run of powers side by side is one (n, jn) view
+    walks = np.stack(list(accumulate(repeat(a, l_max), np.matmul, initial=np.eye(n))),
+                     axis=1)
     total = np.zeros((n, n))
     last_inc = np.inf
-    layers = 0
     for layer in range(l_max + 1):
-        inc = np.zeros((n, n))
-        for l_f in range(layer + 1):
-            c = contribution_lagk(
-                k, layer - l_f, l_f, eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=z
-            )
-            inc += c * (powers[l_f] @ powers_t[layer - l_f])
+        l_f = np.arange(layer + 1)
+        # one GEMM: [A^f]_f @ [c_{L-f,f} (A^T)^{L-f}]_f
+        right = coef[layer - l_f, l_f][:, None] * walks[:, layer::-1]
+        inc = walks[:, : layer + 1].reshape(n, -1) @ right.reshape(n, -1).T
         total += inc
-        layers = layer
         last_inc = float(np.max(np.abs(inc)))
         if last_inc < tol:
-            return CovarianceSeries(total, layers, last_inc, True)
+            return CovarianceSeries(total, layer, last_inc, True)
     warnings.warn(
         f"series increment {last_inc:.3g} still above tol={tol:.3g} at layer {l_max}",
         TruncationWarning,
         stacklevel=2,
     )
-    return CovarianceSeries(total, layers, last_inc, False)
+    return CovarianceSeries(total, l_max, last_inc, False)
 
 
 @dataclass(frozen=True)
@@ -169,17 +178,12 @@ def contribution_table(
         raise ConfigurationError(f"need l_max >= 1, got {l_max}")
     rows: list[ContributionRow] = []
     for k in k_values:
-        values = {
-            (l_b, l_f): contribution_lagk(
-                k, l_b, l_f, eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=dt_tau
-            )
-            for l_b in range(l_max + 1)
-            for l_f in range(l_max + 1)
-        }
-        peak = max(v for (l_b, l_f), v in values.items() if l_b + l_f >= 1)
-        for (l_b, l_f), v in sorted(values.items()):
-            is_max = l_b + l_f >= 1 and v >= peak * (1.0 - 1e-12)
-            rows.append(ContributionRow(k, l_b, l_f, v, is_max))
+        values = _coefficients(k, 2 * l_max + 1, eps=eps, tau=tau, sigma=sigma, n=n,
+                               dt_tau=dt_tau)[: l_max + 1, : l_max + 1]
+        peak = values.flat[1:].max()  # every motif but (0, 0)
+        for (l_b, l_f), v in np.ndenumerate(values):
+            is_max = bool(l_b + l_f >= 1 and v >= peak * (1.0 - 1e-12))
+            rows.append(ContributionRow(k, l_b, l_f, float(v), is_max))
     return rows
 
 

@@ -133,12 +133,13 @@ class LagStack:
         self.ts, self.depth = ts, min(depth, ts.n_obs - 2)
         self.covs = self.corrs = None
         self.seconds, self.reads = {}, set()
+        self._flat = None  # the DataError of a zero-variance node
         self._tau = None  # (dt/tau, flags), or the DataError of the estimate
 
     def lags(self, k_max: int) -> tuple[np.ndarray, np.ndarray]:
         """(S_0..S_k_max, C_0..C_k_max) as (k_max + 1, n, n) stacks. A node whose
         lag-0 variance is within the roundoff of centering its mean (a constant
-        column) raises DataError."""
+        column) raises DataError, on this and every later read."""
         if k_max < 0:
             raise ConfigurationError(f"max lag must be >= 0, got {k_max}")
         if self.covs is None or k_max >= len(self.covs):
@@ -147,6 +148,8 @@ class LagStack:
         return self.covs[: k_max + 1], self.corrs[: k_max + 1]
 
     def _build(self, k_max: int) -> None:
+        if self._flat is not None:
+            raise self._flat
         t0 = time.perf_counter()
         mean = self.ts.values.mean(axis=0)
         covs = sample_lagged_cov(self.ts.values - mean, k_max)
@@ -154,7 +157,9 @@ class LagStack:
         roundoff = self.ts.n_obs * np.finfo(float).eps * np.abs(mean)
         bad = np.flatnonzero(var <= roundoff**2)
         if bad.size:
-            raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
+            self._flat = DataError(f"node {bad[0]} has zero variance; "
+                                   "correlations undefined")
+            raise self._flat
         scale = np.sqrt(var)
         self.covs, self.corrs = covs, covs / np.outer(scale, scale)
         self.seconds["lags"] = self.seconds.get("lags", 0.0) + time.perf_counter() - t0
@@ -345,8 +350,7 @@ def save_pem(pem: PEMMatrix, path: str) -> None:
                      for k, v in sorted(pem.params.items()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"pem {pem.kind} {pem.n}" + (f" {items}" if items else "") + "\n")
-        for row in pem.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, pem.values, fmt="%.17g")
 
 
 def load_pem(path: str) -> PEMMatrix:

@@ -100,6 +100,58 @@ def contribution_delayed(
     return base / (eps * dt_tau) ** extra
 
 
+def contribution_lagk_per_term(
+    k: int, l_b: int, l_f: int, *,
+    eps: float, tau: float, sigma: float, n: int, dt_tau: float,
+) -> float:
+    """Lag-k contribution of one motif by the recursion run on its own row.
+
+    Starts from the lag-0 contributions of motifs (l_b, l_f - k .. l_f) and
+    applies c^(k)_{b,f} = (1 - z) c^(k-1)_{b,f} + eps z c^(k-1)_{b,f-1} k times,
+    one dict entry at a time; motifs.contribution_lagk reads the same numbers
+    from a table of every motif.
+    """
+    z = dt_tau
+    lo = max(0, l_f - k)
+    row = {
+        f: motifs.contribution_cov(l_b, f, eps=eps, tau=tau, sigma=sigma, n=n,
+                                   dt_tau=z)
+        for f in range(lo, l_f + 1)
+    }
+    for _ in range(k):
+        row = {f: row[f] * (1.0 - z) + row.get(f - 1, 0.0) * eps * z for f in row}
+    return row[l_f]
+
+
+def covariance_series_per_term(
+    a: np.ndarray, *,
+    eps: float, tau: float, sigma: float, dt_tau: float, k: int, l_max: int, tol: float,
+) -> tuple[np.ndarray, int, bool]:
+    """(matrix, layers, converged) of the motif series, one term at a time.
+
+    Layer L adds c^(k)_{L-f,f} A^f (A^T)^(L-f) for f = 0..L, each coefficient
+    from contribution_lagk_per_term and each term its own n x n product, and
+    the sum stops after the first layer whose max-abs increment is below tol;
+    motifs.covariance_series makes each layer one matrix product instead.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    powers = [np.eye(n)]
+    for _ in range(l_max):
+        powers.append(powers[-1] @ a)
+    total = np.zeros((n, n))
+    for layer in range(l_max + 1):
+        inc = np.zeros((n, n))
+        for l_f in range(layer + 1):
+            c = contribution_lagk_per_term(k, layer - l_f, l_f, eps=eps, tau=tau,
+                                           sigma=sigma, n=n, dt_tau=dt_tau)
+            inc += c * (powers[l_f] @ powers[layer - l_f].T)
+        total += inc
+        if np.max(np.abs(inc)) < tol:
+            return total, layer, True
+    return total, l_max, False
+
+
 def alpha_from_contributions(kind: str, dt_tau: float, eps: float = 0.9) -> float:
     """The defining contribution ratio c^(1)/c^(0) of the cancelled motif.
 

@@ -326,6 +326,17 @@ class TestOneStackPerTrial:
         # one pass for every lag, read by all three kinds
         assert calls == Counter({delta_hat + 1: 1}, tau=estimates)
 
+    def test_zero_signal_fails_from_one_pass(self, monkeypatch):
+        # the zero-variance error of the first kind is raised again for the
+        # others, not found again by a pass of their own
+        lags = []
+        real = pemnet.pem.sample_lagged_cov
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov",
+                            lambda x, k: lags.append(k) or real(x, k))
+        records = run_trial(GraphConfig(), SDDParams(sigma=0.0), ["lc", "lccf", "lcrc"], 0)
+        assert all("zero variance" in r.error for r in records)
+        assert lags == [1]
+
     def test_no_cache_across_calls(self, monkeypatch):
         ts = simulate_sdd([np.zeros((4, 4))], SDDParams(n_obs=300), np.random.default_rng(1))
         lags = []

@@ -378,7 +378,7 @@ class TestBurnIn:
         assert np.array_equal(ts.values, sdd_recurrence(w, noise)[b:])
 
 
-class TestBackends:
+class TestKernel:
     @pytest.mark.parametrize("p, t_total", [(1, 3000), (2, 3000), (3, 3000),
                                             (6, 3000), (6, 4)])
     def test_numpy_kernel_matches_per_lag_loop(self, p, t_total):
@@ -507,10 +507,14 @@ class TestTimeSeriesIO:
         # the numpy parse reads %.17g back to the same bits as float() does
         bits = np.random.default_rng(15).integers(0, 2**63, 3000, dtype=np.uint64)
         values = bits.view(np.float64)
-        values = values[np.isfinite(values)][:2000].reshape(-1, 4)
+        values = values[np.isfinite(values)][:2000]
+        values[:4] = [-0.0, 5e-324, -2.5e-310, np.finfo(float).max]
+        values = values.reshape(-1, 4)
         path = tmp_path / "ts.txt"
         save_time_series(TimeSeries(values=values, dt=0.5), str(path))
         assert np.array_equal(load_time_series(str(path)).values, values)
+        assert path.read_text() == "4 500 0.5\n" + "".join(
+            " ".join(f"{v:.17g}" for v in row) + "\n" for row in values)
 
     def test_reads_tokens_only_float_takes(self, tmp_path):
         # numpy's parser refuses 1_000; the token-by-token pass reads it

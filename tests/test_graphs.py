@@ -437,6 +437,8 @@ class TestEdgeListIO:
         g = assign_lags(gen_gnm(GraphConfig(delta=4), rng), 4, rng)
         path = tmp_path / "g.txt"
         save_edge_list(g, str(path))
+        assert path.read_text() == f"{g.n} {g.m} {g.delta}\n" + "".join(
+            f"{u} {v} {g.lags[(u, v)]}\n" for u, v in g.edges)
         loaded = load_edge_list(str(path))
         assert loaded.edges == g.edges
         assert loaded.lags == g.lags

@@ -1,5 +1,6 @@
 """Walk-pair contribution tests, anchored by independent summation oracles."""
 
+import warnings
 from math import comb
 
 import numpy as np
@@ -19,7 +20,13 @@ from pemnet.motifs import (
 )
 from pemnet.numerics import solve_discrete_lyapunov
 
-from oracles import contribution_delayed, contribution_oup, hyp2f1_equal_ab
+from oracles import (
+    contribution_delayed,
+    contribution_lagk_per_term,
+    contribution_oup,
+    covariance_series_per_term,
+    hyp2f1_equal_ab,
+)
 
 DEFAULTS = dict(eps=0.9, tau=1.0, sigma=0.2, n=5, dt_tau=0.5)
 
@@ -135,6 +142,40 @@ class TestContributionLagk:
                     1, 0, **args
                 )
                 assert ratio == pytest.approx(1.0 - z, rel=1e-12)
+
+
+class TestCoefficientTable:
+    def test_lagk_matches_per_term_recursion_bit_for_bit(self):
+        for z in (1e-4, 0.1, 0.5, 0.8, 1.0):
+            for eps in (0.3, 0.9, 1.7):
+                args = dict(DEFAULTS, eps=eps, dt_tau=z)
+                for k in range(5):
+                    for l_b in range(9):
+                        for l_f in range(9):
+                            assert contribution_lagk(k, l_b, l_f, **args) == (
+                                contribution_lagk_per_term(k, l_b, l_f, **args))
+
+    @pytest.mark.parametrize("k, l_b, l_f", [(-1, 0, 0), (0, -1, 2), (2, 1, -1)])
+    def test_negative_lag_or_length_raises(self, k, l_b, l_f):
+        with pytest.raises(ConfigurationError):
+            contribution_lagk(k, l_b, l_f, **DEFAULTS)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eps, dt_tau", [(0.3, 0.5), (0.9, 0.5), (0.9, 0.8)])
+    def test_series_matches_per_term_loop(self, k, eps, dt_tau):
+        # one product per layer against one product per term: the same stop,
+        # the same sum up to the order of its roundoff
+        for seed in range(5):
+            a = random_normalized(seed)
+            for l_max in (0, 1, 5, 12):
+                args = dict(eps=eps, tau=1.0, sigma=0.2, dt_tau=dt_tau, k=k,
+                            l_max=l_max, tol=1e-9)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", TruncationWarning)
+                    got = covariance_series(a, **args)
+                want, layers, converged = covariance_series_per_term(a, **args)
+                assert (got.layers, got.converged) == (layers, converged)
+                assert np.abs(got.matrix - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestContributionOup:

@@ -575,6 +575,8 @@ class TestSerialization:
         assert loaded.params["delta_hat"] == 2
         assert np.array_equal(off_diag(loaded.values), off_diag(pem.values))
         assert np.isnan(np.diag(loaded.values)).all()
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [" ".join(f"{v:.17g}" for v in row) for row in pem.values]
 
     def test_rejects_incoherent_header(self, tmp_path):
         path = tmp_path / "bad.txt"
