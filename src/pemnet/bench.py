@@ -11,7 +11,6 @@ n, N or delta is also the timing table.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -302,6 +301,7 @@ def sweep(spec: SweepSpec) -> list[TrialRecord]:
         for trial in range(spec.trials)
     ]
     if spec.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             chunks = list(pool.map(_sweep_task, tasks, chunksize=4))
     else:

@@ -46,6 +46,7 @@ from .errors import (
     NumericalError,
     StabilityError,
     _data_lines,
+    _data_table,
 )
 from .numerics import require_stable, spectral_radius
 
@@ -378,25 +379,4 @@ def load_time_series(path: str) -> TimeSeries:
     if n < 1 or n_obs < 2 or not (math.isfinite(dt) and dt > 0):
         raise FileFormatError(f"{path}:{lineno}: bad header {header!r}: "
                               "need n >= 1, N >= 2 and a finite dt > 0")
-    if len(rows) != n_obs:
-        raise FileFormatError(f"{path}: header claims {n_obs} rows, found {len(rows)}")
-    try:
-        # numpy's parser takes a subset of what float() takes, to the same bits
-        values = np.loadtxt([line for _, line in rows], dtype=float, ndmin=2,
-                            comments=None)
-    except ValueError:
-        values = None
-    if values is None or values.shape[1] != n:
-        # token by token: names the bad line, or reads a token only float()
-        # takes (such as 1_000)
-        values = []
-        for lineno, line in rows:
-            parts = line.split()
-            if len(parts) != n:
-                raise FileFormatError(f"{path}:{lineno}: expected {n} values, got {len(parts)}")
-            try:
-                values.append([float(tok) for tok in parts])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad float in {line!r}") from exc
-        values = np.array(values)
-    return TimeSeries(values=values, dt=dt)
+    return TimeSeries(values=_data_table(path, rows, n_obs, n), dt=dt)

@@ -1,5 +1,9 @@
-"""Exception hierarchy shared by all pemnet modules, and the line reader of
-their file loaders."""
+"""Exception hierarchy shared by all pemnet modules, and the line and table
+readers of their file loaders."""
+
+from contextlib import suppress
+
+import numpy as np
 
 
 class PemnetError(Exception):
@@ -43,3 +47,33 @@ def _data_lines(path: str, empty: str) -> tuple[tuple[int, str], list[tuple[int,
     if not lines:
         raise FileFormatError(f"{path}: {empty}")
     return lines[0], lines[1:]
+
+
+def _data_table(path: str, rows: list[tuple[int, str]], count: int, width: int,
+                conv=float) -> np.ndarray:
+    """(count, width) array of conv values from the rows of _data_lines; a row
+    count other than count raises FileFormatError "<path>: header claims ...".
+
+    numpy parses every row at once. Only where it refuses the rows or their width
+    is wrong does a token-by-token pass name the first bad physical line, or read
+    tokens that only conv takes (such as 1_000); its ints stay Python ints.
+    """
+    if len(rows) != count:
+        raise FileFormatError(f"{path}: header claims {count} rows, found {len(rows)}")
+    if not rows:  # numpy warns on empty input
+        return np.empty((0, width), dtype=conv)
+    with suppress(ValueError):
+        # numpy's parser takes a subset of what conv takes, to the same values
+        table = np.loadtxt([line for _, line in rows], dtype=conv, ndmin=2, comments=None)
+        if table.shape[1] == width:
+            return table
+    values = []
+    for lineno, line in rows:
+        parts = line.split()
+        if len(parts) != width:
+            raise FileFormatError(f"{path}:{lineno}: expected {width} values, got {len(parts)}")
+        try:
+            values.append([conv(tok) for tok in parts])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: bad {conv.__name__} in {line!r}") from exc
+    return np.array(values, dtype=float if conv is float else object)  # ints beyond int64

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, FileFormatError, NilpotentGraphError, _data_lines
+from .errors import (ConfigurationError, FileFormatError, NilpotentGraphError, _data_lines,
+                     _data_table)
 from .numerics import _pattern_nilpotent, spectral_radius
 
 GRAPH_MODELS = ("gnm", "er", "ba", "rr", "sw")
@@ -145,11 +146,10 @@ class GraphConfig:
         if self.delta < 0:
             raise ConfigurationError(f"max lag must be >= 0, got {self.delta}")
         if not 0.0 <= self.rewire_p <= 1.0:
-            raise ConfigurationError(f"rewiring probability must be in [0, 1]")
+            raise ConfigurationError(
+                f"rewiring probability must be in [0, 1], got {self.rewire_p}")
         if self.m < 1:
             raise ConfigurationError("configuration yields zero edges")
-        if 2 * self.reciprocal_pairs > self.m:
-            raise ConfigurationError("2 * reciprocal pairs exceeds edge count")
 
     @property
     def m(self) -> int:
@@ -431,14 +431,8 @@ def load_edge_list(path: str) -> DirectedGraph:
         n, m, delta = (int(tok) for tok in header.split())
     except ValueError as exc:
         raise FileFormatError(f"{path}:{lineno}: bad header {header!r}") from exc
-    if len(rows) != m:
-        raise FileFormatError(f"{path}: header claims {m} edges, found {len(rows)}")
     lags = {}
-    for lineno, line in rows:
-        try:
-            u, v, lag = (int(tok) for tok in line.split())
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: bad edge line {line!r}") from exc
+    for (lineno, _), (u, v, lag) in zip(rows, _data_table(path, rows, m, 3, int).tolist()):
         if (u, v) in lags:
             raise FileFormatError(f"{path}:{lineno}: repeated edge ({u}, {v})")
         lags[(u, v)] = lag

@@ -103,7 +103,7 @@ class CovarianceSeries:
 
     matrix: np.ndarray
     layers: int
-    last_increment: float
+    last_increment: float  # the larger max-abs increment of the last two layers
     converged: bool
 
 
@@ -114,11 +114,12 @@ def covariance_series(
 ) -> CovarianceSeries:
     """Sum motif contributions times walk counts, layer by total walk length.
 
-    Layer L adds sum_{l_f} c^(k)_{L-l_f, l_f} A^{l_f} (A^T)^{L-l_f}; the sum
-    stops early once a layer's max-abs increment falls below tol. Layers decay
-    like eps^L, so at eps = 0.9 roughly 150 layers are needed for 1e-8 absolute
-    accuracy; a result that still exceeds tol at l_max carries a
-    TruncationWarning and converged=False.
+    Layer L adds sum_{l_f} c^(k)_{L-l_f, l_f} A^{l_f} (A^T)^{L-l_f}; the sum stops
+    early at a layer L > k where layers L - 1 and L both have max-abs increment
+    below tol (at dt/tau = 1 every layer below k, and then every other layer, is
+    exactly 0). Layers decay like eps^L, so at eps = 0.9 roughly 150 layers are
+    needed for 1e-8 absolute accuracy; a result that still exceeds tol at l_max
+    carries a TruncationWarning and converged=False.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -130,15 +131,16 @@ def covariance_series(
     walks = np.stack(list(accumulate(repeat(a, l_max), np.matmul, initial=np.eye(n))),
                      axis=1)
     total = np.zeros((n, n))
-    last_inc = np.inf
+    last_inc = inc_max = np.inf
     for layer in range(l_max + 1):
         l_f = np.arange(layer + 1)
         # one GEMM: [A^f]_f @ [c_{L-f,f} (A^T)^{L-f}]_f
         right = coef[layer - l_f, l_f][:, None] * walks[:, layer::-1]
         inc = walks[:, : layer + 1].reshape(n, -1) @ right.reshape(n, -1).T
         total += inc
-        last_inc = float(np.max(np.abs(inc)))
-        if last_inc < tol:
+        prev_max, inc_max = inc_max, float(np.max(np.abs(inc)))
+        last_inc = max(prev_max, inc_max)
+        if layer > k and last_inc < tol:
             return CovarianceSeries(total, layer, last_inc, True)
     warnings.warn(
         f"series increment {last_inc:.3g} still above tol={tol:.3g} at layer {l_max}",

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import TimeSeries
-from .errors import (
-    ConfigurationError, DataError, FileFormatError, NumericalError, PemnetError, _data_lines,
-)
+from .errors import (ConfigurationError, DataError, FileFormatError, NumericalError,
+                     PemnetError, _data_lines, _data_table)
 from .numerics import ols_fit
 
 AUTO = "auto"
@@ -373,15 +372,4 @@ def load_pem(path: str) -> PEMMatrix:
                 params[key] = float(val)
             except ValueError:
                 params[key] = val
-    if len(rows) != n:
-        raise FileFormatError(f"{path}: expected {n} matrix rows, found {len(rows)}")
-    values = np.empty((n, n))
-    for r, (lineno, line) in enumerate(rows):
-        parts = line.split()
-        if len(parts) != n:
-            raise FileFormatError(f"{path}:{lineno}: expected {n} values")
-        try:
-            values[r] = [float(tok) for tok in parts]
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: bad float in {line!r}") from exc
-    return PEMMatrix(values, kind, params)
+    return PEMMatrix(_data_table(path, rows, n, n), kind, params)

@@ -131,8 +131,9 @@ def covariance_series_per_term(
 
     Layer L adds c^(k)_{L-f,f} A^f (A^T)^(L-f) for f = 0..L, each coefficient
     from contribution_lagk_per_term and each term its own n x n product, and
-    the sum stops after the first layer whose max-abs increment is below tol;
-    motifs.covariance_series makes each layer one matrix product instead.
+    the sum stops after the first layer L > k where layers L - 1 and L both
+    have max-abs increment below tol; motifs.covariance_series makes each layer
+    one matrix product instead.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -140,6 +141,7 @@ def covariance_series_per_term(
     for _ in range(l_max):
         powers.append(powers[-1] @ a)
     total = np.zeros((n, n))
+    small = False  # the previous layer's increment was below tol
     for layer in range(l_max + 1):
         inc = np.zeros((n, n))
         for l_f in range(layer + 1):
@@ -147,7 +149,8 @@ def covariance_series_per_term(
                                            sigma=sigma, n=n, dt_tau=dt_tau)
             inc += c * (powers[l_f] @ powers[layer - l_f].T)
         total += inc
-        if np.max(np.abs(inc)) < tol:
+        was_small, small = small, np.max(np.abs(inc)) < tol
+        if layer > k and was_small and small:
             return total, layer, True
     return total, l_max, False
 

@@ -10,9 +10,9 @@ import pytest
 from pemnet import bench
 from pemnet.bench import derive_seed, run_trial
 from pemnet.cli import main
-from pemnet.dynamics import SDDParams, load_time_series
-from pemnet.graphs import GraphConfig, load_edge_list
-from pemnet.pem import load_pem
+from pemnet.dynamics import SDDParams, load_time_series, save_time_series
+from pemnet.graphs import GraphConfig, load_edge_list, save_edge_list
+from pemnet.pem import load_pem, save_pem
 
 
 def run(argv):
@@ -163,6 +163,27 @@ class TestInfer:
         out = tmp_path / "pem.txt"
         assert run(["infer", "--ts", ts, "--pem", "gc", "--truth", g,
                     "--out", out]) == 0
+
+
+class TestFileFormats:
+    def test_every_format_round_trips_byte_for_byte(self, tmp_path):
+        # one table reader parses all three formats; a load and a save give the
+        # same bytes back, and a second load the same bits
+        g, ts, pem = tmp_path / "g.txt", tmp_path / "ts.txt", tmp_path / "pem.txt"
+        run(["generate", "--seed", 1, "--delta", 3, "--out", g])
+        run(["simulate", "--graph", g, "--seed", 2, "--n-obs", 300, "--out", ts])
+        run(["infer", "--ts", ts, "--pem", "lcrc", "--dt-tau", "auto", "--delta-hat", 3,
+             "--truth", g, "--out", pem])
+        formats = [(g, load_edge_list, save_edge_list, lambda x: x.lag),
+                   (ts, load_time_series, save_time_series, lambda x: x.values),
+                   (pem, load_pem, save_pem, lambda x: x.values)]
+        for path, load, save, table in formats:
+            first = load(str(path))
+            again = tmp_path / f"again-{path.name}"
+            save(first, str(again))
+            assert again.read_bytes() == path.read_bytes()
+            a, b = table(first), table(load(str(again)))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestSweepCommand:
@@ -324,10 +345,12 @@ class TestCliContract:
 class TestRuntimeDependencies:
     def test_package_and_parser_load_numpy_only(self):
         # numpy is the one runtime dependency; test-only packages and the test
-        # oracles must not be reachable from the package
+        # oracles must not be reachable from the package, and the process pool
+        # loads only for --jobs > 1
         code = ("import sys, pemnet.cli; pemnet.cli.build_parser(); "
                 "print(sorted({name.split('.')[0] for name in sys.modules} "
-                "& {'scipy', 'networkx', 'pytest', 'oracles'}))")
+                "& {'scipy', 'networkx', 'pytest', 'oracles', 'concurrent', "
+                "'multiprocessing'}))")
         src = Path(__file__).resolve().parents[1] / "src"
         # the tests directory is on the path, so a leaked import is seen, not a crash
         path = os.pathsep.join([str(src), str(Path(__file__).parent)])

@@ -1,3 +1,5 @@
+import re
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -199,6 +201,11 @@ class TestGenBackbone:
         g_rr = gen_backbone(cfg_rr, np.random.default_rng(5))
         g_sw = gen_backbone(cfg_sw, np.random.default_rng(5))
         assert g_rr.edges == g_sw.edges
+
+    @pytest.mark.parametrize("rewire_p", [-0.1, 1.5])
+    def test_rejects_rewiring_probability_by_value(self, rewire_p):
+        with pytest.raises(ConfigurationError, match=rf"in \[0, 1\], got {rewire_p}"):
+            GraphConfig(model="sw", rewire_p=rewire_p)
 
     def test_sw_rewired_keeps_targets(self):
         cfg = GraphConfig(model="sw", n=12, d_e=0.3, r_e=0.4, rewire_p=0.3)
@@ -480,3 +487,23 @@ class TestEdgeListIO:
         path.write_text("3 2 0\n0 1 0\n")
         with pytest.raises(FileFormatError):
             load_edge_list(str(path))
+
+    @pytest.mark.parametrize("lines, message", [
+        ("3 2 0\n0 1 0\n", "header claims 2 rows, found 1"),
+        ("3 2 0\n0 1 0\n\n1 2\n", ":4: expected 3 values, got 2"),
+        ("3 2 0\n\n0 1 0 0\n1 2 0\n", ":3: expected 3 values, got 4"),
+        ("3 2 0\n0 1 0\n\n1 x 0\n", ":4: bad int in '1 x 0'"),
+        ("3 2 0\n0 1 0\n1 2 0.5\n", ":3: bad int in '1 2 0.5'"),
+    ], ids=["count", "short-after-blank", "long-after-blank", "bad-int", "float-lag"])
+    def test_bad_row_names_its_line(self, tmp_path, lines, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(lines)
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_edge_list(str(path))
+
+    def test_reads_tokens_only_int_takes(self, tmp_path):
+        # numpy's parser refuses 1_000; the token-by-token pass reads it
+        path = tmp_path / "g.txt"
+        path.write_text("1_001 2 0\n0 1_000 0\n1_000 0 0\n")
+        g = load_edge_list(str(path))
+        assert g.n == 1001 and g.edges == ((0, 1000), (1000, 0))

@@ -242,6 +242,21 @@ class TestCovarianceSeries:
             assert res.converged
             assert np.abs(res.matrix - want).max() < 1e-8
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("dt_tau", [1.0, 1.0 - 1e-7])
+    def test_runs_past_exactly_zero_layers(self, k, dt_tau):
+        # at dt/tau = 1 the layers below k, and then every other layer, are
+        # exactly 0; one small layer must not stop the sum
+        for seed in range(5):
+            a = random_normalized(seed)
+            res = covariance_series(a, eps=0.9, tau=1.0, sigma=0.2, dt_tau=dt_tau, k=k,
+                                    l_max=250, tol=1e-11)
+            k_mat = (1.0 - dt_tau) * np.eye(5) + dt_tau * 0.9 * a
+            sigma = solve_discrete_lyapunov(k_mat, 0.04 * dt_tau / 5 * np.eye(5))
+            assert res.converged and res.layers > 100
+            want = np.linalg.matrix_power(k_mat, k) @ sigma
+            assert np.abs(res.matrix - want).max() < 1e-9
+
     def test_lagged_series_recursion(self):
         for seed in range(5):
             a = random_normalized(seed)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -593,6 +595,25 @@ class TestSerialization:
         path.write_text(lines)
         with pytest.raises(FileFormatError, match=rf"bad\.txt:{lineno}: bad float"):
             load_pem(str(path))
+
+    @pytest.mark.parametrize("lines, message", [
+        ("pem lc 2\nnan 0.5\n", "header claims 2 rows, found 1"),
+        ("pem lc 2\nnan 0.5\n\n0.5\n", ":4: expected 2 values, got 1"),
+        ("pem lc 2\n\nnan 0.5 1\n0.5 nan\n", ":3: expected 2 values, got 3"),
+        ("pem lc 2\nnan 0.5 1\n0.5 nan 1\n", ":2: expected 2 values, got 3"),
+    ], ids=["count", "short-after-blank", "long-after-blank", "every-row-wide"])
+    def test_bad_row_names_its_line(self, tmp_path, lines, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(lines)
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_pem(str(path))
+
+    def test_reads_tokens_only_float_takes(self, tmp_path):
+        # numpy's parser refuses 1_000; the token-by-token pass reads it
+        path = tmp_path / "pem.txt"
+        path.write_text("pem lc 2\nnan 1_000\n-2 nan\n")
+        assert np.array_equal(load_pem(str(path)).values, [[np.nan, 1000.0], [-2.0, np.nan]],
+                              equal_nan=True)
 
     @pytest.mark.parametrize("shape", [(2, 3), (3,)])
     def test_matrix_must_be_square(self, shape):
