@@ -26,14 +26,19 @@ STABILITY_MARGIN = 1e-12
 # Perron root of a nonnegative matrix (_perron_root): smallest n that takes
 # it (below, the dense eigensolve is as fast), diagonal shift as a fraction of
 # the mean off-diagonal row sum, truncation of the lower-bound vector, bracket
-# width relative to the root, iteration cap, window of the rate estimate (in
-# iterations; the estimate is first read one iteration after the window fills).
+# width relative to the root, window of the rate estimate (in iterations; the
+# estimate is first read one iteration after the window fills).
 _PERRON_MIN_N = 64
 _PERRON_SHIFT = 0.1
 _PERRON_FLOOR = 2.0**-30
 _PERRON_RTOL = 1e-14
-_PERRON_MAX_ITER = 100
 _PERRON_WINDOW = 3
+# Iteration cap per node: an eigensolve costs about n^3 and a power step
+# about n^2, so _perron_root stops after _PERRON_ITER_PER_N * n steps. At
+# n = 64, eigvals took as long as 42-114 steps on gnm and ba graphs (one BLAS
+# thread); at n = 100 and 200, 185-360 and 750-945, so the cap of n stays
+# below the cost of an eigensolve there.
+_PERRON_ITER_PER_N = 1
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -48,7 +53,8 @@ def spectral_radius(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if _pattern_nilpotent(a != 0.0):
+    # a non-zero diagonal entry is a cycle of length 1: no peel needed
+    if not np.diagonal(a).any() and _pattern_nilpotent(a != 0.0):
         return 0.0
     if a.shape[0] >= _PERRON_MIN_N and a.min() >= 0.0:
         root = _perron_root(a)
@@ -68,11 +74,12 @@ def _perron_root(a: np.ndarray) -> float | None:
     nonnegative x' != 0 is a lower bound; x' is x with the entries below
     2^-30 max x zeroed, so the bracket also closes on reducible matrices whose
     dominant class leaves other entries decaying. Returns the midpoint once
-    the bracket is no wider than 1e-14 times the upper bound on rho(a). Returns None
-    after 100 iterations, or earlier once the steps of x shrink too slowly to
-    close the bracket by then: x converges at the rate |lambda_2 / lambda_1| of
-    B, read off the 2-norms of its last steps, so a slowly mixing graph (a
-    sparse ring lattice) falls back after 5 to 10 iterations.
+    the bracket is no wider than 1e-14 times the upper bound on rho(a).
+    Returns None after n iterations (_PERRON_ITER_PER_N per node), or earlier
+    once the steps of x shrink too slowly to close the bracket by then: x
+    converges at the rate |lambda_2 / lambda_1| of B, read off the 2-norms of
+    its last steps, so a slowly mixing graph (a sparse ring lattice) falls
+    back after 5 to 10 iterations.
     """
     n = a.shape[0]
     diag = np.diagonal(a)
@@ -84,9 +91,10 @@ def _perron_root(a: np.ndarray) -> float | None:
     b.flat[:: n + 1] += shift
     x = np.ones(n)
     steps = []
+    max_iter = _PERRON_ITER_PER_N * n
     # an extreme is read as v[v.argmax()]: at this size argmax and an index
     # cost a fifth of max(), and give the same value
-    for it in range(_PERRON_MAX_ITER):
+    for it in range(max_iter):
         y = b @ x
         ratio = y / x
         hi = float(ratio[ratio.argmax()])
@@ -110,7 +118,7 @@ def _perron_root(a: np.ndarray) -> float | None:
                 return None
             q = (steps[-1] / steps[-1 - _PERRON_WINDOW]) ** (1.0 / _PERRON_WINDOW)
             to_close = math.log(_PERRON_RTOL / steps[-1]) / math.log(q) if q < 1.0 else math.inf
-            if it + to_close > _PERRON_MAX_ITER:
+            if it + to_close > max_iter:
                 return None
         x = y
     return None

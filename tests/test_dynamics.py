@@ -70,18 +70,23 @@ def per_step_recurrence(w, noise):
 
 
 def chunks_of(t_total, n, p):
-    """Blocks per chunk sdd_recurrence takes for T steps; 0 is the one loop."""
-    block = max(1, pemnet.dynamics._BLOCK_ROWS // n)
-    return pemnet.dynamics._chunk_blocks(-(-t_total // block), block, p, n)
+    """Blocks per chunk sdd_recurrence takes for T steps; 0 is no chunks."""
+    return pemnet.dynamics._route(t_total, n, p)[2]
 
 
 def first_chunked_length(n, p):
     """The shortest T that sdd_recurrence runs as chunks."""
-    block = max(1, pemnet.dynamics._BLOCK_ROWS // n)
-    t_total = block * pemnet.dynamics._CHUNK_MIN_BLOCKS
+    t_total = 1
     while not chunks_of(t_total, n, p):
-        t_total += block
+        t_total += 1
     return t_total
+
+
+def scan_recurrence(w, noise, block):
+    """sdd_recurrence with its route forced to the scan at block length L."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pemnet.dynamics, "_route", lambda *shape: ("scan", block, 0))
+        return sdd_recurrence(w, noise)
 
 
 def assert_blocked_matches(got, ref):
@@ -469,6 +474,68 @@ class TestKernel:
             noise = rng.standard_normal((t_total, w.shape[1]))
             assert_blocked_matches(sdd_recurrence(w, noise),
                                    per_step_recurrence(w, noise))
+
+
+class TestScan:
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    @pytest.mark.parametrize("n", [3, 10, 16])
+    def test_scan_matches_per_step_loop(self, n, p):
+        # every block length from single steps to the longest, around the
+        # doubling steps' powers of two and shorter than the history
+        rng = np.random.default_rng(100 * n + p)
+        w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
+        longest = pemnet.dynamics._BLOCK_ROWS // n
+        for block in sorted({1, 2, p, longest}):
+            for t_total in sorted({1, max(p - 1, 1), 32 * block - 1, 32 * block,
+                                   32 * block + 1, 1040}):
+                noise = rng.standard_normal((t_total, n))
+                assert_blocked_matches(scan_recurrence(w, noise, block),
+                                       per_step_recurrence(w, noise))
+
+    @pytest.mark.parametrize("eps, dt, tau", [
+        (0.999, 0.05, 1.0),  # spectral radius ~0.99995: M^s decays slowly
+        (0.9, 1.5, 1.0),  # dt/tau > 1: W_0 has negative entries
+    ])
+    def test_scan_on_paper_graphs(self, eps, dt, tau):
+        rng = np.random.default_rng(6)
+        graph = assign_lags(gen_graph_non_nilpotent(GraphConfig(delta=2), rng), 2, rng)
+        _, lag_mats = normalize_adjacency(graph)
+        w = step_matrices(lag_mats, SDDParams(eps=eps, dt=dt, tau=tau, delta=2))
+        assert (dt / tau > 1) == (w < 0).any()
+        for t_total in (2000, 20_000):
+            noise = rng.standard_normal((t_total, w.shape[1]))
+            ref = per_step_recurrence(w, noise)
+            for block in (1, 3, pemnet.dynamics._BLOCK_ROWS // 10):
+                assert_blocked_matches(scan_recurrence(w, noise, block), ref)
+
+    def test_routes(self):
+        route = pemnet.dynamics._route
+        # the paper cell: 1040 steps of n = 10, p = 1
+        assert route(1040, 10, 1)[0] == "scan"
+        # sweep-n100 keeps its chunks, p > 1 at n = 100 the per-step loop
+        assert route(1040, 100, 1)[0] == "chunks"
+        assert route(1040, 100, 3) == ("loop", 1, 0)
+        # the infer-lags pool: n = 30, delta = 5, N = 10 000 and its burn-in
+        config = GraphConfig(model="gnm", n=30, d_e=0.2, r_e=0.5, delta=5)
+        params = SDDParams(delta=5, n_obs=10_000)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            graph = assign_lags(gen_graph_non_nilpotent(config, rng), 5, rng)
+            t_total = burn_of(normalize_adjacency(graph)[1], params) + 10_000
+            assert route(t_total, 30, 6)[0] == "chunks"
+
+    def test_paper_cell_runs_the_scan(self, monkeypatch):
+        carried = []
+        real = pemnet.dynamics._scan_carry
+
+        def recording(g, blocks, history):
+            carried.append(blocks.shape)
+            return real(g, blocks, history)
+
+        monkeypatch.setattr(pemnet.dynamics, "_scan_carry", recording)
+        ts = simulate_sdd(paper_graph_mats(0), SDDParams(), np.random.default_rng(0))
+        assert ts.values.shape == (1000, 10)
+        assert len(carried) == 1
 
 
 class TestMeasurementNoise:

@@ -64,14 +64,15 @@ def largest_abs_eigenvalue(a):
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def bracket_root(a):
-    """_perron_root's bracket iterated until it closes, with no early exit."""
+def bracket_root(a, max_iter=None):
+    """_perron_root's bracket iterated until it closes, with no early exit,
+    within max_iter steps (by default _perron_root's cap)."""
     n = a.shape[0]
     diag = np.diagonal(a)
     shift = numerics._PERRON_SHIFT * float(a.sum() - diag.sum()) / n - float(diag.min())
     b = a + shift * np.eye(n)
     x = np.ones(n)
-    for _ in range(numerics._PERRON_MAX_ITER):
+    for _ in range(max_iter or numerics._PERRON_ITER_PER_N * n):
         y = b @ x
         keep = x >= numerics._PERRON_FLOOR
         hi = float((y / x).max())
@@ -229,6 +230,20 @@ class TestSpectralRadius:
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((4, 4))) == 0.0
 
+    def test_non_zero_diagonal_skips_the_peel(self, monkeypatch):
+        # a self-loop is a cycle: the radius of a triangular matrix is its
+        # largest diagonal entry, found without peeling the pattern
+        def refuse(pattern):
+            raise AssertionError("nilpotency peel reached")
+
+        monkeypatch.setattr(numerics, "_pattern_nilpotent", refuse)
+        rng = np.random.default_rng(3)
+        for n in (3, 10, 64):
+            diag = np.zeros(n)
+            diag[rng.integers(n)] = -0.5
+            a = np.triu(rng.random((n, n)), k=1) + np.diag(diag)
+            assert spectral_radius(a) == pytest.approx(0.5, rel=1e-12)
+
     def test_scaling_property(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -310,6 +325,26 @@ class TestSpectralRadius:
                 _, mats = normalize_adjacency(graph)
                 for a in (graph.adjacency(), step_matrices(mats, SDDParams()).sum(axis=0)):
                     assert _perron_root(a) == bracket_root(a)
+
+    def test_cap_is_n_power_steps(self):
+        # at n = 64 an eigensolve costs as much as 42-114 power steps: sparse
+        # gnm graphs whose bracket needs 65-100 steps go to the eigensolve
+        rng = np.random.default_rng(7)
+        capped = 0
+        for _ in range(20):
+            config = GraphConfig(model="gnm", n=64, d_e=0.05)
+            a = gen_graph_non_nilpotent(config, rng).adjacency()
+            try:
+                bracket_root(a, max_iter=64)
+                continue
+            except AssertionError:
+                assert _perron_root(a) is None
+            try:
+                bracket_root(a, max_iter=100)  # the former cap took these
+                capped += 1
+            except AssertionError:
+                pass
+        assert capped >= 3
 
     def test_large_nilpotent_is_exactly_zero(self):
         rng = np.random.default_rng(5)
