@@ -10,22 +10,23 @@ sdd_recurrence. It is linear, so L consecutive steps are one affine map of the
 p history rows and the L noise rows of a block (a blocked scan; Blelloch 1990,
 "Prefix sums and their applications"): one GEMM gives the noise response of
 every block, and G maps the p states before a block into it. _route picks L
-(at most _BLOCK_ROWS // n) and one of three carries of the history from block
-to block, from a count of flops and numpy calls:
+and one of three carries of the history from block to block by shape alone:
 
-- scan: a Hillis-Steele doubling scan (Hillis and Steele 1986, "Data
-  parallel algorithms") solves the carry h_{j+1} = M h_j + v_j in
-  ceil(log2 blocks) GEMMs, squaring M between them; one more GEMM adds G h_j
-  to every block. Short runs at small p n take it, the paper cell (n = 10,
-  1040 steps) at L = 4.
-- loop: one Python loop over the blocks. At L = 1 (n > _BLOCK_ROWS / 2) it is
-  the plain per-step recurrence, bit for bit, and it stays there.
-- chunks: from _CHUNK_MIN_BLOCKS = 128 blocks on, where the carry power costs
-  at most one pass, C chunks of S ~ sqrt(blocks / 2) blocks run in lockstep,
-  one GEMM over all chunks per block position: a first pass from zero history
-  gives each chunk's end state, a short carry through the companion power
-  A^(S L) gives each chunk's true starting history, and a second pass writes
-  the states.
+- chunks: from _CHUNK_MIN_BLOCKS = 128 blocks of L = _BLOCK_ROWS // n steps
+  on, where the carry power costs at most one pass, C chunks of
+  S ~ sqrt(blocks / 2) blocks run in lockstep, one GEMM over all chunks per
+  block position: a first pass from zero history gives each chunk's end
+  state, a short carry through the companion power A^(S L) gives each
+  chunk's true starting history, and a second pass writes the states.
+- scan: otherwise at p = 1, a Hillis-Steele doubling scan (Hillis and Steele
+  1986, "Data parallel algorithms") solves the carry h_{j+1} = M h_j + v_j in
+  ceil(log2 blocks) GEMMs of the n x n M, squaring M between them; one more
+  GEMM adds G h_j to every block. L = _SCAN_BLOCK = 4 (fewer where
+  _BLOCK_ROWS // n is smaller): the paper cell (n = 10, 1040 steps).
+- loop: otherwise one Python loop over the blocks of L = _BLOCK_ROWS // n
+  steps. At L = 1 (n > _BLOCK_ROWS / 2) it is the plain per-step recurrence,
+  bit for bit. At p > 1 the scan's flops grow like p log2(blocks) / L passes
+  and it ran up to 3x slower than this loop (n = 30, p = 6, 1040 steps).
 
 Wherever L > 1, the scan or chunks run, the summation order changes and
 results agree with the per-step loop to ~1e-15 relative to max|x|; at a
@@ -46,7 +47,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigurationError,
@@ -68,10 +69,9 @@ _BLOCK_ROWS = 128
 # sdd_recurrence runs its blocks as chunks in lockstep from this many blocks
 # on (the paper cell has 87).
 _CHUNK_MIN_BLOCKS = 128
-# _route charges this many flops for each numpy call of a route: fit to
-# kernel timings at n <= 64 and T <= 1100, where a call on small operands
-# costs about as long as 2^16 flops of the kernel's small GEMMs.
-_CALL_FLOPS = 2**16
+# Block length of the scan carry: at the paper cell (n = 10, p = 1) L = 4
+# ran as fast as L = 12 and faster than single steps (0.130 against 0.158 ms).
+_SCAN_BLOCK = 4
 
 # The burn-in lasts this many e-folds of the slowest mode; 0.95^40 = e^-2.05,
 # so the paper cell keeps the 40 steps (20 tau at dt = 0.5) it always burned.
@@ -91,7 +91,7 @@ def _block_operators(w: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray 
     row [W_p ... W_1] and the operator, the identity, is None.
     """
     p, n, _ = w.shape
-    w_rev = w[::-1].transpose(1, 0, 2).reshape(n, p * n)
+    w_rev = np.hstack(w[::-1])
     if block == 1:
         return w_rev, None
     x = np.zeros((p + block, n, p * n))
@@ -104,16 +104,11 @@ def _block_operators(w: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray 
     # H_1 ... H_{block-1} are G's last n columns. Column block j of the
     # Toeplitz operator is the column (H_0; ...; H_{block-1}) shifted down j
     # blocks: a window over that column behind block - 1 zero blocks.
-    # windows[j, c, r] = shifted[(block - 1 - j) n + r, c], as strides (a
-    # sliding_window_view costs more than the rest of this function).
-    rows = block * n
     shifted = np.concatenate([
         np.zeros(((block - 1) * n, n)), np.eye(n), g[: (block - 1) * n, (p - 1) * n :]
     ])
-    step, col = shifted.strides
-    windows = as_strided(shifted[(block - 1) * n :], shape=(block, n, rows),
-                         strides=(-n * step, col, step), writeable=False)
-    return g, windows.reshape(rows, rows).T
+    windows = sliding_window_view(shifted, block * n, axis=0)[::n][::-1]
+    return g, windows.reshape(block * n, block * n).T
 
 
 def sdd_recurrence(w: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -125,10 +120,10 @@ def sdd_recurrence(w: np.ndarray, noise: np.ndarray) -> np.ndarray:
     matrix's block row [W_p ... W_1] and the noise response is the noise.
     _route picks L and what carries the history from block to block:
 
-    - scan: the blocks' last p states from zero history, v_j, obey
+    - scan (L > p): the blocks' last p states from zero history, v_j, obey
       h_{j+1} = M h_j + v_j for the true last p states h_j, with M the last
-      p n rows of [I; G]. _scan_carry solves that in ceil(log2 blocks) GEMMs,
-      then one more GEMM adds G h_j to every block.
+      p n rows of G. _scan_carry solves that in ceil(log2 blocks) GEMMs, then
+      one more GEMM adds G h_j to every block.
     - loop: one loop over the blocks adds G h_j to block j.
     - chunks: the blocks form C chunks of S, padded with zero noise, and a
       time-major (S, C, rows) view of them makes each step of a pass one GEMM
@@ -169,86 +164,40 @@ def _route(t_total: int, n: int, p: int) -> tuple[str, int, int]:
     """The carry sdd_recurrence runs for T steps: ("scan" | "loop" | "chunks",
     block length L, blocks per chunk S, 0 unless chunks).
 
-    Chunks wherever _chunk_blocks takes them at L = _BLOCK_ROWS // n. At
-    L = 1 (n > _BLOCK_ROWS / 2) the loop, which is then the per-step loop, bit
-    for bit. Else the scan, at the L (1, 2, 4, ... or _BLOCK_ROWS // n) whose
-    cost is least, where that cost is at most the one loop's; else the loop.
-    A cost is the flops of the route plus _CALL_FLOPS for each numpy call it
-    makes: the loop makes two per block, the scan three per doubling step.
+    Chunks wherever _chunk_blocks takes them at L = _BLOCK_ROWS // n; else
+    the loop at L = 1, the per-step loop, bit for bit; else the scan at
+    p = 1, with L = min(_SCAN_BLOCK, _BLOCK_ROWS // n); else the loop.
     """
     block = max(1, _BLOCK_ROWS // n)
-    n_blocks = -(-t_total // block)
-    per_chunk = _chunk_blocks(n_blocks, block, p, n)
+    per_chunk = _chunk_blocks(-(-t_total // block), block, p, n)
     if per_chunk:
         return "chunks", block, per_chunk
-    if block == 1:
-        return "loop", block, 0
-    loop = (_blocking_cost(t_total, block, p, n) + 2 * t_total * p * n * n
-            + 2 * n_blocks * _CALL_FLOPS)
-    candidates = {block} | {1 << k for k in range(block.bit_length())}
-    cost, scan_block = min((_scan_cost(t_total, b, p, n), b) for b in candidates)
-    if cost <= loop:
-        return "scan", scan_block, 0
+    if block > 1 and p == 1:
+        return "scan", min(_SCAN_BLOCK, block), 0
     return "loop", block, 0
-
-
-def _blocking_cost(t_total: int, block: int, p: int, n: int) -> int:
-    """Cost of blocks of L > 1 steps: _block_operators' L products of
-    (n, p n) by (p n, p n) and its 8 calls around them, then the Toeplitz
-    GEMM, 2 T L n^2 flops."""
-    if block == 1:
-        return 0
-    return ((block + 8) * _CALL_FLOPS + 2 * block * n * (p * n) ** 2
-            + 2 * t_total * block * n * n)
-
-
-def _scan_cost(t_total: int, block: int, p: int, n: int) -> int:
-    """Cost of the scan carry with blocks of L steps: ceil(log2 blocks)
-    doubling steps, step s a (blocks - s, p n) by (p n, p n) GEMM and one
-    squaring of M, then, where a block is longer than the history, the
-    fix-up GEMM of 2 T p n^2 flops."""
-    n_blocks = -(-t_total // block)
-    history = p * n
-    depth = (n_blocks - 1).bit_length()
-    rows_summed = depth * n_blocks - (1 << depth) + 1
-    cost = (_blocking_cost(t_total, block, p, n) + 2 * rows_summed * history**2
-            + depth * (2 * history**3 + 3 * _CALL_FLOPS))
-    if block > p:
-        cost += 2 * t_total * p * n * n
-    return cost
 
 
 def _scan_carry(g: np.ndarray, blocks: np.ndarray, history: int) -> None:
     """Add to every block, in place, what the states before it contribute.
 
     blocks (B, rows) holds the blocks' responses from zero history, g (rows,
-    history) maps the last p states, oldest first, to a block's states. A
-    Hillis-Steele doubling scan (Hillis and Steele 1986) carries the last p
-    states: h_j starts as block j's own; after the steps s = 1, 2, 4, ...,
-    each adding M^s h_{j-s} to h_j, h_j = sum over i <= j of M^(j-i) v_i, the
-    true last p states of block j.
+    history) maps the last p states, oldest first, to a block's states; a
+    block is longer than the history (L > p). A Hillis-Steele doubling scan
+    (Hillis and Steele 1986) carries the last p states: h_j starts as block
+    j's own, v_j; after the steps s = 1, 2, 4, ..., each adding M^s h_{j-s}
+    to h_j, with M the last p n rows of G, h_j = sum over i <= j of
+    M^(j-i) v_i, the true last p states of block j.
     """
-    n_blocks, rows = blocks.shape
-    if rows == history:
-        h = blocks  # a block is the whole history: scan in place
-    else:
-        h = np.zeros((n_blocks, history))
-        tail = min(rows, history)
-        h[:, history - tail :] = blocks[:, rows - tail :]
-    if rows >= history:
-        m = g[-history:]
-    else:  # the older history rows shift up, the block's states follow
-        m = np.vstack((np.eye(history)[rows:], g))
+    n_blocks = blocks.shape[0]
+    h = blocks[:, -history:].copy()
+    m = g[-history:]
     step = 1
     while step < n_blocks:
         h[step:] += h[:-step] @ m.T
         step *= 2
         if step < n_blocks:
             m = m @ m
-    if rows > history:
-        blocks[1:] += h[:-1] @ g.T
-    elif rows < history:
-        blocks[:] = h[:, history - rows :]
+    blocks[1:] += h[:-1] @ g.T
 
 
 def _chunk_blocks(n_blocks: int, block: int, p: int, n: int) -> int:

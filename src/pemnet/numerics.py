@@ -33,12 +33,6 @@ _PERRON_SHIFT = 0.1
 _PERRON_FLOOR = 2.0**-30
 _PERRON_RTOL = 1e-14
 _PERRON_WINDOW = 3
-# Iteration cap per node: an eigensolve costs about n^3 and a power step
-# about n^2, so _perron_root stops after _PERRON_ITER_PER_N * n steps. At
-# n = 64, eigvals took as long as 42-114 steps on gnm and ba graphs (one BLAS
-# thread); at n = 100 and 200, 185-360 and 750-945, so the cap of n stays
-# below the cost of an eigensolve there.
-_PERRON_ITER_PER_N = 1
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -75,11 +69,11 @@ def _perron_root(a: np.ndarray) -> float | None:
     2^-30 max x zeroed, so the bracket also closes on reducible matrices whose
     dominant class leaves other entries decaying. Returns the midpoint once
     the bracket is no wider than 1e-14 times the upper bound on rho(a).
-    Returns None after n iterations (_PERRON_ITER_PER_N per node), or earlier
-    once the steps of x shrink too slowly to close the bracket by then: x
-    converges at the rate |lambda_2 / lambda_1| of B, read off the 2-norms of
-    its last steps, so a slowly mixing graph (a sparse ring lattice) falls
-    back after 5 to 10 iterations.
+    Returns None after n iterations, or earlier once the steps of x shrink too
+    slowly to close the bracket by then: x converges at the rate
+    |lambda_2 / lambda_1| of B, read off the 2-norms of its last steps, so a
+    slowly mixing graph (a sparse ring lattice) falls back after 5 to 10
+    iterations.
     """
     n = a.shape[0]
     diag = np.diagonal(a)
@@ -91,7 +85,10 @@ def _perron_root(a: np.ndarray) -> float | None:
     b.flat[:: n + 1] += shift
     x = np.ones(n)
     steps = []
-    max_iter = _PERRON_ITER_PER_N * n
+    # an eigensolve costs about n^3 and a step about n^2: at n = 64 eigvals
+    # took as long as 42-114 steps on gnm and ba graphs (one BLAS thread), at
+    # n = 100 and 200 185-360 and 750-945, so n steps stay below it
+    max_iter = n
     # an extreme is read as v[v.argmax()]: at this size argmax and an index
     # cost a fifth of max(), and give the same value
     for it in range(max_iter):

@@ -480,41 +480,49 @@ class TestScan:
     @pytest.mark.parametrize("p", [1, 3, 6])
     @pytest.mark.parametrize("n", [3, 10, 16])
     def test_scan_matches_per_step_loop(self, n, p):
-        # every block length from single steps to the longest, around the
-        # doubling steps' powers of two and shorter than the history
+        # block lengths from the shortest longer than the history to the
+        # longest, around the doubling steps' powers of two
         rng = np.random.default_rng(100 * n + p)
         w = rng.standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
         longest = pemnet.dynamics._BLOCK_ROWS // n
-        for block in sorted({1, 2, p, longest}):
+        for block in sorted({p + 1, pemnet.dynamics._SCAN_BLOCK, longest} - set(range(p + 1))):
             for t_total in sorted({1, max(p - 1, 1), 32 * block - 1, 32 * block,
                                    32 * block + 1, 1040}):
                 noise = rng.standard_normal((t_total, n))
                 assert_blocked_matches(scan_recurrence(w, noise, block),
                                        per_step_recurrence(w, noise))
 
+    @pytest.mark.parametrize("delta", [0, 2])
     @pytest.mark.parametrize("eps, dt, tau", [
         (0.999, 0.05, 1.0),  # spectral radius ~0.99995: M^s decays slowly
-        (0.9, 1.5, 1.0),  # dt/tau > 1: W_0 has negative entries
+        (0.9, 1.2, 1.0),  # dt/tau > 1: W_0 has negative entries, radius < 0.95
     ])
-    def test_scan_on_paper_graphs(self, eps, dt, tau):
+    def test_scan_on_paper_graphs(self, eps, dt, tau, delta):
         rng = np.random.default_rng(6)
-        graph = assign_lags(gen_graph_non_nilpotent(GraphConfig(delta=2), rng), 2, rng)
+        graph = assign_lags(gen_graph_non_nilpotent(GraphConfig(delta=delta), rng),
+                            delta, rng)
         _, lag_mats = normalize_adjacency(graph)
-        w = step_matrices(lag_mats, SDDParams(eps=eps, dt=dt, tau=tau, delta=2))
+        w = step_matrices(lag_mats, SDDParams(eps=eps, dt=dt, tau=tau, delta=delta))
         assert (dt / tau > 1) == (w < 0).any()
         for t_total in (2000, 20_000):
             noise = rng.standard_normal((t_total, w.shape[1]))
             ref = per_step_recurrence(w, noise)
-            for block in (1, 3, pemnet.dynamics._BLOCK_ROWS // 10):
+            for block in (4, pemnet.dynamics._BLOCK_ROWS // 10):
                 assert_blocked_matches(scan_recurrence(w, noise, block), ref)
 
     def test_routes(self):
         route = pemnet.dynamics._route
-        # the paper cell: 1040 steps of n = 10, p = 1
-        assert route(1040, 10, 1)[0] == "scan"
+        # the paper cell, 1040 steps of n = 10, p = 1, and short p = 1 runs
+        # whose blocks are shorter than _SCAN_BLOCK
+        assert route(1040, 10, 1) == ("scan", 4, 0)
+        assert route(300, 40, 1) == ("scan", 3, 0)
+        assert route(300, 64, 1) == ("scan", 2, 0)
         # sweep-n100 keeps its chunks, p > 1 at n = 100 the per-step loop
         assert route(1040, 100, 1)[0] == "chunks"
         assert route(1040, 100, 3) == ("loop", 1, 0)
+        # p > 1 below the chunks: the one block loop
+        assert route(1040, 10, 3) == ("loop", 12, 0)
+        assert route(1040, 30, 6) == ("loop", 4, 0)
         # the infer-lags pool: n = 30, delta = 5, N = 10 000 and its burn-in
         config = GraphConfig(model="gnm", n=30, d_e=0.2, r_e=0.5, delta=5)
         params = SDDParams(delta=5, n_obs=10_000)
@@ -523,6 +531,13 @@ class TestScan:
             graph = assign_lags(gen_graph_non_nilpotent(config, rng), 5, rng)
             t_total = burn_of(normalize_adjacency(graph)[1], params) + 10_000
             assert route(t_total, 30, 6)[0] == "chunks"
+
+    def test_block_loop_matches_per_step_loop(self):
+        # n = 30, p = 6 on 1040 steps, which the one loop at L = 4 carries
+        rng = np.random.default_rng(30)
+        w = rng.standard_normal((6, 30, 30)) * (0.5 / (6 * np.sqrt(30)))
+        noise = rng.standard_normal((1040, 30))
+        assert_blocked_matches(sdd_recurrence(w, noise), per_step_recurrence(w, noise))
 
     def test_paper_cell_runs_the_scan(self, monkeypatch):
         carried = []

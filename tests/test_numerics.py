@@ -72,7 +72,7 @@ def bracket_root(a, max_iter=None):
     shift = numerics._PERRON_SHIFT * float(a.sum() - diag.sum()) / n - float(diag.min())
     b = a + shift * np.eye(n)
     x = np.ones(n)
-    for _ in range(max_iter or numerics._PERRON_ITER_PER_N * n):
+    for _ in range(max_iter or n):
         y = b @ x
         keep = x >= numerics._PERRON_FLOOR
         hi = float((y / x).max())
