@@ -68,13 +68,13 @@ from .numerics import (
 )
 from .pem import (
     AUTO,
-    LagStack,
     PEMMatrix,
     alpha_lccf,
     alpha_lcrc,
     compute_pem,
     compute_pems,
     estimate_tau_inv,
+    lagged_corrs,
     load_pem,
     pem_gc,
     sample_lagged_cov,

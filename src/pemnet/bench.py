@@ -57,12 +57,17 @@ def derive_seed(*parts: int) -> int:
     return x
 
 
+def check_edge_count(n: int, m: int) -> None:
+    """Refuse an edge count that n nodes cannot hold, m outside [1, n(n - 1)]."""
+    if not 1 <= m <= n * (n - 1):
+        raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
+
+
 def _top_m_mask(values: np.ndarray, m: int) -> np.ndarray:
     """(n, n) mask of the m largest off-diagonal entries of a score matrix with
     finite off-diagonal entries; ties break by ascending (row, column)."""
     n = values.shape[0]
-    if not 1 <= m <= n * (n - 1):
-        raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
+    check_edge_count(n, m)
     keys = -values.ravel()  # row-major positions
     keys[:: n + 1] = np.inf  # the diagonal ranks below every score
     kth = np.partition(keys, m - 1)[m - 1]
@@ -101,8 +106,7 @@ def baseline_accuracy(n: int, m: int) -> float:
     With density d = m / (n(n-1)), the expectation is 1 - 2d(1-d): false
     positives and false negatives come in pairs under the known-m protocol.
     """
-    if not 1 <= m <= n * (n - 1):
-        raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
+    check_edge_count(n, m)
     d = m / (n * (n - 1))
     return 1.0 - 2.0 * d * (1.0 - d)
 
@@ -159,12 +163,10 @@ def run_trial(
     """One seeded trial: sample, simulate, score each requested edge measure.
 
     delta_hat defaults to the true max lag; dt_tau defaults to the true dt/tau
-    (pass AUTO to estimate it from the data). The measures read one lag stack
-    (see compute_pems): one centering, one pass for lags 0..max(delta_hat + 1, 1),
-    and dt/tau estimated at most once. Each is thresholded with
-    the true edge count and scored on masks. Deterministic given the seed,
-    except for wall_time_s: the time of the work that measure read, its lags,
-    the dt/tau estimate and its own scoring, independent of the order of pems.
+    (pass AUTO to estimate it from the data). One compute_pems call scores the
+    measures, each thresholded with the true edge count and scored on masks.
+    Deterministic given the seed, except for wall_time_s: the seconds that
+    compute_pems charges the measure, independent of the order of pems.
     """
     if config.delta != params.delta:
         raise ConfigurationError(
@@ -237,6 +239,8 @@ class SweepSpec:
                 if not kept:
                     raise ConfigurationError(
                         f"sweep value {v!r} for {key!r} is not of type {conv.__name__}")
+                if key == "delta_hat" and conv(v) < 0:  # the one key no config checks
+                    raise ConfigurationError(f"delta_hat must be >= 0, got {v}")
         if self.trials < 1:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
         if self.jobs < 1:
@@ -287,7 +291,7 @@ def _sweep_task(args):
 
 def sweep(spec: SweepSpec) -> list[TrialRecord]:
     """Run spec.trials trials of each cell, trial t of cell i seeded by
-    derive_seed(spec.seed, i, t); serial, or in spec.jobs worker processes.
+    derive_seed(spec.seed, i, t); serial, or in up to spec.jobs worker processes.
 
     Failures become records with a non-empty error field. Records come cell by
     cell, trial by trial, one per measure, whatever the number of jobs. Every
@@ -300,9 +304,10 @@ def sweep(spec: SweepSpec) -> list[TrialRecord]:
         for cell_index, setup in enumerate(setups)
         for trial in range(spec.trials)
     ]
-    if spec.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    workers = min(spec.jobs, len(tasks))  # a pool starts all its workers at once
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_task, tasks, chunksize=4))
     else:
         chunks = [_sweep_task(t) for t in tasks]

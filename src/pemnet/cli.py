@@ -142,12 +142,17 @@ def cmd_simulate(args) -> int:
 def cmd_infer(args) -> int:
     ts = load_time_series(args.ts)
     truth = load_edge_list(args.truth) if args.truth else None
+    # every refusal comes before scoring, so that it writes no file
     if truth is not None:
+        if truth.n != ts.n:
+            raise ConfigurationError(f"size mismatch: series n={ts.n}, truth n={truth.n}")
         if args.m is not None and args.m != truth.m:
             raise ConfigurationError(
                 f"--m {args.m} disagrees with the {truth.m} edges of --truth {args.truth}"
             )
         args.m = truth.m  # the edge count used, whether from --m or --truth
+    if args.m is not None:
+        bench.check_edge_count(ts.n, args.m)
     _echo(args, ["ts", "pem", "dt_tau", "delta_hat", "m", "truth", "edges_out", "out"])
     t0 = time.perf_counter()
     pem = compute_pem(ts, args.pem, dt_tau=args.dt_tau, delta_hat=args.delta_hat)

@@ -1,11 +1,9 @@
 """Pairwise edge measures computed from time series.
 
-compute_pem scores a series with one measure and compute_pems with several, as
-in one trial; they are the one way to score. Entry (i, j) scores the directed
-edge j -> i, matching <x_{t+k*dt} x_t^T>; the diagonal is NaN and not ranked.
-The lc family reads a LagStack, which centers the series once and builds every
-lag it needs in one pass of sample_lagged_cov, the one lag kernel, and an
-estimated dt/tau at most once.
+compute_pems scores a series with several measures, as in one trial, and
+compute_pem with one. Entry (i, j) scores the directed edge j -> i, matching
+<x_{t+k*dt} x_t^T>; the diagonal is NaN and not ranked. The lc family reads
+lagged_corrs: one centering and one pass of sample_lagged_cov, the lag kernel.
 """
 
 from __future__ import annotations
@@ -78,11 +76,15 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ConfigurationError(f"lag must be >= 0, got {k_max}")
     if n_obs - k_max < 2:
-        # name the first lag that does not fit
-        raise DataError(f"need N - k >= 2, got N={n_obs}, k={n_obs - 1}")
+        raise _too_short(n_obs)
     if n > 1 and x.size >= _BLOCKED_MIN_VALUES and (k_max + 1) * n <= _BLOCKED_MAX_GRAM:
         return _blocked_lagged_cov(x, k_max)
     return np.stack([x[k:].T @ x[: n_obs - k] / (n_obs - k - 1) for k in range(k_max + 1)])
+
+
+def _too_short(n_obs: int) -> DataError:
+    """The error of a lag past N - 2; it names the first lag that does not fit."""
+    return DataError(f"need N - k >= 2, got N={n_obs}, k={n_obs - 1}")
 
 
 def _blocked_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
@@ -115,70 +117,20 @@ def _blocked_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     return sums / (n_obs - 1 - np.arange(b))[:, None, None]
 
 
-class LagStack:
-    """Lag-k covariances S_k and correlations C_k of one series, k = 0..depth.
-
-    The measures of one call share a stack. On first read it centers the series
-    and builds every lag up to depth in one sample_lagged_cov pass; it
-    estimates dt/tau at most once. depth is the deepest lag the caller will
-    read, capped at N - 2, the deepest the series has: a short series still
-    serves its shallow reads, and a read past the cap raises the kernel's
-    DataError. A deeper read than depth builds the stack again. Nothing is kept
-    on the TimeSeries. seconds holds each part's build time ("lags", "tau") and
-    reads the parts read, to charge a measure for what it read.
-    """
-
-    def __init__(self, ts: TimeSeries, depth: int = 1):
-        self.ts, self.depth = ts, min(depth, ts.n_obs - 2)
-        self.covs = self.corrs = None
-        self.seconds, self.reads = {}, set()
-        self._flat = None  # the DataError of a zero-variance node
-        self._tau = None  # (dt/tau, flags), or the DataError of the estimate
-
-    def lags(self, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """(S_0..S_k_max, C_0..C_k_max) as (k_max + 1, n, n) stacks. A node whose
-        lag-0 variance is within the roundoff of centering its mean (a constant
-        column) raises DataError, on this and every later read."""
-        if k_max < 0:
-            raise ConfigurationError(f"max lag must be >= 0, got {k_max}")
-        if self.covs is None or k_max >= len(self.covs):
-            self._build(max(k_max, self.depth))
-        self.reads.add("lags")
-        return self.covs[: k_max + 1], self.corrs[: k_max + 1]
-
-    def _build(self, k_max: int) -> None:
-        if self._flat is not None:
-            raise self._flat
-        t0 = time.perf_counter()
-        mean = self.ts.values.mean(axis=0)
-        covs = sample_lagged_cov(self.ts.values - mean, k_max)
-        var = np.diagonal(covs[0])
-        roundoff = self.ts.n_obs * np.finfo(float).eps * np.abs(mean)
-        bad = np.flatnonzero(var <= roundoff**2)
-        if bad.size:
-            self._flat = DataError(f"node {bad[0]} has zero variance; "
-                                   "correlations undefined")
-            raise self._flat
-        scale = np.sqrt(var)
-        self.covs, self.corrs = covs, covs / np.outer(scale, scale)
-        self.seconds["lags"] = self.seconds.get("lags", 0.0) + time.perf_counter() - t0
-
-    def estimated_dt_tau(self) -> tuple[float, tuple[str, ...]]:
-        """dt/tau from S_0 and S_1 (see estimate_tau_inv), with its flags."""
-        covs = self.lags(1)[0]
-        if self._tau is None:
-            t0 = time.perf_counter()
-            try:
-                est = estimate_tau_inv(self.ts, covs)
-                self._tau = est.dt_tau, ("dt_tau_clamped",) if est.clamped else ()
-            except DataError as exc:
-                self._tau = DataError(f"automatic dt/tau estimation failed ({exc}); "
-                                      "pass dt_tau explicitly")
-            self.seconds["tau"] = time.perf_counter() - t0
-        self.reads.add("tau")
-        if isinstance(self._tau, DataError):
-            raise self._tau
-        return self._tau
+def lagged_corrs(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S_0..S_k_max, C_0..C_k_max), the lag-k covariances and correlations of
+    ts as (k_max + 1, n, n) stacks, from one centering and one
+    sample_lagged_cov pass. A node whose lag-0 variance is within the roundoff
+    of centering its mean (a constant column) raises DataError."""
+    mean = ts.values.mean(axis=0)
+    covs = sample_lagged_cov(ts.values - mean, k_max)
+    var = np.diagonal(covs[0])
+    roundoff = ts.n_obs * np.finfo(float).eps * np.abs(mean)
+    bad = np.flatnonzero(var <= roundoff**2)
+    if bad.size:
+        raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
+    scale = np.sqrt(var)
+    return covs, covs / np.outer(scale, scale)
 
 
 def alpha_lccf(dt_tau: float) -> float:
@@ -220,7 +172,7 @@ def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInver
     """
     if ts.n_obs < ts.n + 2:
         raise DataError(f"need N >= n + 2 for the estimate, got N={ts.n_obs}, n={ts.n}")
-    s0, s1 = (LagStack(ts).lags(1)[0] if covs is None else covs)[:2]
+    s0, s1 = (lagged_corrs(ts, 1)[0] if covs is None else covs)[:2]
     try:
         m = np.linalg.solve(s0.T, s1.T).T
     except np.linalg.LinAlgError as exc:
@@ -280,67 +232,104 @@ def _log_rss(y: np.ndarray, design: np.ndarray) -> float | None:
     return None if rss <= 0.0 else math.log(rss)
 
 
-def compute_pem(
-    ts: TimeSeries, kind: str, dt_tau=AUTO, delta_hat: int = 0
-) -> PEMMatrix:
-    """Score every ordered pair of ts with one measure: lc is the lag-1 correlation
-    C_1; lccf and lcrc are the max over assumed edge lags d <= delta_hat of
-    C_(1+d) - alpha C_d, where alpha_lccf (alpha_lcrc) cancels the shared-driver
-    (reversed-edge) motif; gc is pem_gc at p_hat = delta_hat + 1. Every kind needs
-    delta_hat >= 0. dt_tau, read by lccf and lcrc only, lies in (0, 1] or is AUTO
-    (estimate_tau_inv)."""
-    return _score(LagStack(ts, _depth([kind], delta_hat)), kind, dt_tau, delta_hat)
-
-
-def _depth(kinds, delta_hat: int) -> int:
-    """The deepest lag that the lc-family kinds among kinds read."""
-    return max((1 if kind == "lc" else delta_hat + 1 for kind in kinds
-                if kind in ("lc", "lccf", "lcrc")), default=0)
-
-
-def _score(stack: LagStack, kind: str, dt_tau, delta_hat: int) -> PEMMatrix:
-    if delta_hat < 0:
-        raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
-    if kind == "gc":
-        return pem_gc(stack.ts, p_hat=delta_hat + 1)
-    if kind == "lc":
-        return PEMMatrix(_with_nan_diagonal(stack.lags(1)[1][1]), "lc")
-    if kind not in ("lccf", "lcrc"):
-        raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
-    z = None if dt_tau == AUTO else _check_dt_tau(dt_tau)
-    corrs = stack.lags(delta_hat + 1)[1]
-    z, flags = stack.estimated_dt_tau() if z is None else (z, ())
-    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z)
-    best = (corrs[1:] - alpha * corrs[:-1]).max(axis=0)
-    params = {"dt_tau": z, "delta_hat": delta_hat, "alpha": alpha}
-    return PEMMatrix(_with_nan_diagonal(best), kind, params, flags)
+def compute_pem(ts: TimeSeries, kind: str, dt_tau=AUTO, delta_hat: int = 0) -> PEMMatrix:
+    """compute_pems for one kind: its matrix, or the PemnetError it raised."""
+    result = compute_pems(ts, [kind], dt_tau, delta_hat)[kind][0]
+    if isinstance(result, PemnetError):
+        raise result
+    return result
 
 
 def compute_pems(
     ts: TimeSeries, kinds, dt_tau=AUTO, delta_hat: int = 0
 ) -> dict[str, tuple[PEMMatrix | PemnetError, float]]:
-    """compute_pem for each kind, all reading one LagStack of ts.
+    """Score every ordered pair of ts with each of kinds, as one trial does.
 
-    The stack is one lag pass at the depth of the deepest kind. Maps each kind
-    to its matrix, or the PemnetError it raised, and the seconds of the work it
-    read: its own call, plus the parts of the stack it read that an earlier
-    kind built. So a kind's time does not depend on the order of kinds; lc,
-    beside lccf or lcrc at delta_hat > 0, is charged the whole shared pass,
-    deeper than its own lag 1; and gc, which reads no stack, keeps its own
-    timer.
+    lc is the lag-1 correlation C_1; lccf and lcrc are the max over assumed
+    edge lags d <= delta_hat of C_(1+d) - alpha C_d, where alpha_lccf
+    (alpha_lcrc) cancels the shared-driver (reversed-edge) motif; gc is pem_gc
+    at p_hat = delta_hat + 1. Every kind needs delta_hat >= 0. dt_tau, read by
+    lccf and lcrc only, lies in (0, 1] or is AUTO (estimate_tau_inv).
+
+    A kind whose configuration or lags (N - 2 at most) fail _reads fails before
+    any covariance. The lc family reads one lagged_corrs stack, as deep as its
+    deepest kind, and dt/tau estimated once if some kind reads AUTO. Maps each
+    kind to its matrix, or the PemnetError it raised, and the seconds of its
+    own scoring plus the shared parts it reads, whatever the order of kinds.
     """
-    kinds = tuple(kinds)
-    stack, out = LagStack(ts, _depth(kinds, delta_hat)), {}
+    kinds, reads, out = tuple(kinds), {}, {}
     for kind in kinds:
-        stack.reads, built = set(), dict(stack.seconds)
+        try:
+            reads[kind] = _reads(kind, dt_tau, delta_hat, ts.n_obs)
+        except PemnetError as exc:
+            out[kind] = exc, 0.0
+    depth = max((lag for lag, _ in reads.values()), default=0)
+    stack = _timed(lagged_corrs, ts, depth) if depth else (None, 0.0)
+    tau = None, 0.0  # each shared part is (its value or DataError, seconds)
+    if any(est for _, est in reads.values()) and not isinstance(stack[0], DataError):
+        tau = _timed(_estimated_dt_tau, ts, stack[0][0])
+    for kind, (lag, est) in reads.items():
         t0 = time.perf_counter()
         try:
-            result = _score(stack, kind, dt_tau, delta_hat)
+            result = _score(ts, kind, stack[0], tau[0] if est else (dt_tau, ()), delta_hat)
         except PemnetError as exc:
             result = exc
-        reused = sum(built[part] for part in built.keys() & stack.reads)
-        out[kind] = result, time.perf_counter() - t0 + reused
-    return out
+        shared = (stack[1] if lag else 0.0) + (tau[1] if est else 0.0)
+        out[kind] = result, time.perf_counter() - t0 + shared
+    return {kind: out[kind] for kind in kinds}
+
+
+def _reads(kind: str, dt_tau, delta_hat: int, n_obs: int) -> tuple[int, bool]:
+    """(the deepest lag kind reads, 0 for gc; whether it reads the dt/tau estimate).
+    A bad configuration raises ConfigurationError, a lag past N - 2 DataError."""
+    if delta_hat < 0:
+        raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
+    if kind not in PEM_KINDS:
+        raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
+    corrected = kind in ("lccf", "lcrc")
+    if corrected and dt_tau != AUTO:
+        _check_dt_tau(dt_tau)
+    lag = delta_hat + 1 if corrected else int(kind == "lc")
+    if lag > n_obs - 2:
+        raise _too_short(n_obs)
+    return lag, corrected and dt_tau == AUTO
+
+
+def _timed(build, *args):
+    """(build(*args), or the DataError it raised, and its seconds)."""
+    t0 = time.perf_counter()
+    try:
+        value = build(*args)
+    except DataError as exc:
+        value = exc
+    return value, time.perf_counter() - t0
+
+
+def _estimated_dt_tau(ts: TimeSeries, covs: np.ndarray) -> tuple[float, tuple[str, ...]]:
+    """dt/tau from S_0 and S_1 (see estimate_tau_inv), with its flags."""
+    try:
+        est = estimate_tau_inv(ts, covs)
+    except DataError as exc:
+        raise DataError(f"automatic dt/tau estimation failed ({exc}); "
+                        "pass dt_tau explicitly")
+    return est.dt_tau, ("dt_tau_clamped",) if est.clamped else ()
+
+
+def _score(ts: TimeSeries, kind: str, stack, tau, delta_hat: int) -> PEMMatrix:
+    """kind scored from the shared (covs, corrs) stack and (dt/tau, flags); a
+    shared part whose build failed raises its DataError."""
+    if kind == "gc":
+        return pem_gc(ts, p_hat=delta_hat + 1)
+    for part in (stack, tau):
+        if isinstance(part, DataError):
+            raise part
+    corrs, (z, flags) = stack[1], tau
+    if kind == "lc":
+        return PEMMatrix(_with_nan_diagonal(corrs[1]), "lc")
+    alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z)
+    best = (corrs[1 : delta_hat + 2] - alpha * corrs[: delta_hat + 1]).max(axis=0)
+    params = {"dt_tau": float(z), "delta_hat": delta_hat, "alpha": alpha}
+    return PEMMatrix(_with_nan_diagonal(best), kind, params, flags)
 
 
 def save_pem(pem: PEMMatrix, path: str) -> None:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import importlib.util
 import sys
@@ -398,6 +399,31 @@ class TestSweep:
         assert [r.accuracy for r in a] == [r.accuracy for r in b]
         assert [r.seed for r in a] == [r.seed for r in b]
 
+    @pytest.mark.parametrize("jobs, trials, workers", [(64, 1, []), (8, 3, [3]), (2, 3, [2])])
+    def test_pool_no_larger_than_its_tasks(self, monkeypatch, jobs, trials, workers):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        spec = SweepSpec(grid={"n": [5]}, trials=trials, seed=6, pems=("lc",), jobs=jobs)
+        records = sweep(spec)
+        assert sizes == workers
+        assert without_wall_time(records) == without_wall_time(
+            sweep(dataclasses.replace(spec, jobs=1)))
+
     def test_failures_recorded_and_sweep_continues(self):
         spec = SweepSpec(grid={"sigma": [0.0, 0.2]}, trials=2, seed=5,
                          pems=("lc",))
@@ -419,6 +445,11 @@ class TestSweep:
         assert len(fields) == len(SWEEP_CSV_HEADER.split(","))
         assert fields[0] == "gnm"
         assert fields[-1] == ""  # empty error column on success
+
+    @pytest.mark.parametrize("values", [[-1], [0, "-2"]])
+    def test_rejects_negative_delta_hat(self, values):
+        with pytest.raises(ConfigurationError, match="delta_hat must be >= 0"):
+            SweepSpec(grid={"delta_hat": values})
 
     def test_rejects_unknown_grid_key(self):
         with pytest.raises(ConfigurationError):

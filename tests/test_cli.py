@@ -158,6 +158,22 @@ class TestInfer:
         assert not out.exists()
         assert "--m 30 disagrees with the 45 edges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [0, 91, 500])
+    def test_edge_count_out_of_range_exits_2_before_scoring(self, tmp_path, capsys, m):
+        _, ts = self.make_inputs(tmp_path)
+        out = tmp_path / "pem.txt"
+        assert run(["infer", "--ts", ts, "--pem", "lc", "--m", m, "--out", out]) == 2
+        assert not out.exists()
+        assert f"edge count {m} outside [1, 90]" in capsys.readouterr().err
+
+    def test_truth_of_another_size_exits_2_before_scoring(self, tmp_path, capsys):
+        _, ts = self.make_inputs(tmp_path)
+        g12, out = tmp_path / "g12.txt", tmp_path / "pem.txt"
+        run(["generate", "--n", 12, "--seed", 3, "--out", g12])
+        assert run(["infer", "--ts", ts, "--truth", g12, "--out", out]) == 2
+        assert not out.exists()
+        assert "size mismatch: series n=10, truth n=12" in capsys.readouterr().err
+
     def test_gc_measure(self, tmp_path):
         g, ts = self.make_inputs(tmp_path)
         out = tmp_path / "pem.txt"
@@ -284,6 +300,7 @@ class TestConfigurationErrors:
         (["sweep", "--trials", 0], "need trials >= 1"),
         (["sweep", "--jobs", 0, "--trials", 1], "need jobs >= 1"),
         (["sweep", "--jobs", -2, "--trials", 1], "need jobs >= 1"),
+        (["sweep", "--delta-hat-list", "-1", "--trials", 2], "delta_hat must be >= 0"),
         (["motif-table", "--n", 0], "got n=0, tau=1.0"),
         (["sweep", "--eps-list", "0.5,-1", "--trials", 200],
          "coupling strength must be >= 0"),

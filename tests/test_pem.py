@@ -14,13 +14,13 @@ import pemnet.pem
 from pemnet.pem import (
     AUTO,
     PEM_KINDS,
-    LagStack,
     PEMMatrix,
     alpha_lccf,
     alpha_lcrc,
     compute_pem,
     compute_pems,
     estimate_tau_inv,
+    lagged_corrs,
     load_pem,
     pem_gc,
     sample_lagged_cov,
@@ -135,18 +135,18 @@ class TestSampleLaggedCorr:
     def test_unit_diagonal_exact(self):
         rng = np.random.default_rng(2)
         ts = TimeSeries(values=rng.standard_normal((500, 4)), dt=1.0)
-        assert_allclose(np.diag(LagStack(ts).lags(0)[1][0]), 1.0, rtol=1e-14)
+        assert_allclose(np.diag(lagged_corrs(ts, 0)[1][0]), 1.0, rtol=1e-14)
 
     def test_lag0_symmetry(self):
         rng = np.random.default_rng(3)
         ts = TimeSeries(values=rng.standard_normal((500, 4)), dt=1.0)
-        r0 = LagStack(ts).lags(0)[1][0]
+        r0 = lagged_corrs(ts, 0)[1][0]
         assert np.abs(r0 - r0.T).max() < 1e-14
 
     def test_memoryful_autocorrelation(self):
         params = SDDParams(n_obs=100_000)  # dt_tau = 0.5
         ts = simulate_sdd(zero_mats(), params, np.random.default_rng(4))
-        r1 = LagStack(ts).lags(1)[1][1]
+        r1 = lagged_corrs(ts, 1)[1][1]
         assert np.abs(np.diag(r1) - 0.5).max() < 4.0 / np.sqrt(ts.n_obs)
 
     def test_zero_variance_names_node(self):
@@ -154,7 +154,7 @@ class TestSampleLaggedCorr:
         values[:, 1] = 2.5
         ts = TimeSeries(values=values, dt=1.0)
         with pytest.raises(DataError, match="node 1"):
-            LagStack(ts).lags(0)
+            lagged_corrs(ts, 0)
 
     @pytest.mark.parametrize("n_obs", [1000, 40_000])
     def test_constant_node_is_named_on_either_path(self, n_obs):
@@ -163,7 +163,7 @@ class TestSampleLaggedCorr:
         ts = TimeSeries(values=values, dt=1.0)
         assert takes_blocked_pass(values, 4) == (n_obs == 40_000)
         with pytest.raises(DataError, match="node 3 has zero variance"):
-            LagStack(ts, 4).lags(4)
+            lagged_corrs(ts, 4)
 
     @pytest.mark.parametrize("n_obs", [997, 1000, 10_000])
     @pytest.mark.parametrize("level", [0.1, 1.0 / 3.0, 7.1])
@@ -182,7 +182,7 @@ class TestSampleLaggedCorr:
     def test_stack_shape_and_lags(self):
         rng = np.random.default_rng(13)
         ts = TimeSeries(values=rng.standard_normal((300, 4)), dt=1.0)
-        corrs = np.stack(LagStack(ts).lags(3)[1])
+        corrs = np.stack(lagged_corrs(ts, 3)[1])
         assert corrs.shape == (4, 4, 4)
         for k in range(4):
             assert np.array_equal(corrs[k], corr_reference(ts, k))
@@ -190,7 +190,7 @@ class TestSampleLaggedCorr:
     def test_negative_max_lag(self):
         ts = TimeSeries(values=np.zeros((10, 2)), dt=1.0)
         with pytest.raises(ConfigurationError):
-            LagStack(ts).lags(-1)
+            lagged_corrs(ts, -1)
 
 
 def corr_reference(ts, k):
@@ -301,6 +301,22 @@ class TestLagStack:
         assert isinstance(got["lccf"][0], DataError)
         assert str(got["lccf"][0]) == "need N - k >= 2, got N=6, k=5"
 
+    def test_mixed_kinds_check_every_configuration_first(self, ts, monkeypatch):
+        # a bad kind gets its own error; the good ones still share one pass,
+        # and a call with no good kind makes none
+        lags = []
+        real = pemnet.pem.sample_lagged_cov
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov",
+                            lambda x, k: lags.append(k) or real(x, k))
+        got = compute_pems(ts, ["lc", "bogus", "lcrc"], dt_tau=AUTO, delta_hat=2)
+        assert list(got) == ["lc", "bogus", "lcrc"]
+        assert isinstance(got["bogus"][0], ConfigurationError)
+        assert isinstance(got["lc"][0], PEMMatrix) and isinstance(got["lcrc"][0], PEMMatrix)
+        assert lags == [3]
+        got = compute_pems(ts, ["bogus", "lccf"], dt_tau=1.5)
+        assert all(isinstance(result, ConfigurationError) for result, _ in got.values())
+        assert lags == [3]
+
     # delta_hat < 0 is refused for every kind; the lcrc cases keep their ids
     CONFIG_ERRORS = [(0.5, -1, kind) for kind in PEM_KINDS] + [(1.5, 0, "lcrc"),
                                                               (0.0, 3, "lcrc")]
@@ -396,7 +412,7 @@ class TestPemCorrected:
         ts = simulate_sdd(ring_mats(), SDDParams(), np.random.default_rng(9))
         alpha = alpha_lccf(0.5)
         got = compute_pem(ts, "lccf", dt_tau=0.5, delta_hat=0).values
-        want = compute_pem(ts, "lc").values - alpha * LagStack(ts).lags(0)[1][0]
+        want = compute_pem(ts, "lc").values - alpha * lagged_corrs(ts, 0)[1][0]
         assert np.abs(off_diag(got) - off_diag(want)).max() < 1e-14
 
     def test_lcrc_equals_lccf_at_unit_dt_tau(self):
