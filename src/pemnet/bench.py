@@ -71,9 +71,9 @@ def _top_m_mask(values: np.ndarray, m: int) -> np.ndarray:
     keys = -values.ravel()  # row-major positions
     keys[:: n + 1] = np.inf  # the diagonal ranks below every score
     kth = np.partition(keys, m - 1)[m - 1]
-    candidates = np.flatnonzero(keys <= kth)
-    mask = np.zeros(n * n, dtype=bool)
-    mask[candidates[np.argsort(keys[candidates], kind="stable")[:m]]] = True
+    mask = keys < kth  # fewer than m; the ties at kth fill the rest in position order
+    ties = np.flatnonzero(keys == kth)
+    mask[ties[: m - np.count_nonzero(mask)]] = True
     return mask.reshape(n, n)
 
 

@@ -101,14 +101,17 @@ def _block_operators(w: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray 
         x[p + t] = w_rev @ x[t : t + p].reshape(p * n, p * n)
     g = x[p:].reshape(block * n, p * n)
     # A unit noise input at step 0 acts later like the newest history row, so
-    # H_1 ... H_{block-1} are G's last n columns. Column block j of the
-    # Toeplitz operator is the column (H_0; ...; H_{block-1}) shifted down j
-    # blocks: a window over that column behind block - 1 zero blocks.
-    shifted = np.concatenate([
-        np.zeros(((block - 1) * n, n)), np.eye(n), g[: (block - 1) * n, (p - 1) * n :]
-    ])
-    windows = sliding_window_view(shifted, block * n, axis=0)[::n][::-1]
-    return g, windows.reshape(block * n, block * n).T
+    # H_1 ... H_{block-1} are G's last n columns. Block (i, j) of the Toeplitz
+    # operator is H_{i-j}: H_0 = I on the diagonal, and below it column block
+    # j is H_1 ... H_{block-1-j}, one slice each. It is built as its transpose,
+    # which the noise GEMM reads row-major.
+    h_t = g[: (block - 1) * n, (p - 1) * n :].T
+    rows = block * n
+    op_t = np.zeros((rows, rows))
+    op_t.flat[:: rows + 1] = 1.0
+    for j in range(block - 1):
+        op_t[j * n : (j + 1) * n, (j + 1) * n :] = h_t[:, : rows - (j + 1) * n]
+    return g, op_t.T
 
 
 def sdd_recurrence(w: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -320,20 +323,32 @@ class TimeSeries:
 
 
 def step_matrices(lag_mats: list[np.ndarray], params: SDDParams) -> np.ndarray:
-    """Stack of per-lag update matrices W_k, padded to order params.delta + 1."""
+    """Stack of per-lag update matrices W_k, padded to order params.delta + 1.
+
+    Raises ConfigurationError, naming the lag, for a coupling matrix that is
+    not square, not the shape of the lag-0 one, or holds a NaN or inf.
+    """
     if not lag_mats:
         raise ConfigurationError("need at least one coupling matrix")
-    n = lag_mats[0].shape[0]
+    shape = np.shape(lag_mats[0])
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ConfigurationError(f"coupling matrix at lag 0 must be square, got shape {shape}")
+    n = shape[0]
     if len(lag_mats) - 1 > params.delta:
         raise ConfigurationError(
             f"graph has lags up to {len(lag_mats) - 1} but params.delta={params.delta}"
         )
     z = params.dt_tau
-    p = params.delta + 1
-    w = np.zeros((p, n, n))
-    w[0] = (1.0 - z) * np.eye(n) + z * params.eps * lag_mats[0]
-    for k in range(1, len(lag_mats)):
-        w[k] = z * params.eps * lag_mats[k]
+    w = np.zeros((params.delta + 1, n, n))
+    for k, a in enumerate(lag_mats):
+        if np.shape(a) != shape:
+            raise ConfigurationError(
+                f"coupling matrix at lag {k} has shape {np.shape(a)}, "
+                f"but the one at lag 0 has {shape}")
+        if not np.isfinite(a).all():
+            raise ConfigurationError(f"coupling matrix at lag {k} has non-finite entries")
+        w[k] = z * params.eps * a
+    w[0] += (1.0 - z) * np.eye(n)
     return w
 
 

@@ -196,10 +196,23 @@ def gen_gnm(config: GraphConfig, rng: np.random.Generator) -> DirectedGraph:
             f"infeasible targets: {p} reciprocal + {s} single pairs exceed "
             f"{n_pairs} unordered pairs (n={n}, m={m})"
         )
-    first, second = np.triu_indices(n, 1)  # itertools.combinations order
-    chosen = rng.choice(n_pairs, size=p + s, replace=False)
-    return _oriented(n, first[chosen], second[chosen], np.arange(p + s) < p,
-                     config.delta, rng)
+    first, second = _pair_at(n, rng.choice(n_pairs, size=p + s, replace=False))
+    return _oriented(n, first, second, np.arange(p + s) < p, config.delta, rng)
+
+
+def _pair_at(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (first, second), first < second, at the given positions of
+    the n(n-1)/2 pairs of range(n) in itertools.combinations order.
+
+    Row i starts at s(i) = i (b - i) / 2 with b = 2n - 1, so the row of t is
+    floor((b - sqrt(b^2 - 8t)) / 2). At a row start b^2 - 8t is an odd
+    square and the root is exact; elsewhere it differs from every odd square
+    by 8 or more, which keeps the root clear of the square's root by more
+    than its rounding error while 4n^2 < 2^53, so the floor is exact.
+    """
+    b = 2 * n - 1
+    first = ((b - np.sqrt(b * b - 8 * index)) // 2).astype(np.int64)
+    return first, index - first * (b - first) // 2 + first + 1
 
 
 def _ring_lattice_pairs(n: int, n_edges: int, rng: np.random.Generator) -> list[Edge]:
@@ -346,9 +359,13 @@ def gen_graph_non_nilpotent(config: GraphConfig, rng: np.random.Generator) -> Di
 
 
 def assign_lags(g: DirectedGraph, delta: int, rng: np.random.Generator) -> DirectedGraph:
-    """Assign each edge an independent lag uniform on {0, ..., delta}."""
+    """Assign each edge an independent lag uniform on {0, ..., delta}.
+
+    At delta = 0 nothing is drawn, and a graph of delta 0 is returned itself."""
     if delta < 0:
         raise ConfigurationError(f"delta must be >= 0, got {delta}")
+    if not delta and not g.delta:  # every lag is 0 already
+        return g
     lag = np.where(g.mask, 0, NO_EDGE)
     if delta:  # one draw per edge, in (source, target) order
         lag.T[g.mask.T] = rng.integers(0, delta + 1, size=g.m)

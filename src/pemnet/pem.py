@@ -37,8 +37,9 @@ class PEMMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DataError(f"PEM matrix must be square, got shape {values.shape}")
-        off = ~np.eye(values.shape[0], dtype=bool)
-        if not np.isfinite(values[off]).all():
+        finite = np.isfinite(values)
+        finite.flat[:: values.shape[0] + 1] = True  # the diagonal is unused
+        if not finite.all():
             raise DataError("PEM matrix has non-finite off-diagonal entries")
         object.__setattr__(self, "values", values)
 

@@ -295,6 +295,18 @@ class TestSimulate:
         with pytest.raises(ConfigurationError):
             simulate_sdd(mats, SDDParams(delta=0, n_obs=100), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("mats, message", [
+        ([np.zeros((3, 3)), np.diag([0.1, np.nan, 0.0])], "lag 1 has non-finite"),
+        ([np.full((3, 3), np.inf)], "lag 0 has non-finite"),
+        ([np.zeros((3, 2))], r"lag 0 must be square, got shape \(3, 2\)"),
+        ([np.zeros((3, 3)), np.zeros((2, 2))], r"lag 1 has shape \(2, 2\)"),
+    ])
+    def test_bad_couplings_refused_before_any_noise(self, mats, message):
+        rng, fresh = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match=message):
+            simulate_sdd(mats, SDDParams(delta=1, n_obs=100), rng)
+        assert rng.random() == fresh.random()
+
 
 def burn_of(lag_mats, params):
     """The burn-in simulate_sdd uses: the noise rows it draws beyond n_obs."""
@@ -474,6 +486,35 @@ class TestKernel:
             noise = rng.standard_normal((t_total, w.shape[1]))
             assert_blocked_matches(sdd_recurrence(w, noise),
                                    per_step_recurrence(w, noise))
+
+
+def impulse_responses(w, count):
+    """H_0 = I, H_1, ..., H_{count-1}: the recurrence stepped on a unit impulse."""
+    p, n, _ = w.shape
+    h = [np.eye(n)]
+    for t in range(1, count):
+        h.append(sum(w[k - 1] @ h[t - k] for k in range(1, min(p, t) + 1)))
+    return h
+
+
+class TestBlockOperators:
+    @pytest.mark.parametrize("block", [2, 4, 12])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_toeplitz_blocks_are_impulse_responses(self, p, block):
+        n = 5
+        w = np.random.default_rng(p).standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
+        _, op = pemnet.dynamics._block_operators(w, block)
+        assert op.shape == (block * n, block * n)
+        h = impulse_responses(w, block)
+        for i in range(block):
+            for j in range(block):
+                got = op[i * n : (i + 1) * n, j * n : (j + 1) * n]
+                if i < j:
+                    assert not got.any()
+                elif i == j:
+                    assert np.array_equal(got, np.eye(n))
+                else:
+                    assert_allclose(got, h[i - j], rtol=0, atol=1e-14)
 
 
 class TestScan:

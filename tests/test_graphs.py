@@ -15,6 +15,7 @@ from pemnet.graphs import (
     NO_EDGE,
     DirectedGraph,
     GraphConfig,
+    _pair_at,
     anticlustering,
     assign_lags,
     gen_backbone,
@@ -185,6 +186,22 @@ class TestGenGnm:
         assert g.m == 45
         assert graph_metrics(g)[1] == pytest.approx(44.0 / 45.0)
 
+    def test_pair_decode_matches_combinations_order(self):
+        for n in range(2, 201):
+            first, second = _pair_at(n, np.arange(n * (n - 1) // 2))
+            want = np.triu_indices(n, 1)
+            assert np.array_equal(first, want[0]) and np.array_equal(second, want[1])
+            assert first.dtype == second.dtype == np.int64
+
+    def test_pair_decode_at_row_ends(self):
+        # each row's first and last pair, where a rounded root would err
+        n = 3000
+        rows = np.arange(n - 1)
+        starts = rows * (2 * n - 1 - rows) // 2
+        first, second = _pair_at(n, np.concatenate([starts, starts + n - 2 - rows]))
+        assert np.array_equal(first, np.concatenate([rows, rows]))
+        assert np.array_equal(second, np.concatenate([rows + 1, np.full(n - 1, n - 1)]))
+
 
 class TestGenBackbone:
     def test_rr_lattice_targets(self):
@@ -244,8 +261,23 @@ class TestGenBackbone:
 
 class TestAssignLags:
     def test_zero_delta(self):
-        g = assign_lags(complete_graph(5), 0, np.random.default_rng(0))
-        assert set(g.lags.values()) == {0}
+        # every lag 0, the equal lag-0 graph back, and nothing drawn
+        g = complete_graph(5)
+        lagged = assign_lags(complete_graph(5), 3, np.random.default_rng(0))
+        for graph in (g, lagged):
+            rng, fresh = np.random.default_rng(4), np.random.default_rng(4)
+            out = assign_lags(graph, 0, rng)
+            assert out == g
+            assert out.delta == 0
+            assert rng.random() == fresh.random()
+
+    def test_one_draw_per_edge_in_edge_order(self):
+        g = gen_gnm(GraphConfig(n=12, d_e=0.3), np.random.default_rng(5))
+        rng, fresh = np.random.default_rng(6), np.random.default_rng(6)
+        out = assign_lags(g, 4, rng)
+        assert out.edges == g.edges
+        assert [out.lags[e] for e in g.edges] == fresh.integers(0, 5, size=g.m).tolist()
+        assert rng.random() == fresh.random()
 
     def test_support_bound(self):
         g = assign_lags(complete_graph(8), 5, np.random.default_rng(1))
