@@ -9,14 +9,15 @@ is Gaussian with variance dt / n. The recurrence runs in one numpy kernel,
 sdd_recurrence. It is linear, so L consecutive steps are one affine map of the
 p history rows and the L noise rows of a block (a blocked scan; Blelloch 1990,
 "Prefix sums and their applications"): one GEMM gives the noise response of
-every block, and G maps the p states before a block into it. _route picks L
-and one of three carries of the history from block to block by shape alone:
+every block, G maps the p states before a block into it, and M, read off G,
+to the last p states after it. _route picks L and one of three carries of the
+history from block to block by shape alone:
 
 - chunks: from _CHUNK_MIN_BLOCKS = 128 blocks of L = _BLOCK_ROWS // n steps
   on, where the carry power costs at most one pass, C chunks of
   S ~ sqrt(blocks / 2) blocks run in lockstep, one GEMM over all chunks per
   block position: a first pass from zero history gives each chunk's end
-  state, a short carry through the companion power A^(S L) gives each
+  state, a short carry through the power M^S of the state map gives each
   chunk's true starting history, and a second pass writes the states.
 - scan: otherwise at p = 1, a Hillis-Steele doubling scan (Hillis and Steele
   1986, "Data parallel algorithms") solves the carry h_{j+1} = M h_j + v_j in
@@ -57,6 +58,7 @@ from .errors import (
     StabilityError,
     _data_lines,
     _data_table,
+    _require_integers,
 )
 from .numerics import require_stable, spectral_radius
 
@@ -114,6 +116,16 @@ def _block_operators(w: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray 
     return g, op_t.T
 
 
+def _state_map(g: np.ndarray) -> np.ndarray:
+    """M, the map from the last p states before a block to the last p after
+    it, oldest first: G's last p n rows when L >= p, else the shifted history
+    rows on top of G. At L = 1 it is the companion matrix."""
+    rows, history = g.shape
+    if rows >= history:
+        return g[-history:]
+    return np.vstack((np.eye(history)[rows:], g))
+
+
 def sdd_recurrence(w: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Iterate x_t = sum_k W[k-1] @ x_{t-k} + noise_t with zero initial history.
 
@@ -124,16 +136,16 @@ def sdd_recurrence(w: np.ndarray, noise: np.ndarray) -> np.ndarray:
     _route picks L and what carries the history from block to block:
 
     - scan (L > p): the blocks' last p states from zero history, v_j, obey
-      h_{j+1} = M h_j + v_j for the true last p states h_j, with M the last
-      p n rows of G. _scan_carry solves that in ceil(log2 blocks) GEMMs, then
-      one more GEMM adds G h_j to every block.
+      h_{j+1} = M h_j + v_j for the true last p states h_j. _scan_carry
+      solves that in ceil(log2 blocks) GEMMs, then one more GEMM adds G h_j
+      to every block.
     - loop: one loop over the blocks adds G h_j to block j.
     - chunks: the blocks form C chunks of S, padded with zero noise, and a
       time-major (S, C, rows) view of them makes each step of a pass one GEMM
       over all chunks. A first pass runs every chunk from zero history and
       keeps its last p states e_c; a short carry gives the true histories
-      h_0 = 0, h_{c+1} = e_c + A^(S L) h_c (A the companion matrix); a second
-      pass runs every chunk again from h_c and writes the states.
+      h_0 = 0, h_{c+1} = e_c + M^S h_c; a second pass runs every chunk again
+      from h_c and writes the states.
     """
     p = w.shape[0]
     t_total, n = noise.shape
@@ -155,7 +167,8 @@ def sdd_recurrence(w: np.ndarray, noise: np.ndarray) -> np.ndarray:
         by_time = blocks.reshape(n_chunks, per_chunk, rows).transpose(1, 0, 2)
         g_t = np.ascontiguousarray(g.T)
         ends = _lockstep(g_t, by_time, np.zeros((n_chunks, history)))
-        _lockstep(g_t, by_time, _chunk_starts(w, ends, per_chunk * block), write=True)
+        power = np.linalg.matrix_power(_state_map(g), per_chunk)
+        _lockstep(g_t, by_time, _chunk_starts(power, ends), write=True)
     else:
         pasts = sliding_window_view(x, history)[::rows]
         for out, past in zip(blocks, pasts):
@@ -188,12 +201,12 @@ def _scan_carry(g: np.ndarray, blocks: np.ndarray, history: int) -> None:
     block is longer than the history (L > p). A Hillis-Steele doubling scan
     (Hillis and Steele 1986) carries the last p states: h_j starts as block
     j's own, v_j; after the steps s = 1, 2, 4, ..., each adding M^s h_{j-s}
-    to h_j, with M the last p n rows of G, h_j = sum over i <= j of
-    M^(j-i) v_i, the true last p states of block j.
+    to h_j, with M = _state_map(G), h_j = sum over i <= j of M^(j-i) v_i,
+    the true last p states of block j.
     """
     n_blocks = blocks.shape[0]
     h = blocks[:, -history:].copy()
-    m = g[-history:]
+    m = _state_map(g)
     step = 1
     while step < n_blocks:
         h[step:] += h[:-step] @ m.T
@@ -208,8 +221,8 @@ def _chunk_blocks(n_blocks: int, block: int, p: int, n: int) -> int:
 
     S = ceil(sqrt(n_blocks / 2)) balances the 2 S lockstep products against
     the n_blocks / S steps of the carry. Each pass costs the flops of the one
-    loop, 2 p n^2 per step; the carry power A^(S L) adds bit_length +
-    popcount - 2 products of two (p n) x (p n) matrices. Chunks run from
+    loop, 2 p n^2 per step; the carry power M^S adds bit_length + popcount
+    - 2 of S products of two (p n) x (p n) matrices. Chunks run from
     _CHUNK_MIN_BLOCKS blocks on, while the power costs at most one pass. Past
     that, at T = 1040, chunks ran at 0.8-1.2x the one loop's speed at n = 200,
     p = 1, 1.1-1.35x at n = 30, p = 3, and 0.15x at n = 100, p = 6 (kernel
@@ -218,8 +231,7 @@ def _chunk_blocks(n_blocks: int, block: int, p: int, n: int) -> int:
     if n_blocks < _CHUNK_MIN_BLOCKS:
         return 0
     per_chunk = math.ceil(math.sqrt(n_blocks / 2))
-    steps = per_chunk * block
-    products = steps.bit_length() + bin(steps).count("1") - 2
+    products = per_chunk.bit_length() + bin(per_chunk).count("1") - 2
     if products * p * p * n > n_blocks * block:
         return 0
     return per_chunk
@@ -249,13 +261,9 @@ def _lockstep(g_t: np.ndarray, blocks: np.ndarray, hist: np.ndarray,
     return hist
 
 
-def _chunk_starts(w: np.ndarray, ends: np.ndarray, steps: int) -> np.ndarray:
+def _chunk_starts(power: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """True histories h_c of the chunks from the ends e_c of the zero-history
-    pass: h_0 = 0, h_{c+1} = e_c + A^steps h_c, all oldest first."""
-    p, n, _ = w.shape
-    power = np.linalg.matrix_power(_companion(w), steps)
-    # the companion state is newest first; reverse both block orders
-    power = power.reshape(p, n, p, n)[::-1, :, ::-1].reshape(p * n, p * n)
+    pass: h_0 = 0, h_{c+1} = e_c + M^S h_c, all oldest first; power is M^S."""
     starts = np.zeros_like(ends)
     for c in range(1, len(ends)):
         np.dot(power, starts[c - 1], out=starts[c])
@@ -280,6 +288,7 @@ class SDDParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
+        _require_integers(delta=self.delta, n_obs=self.n_obs)
         if self.eps < 0:
             raise ConfigurationError(f"coupling strength must be >= 0, got {self.eps}")
         if self.tau <= 0 or self.dt <= 0:
@@ -352,18 +361,8 @@ def step_matrices(lag_mats: list[np.ndarray], params: SDDParams) -> np.ndarray:
     return w
 
 
-def _companion(w: np.ndarray) -> np.ndarray:
-    """The (p n, p n) companion matrix of the recurrence: it maps the state
-    (x_t, x_{t-1}, ..., x_{t-p+1}), newest first, one step on."""
-    p, n, _ = w.shape
-    comp = np.zeros((p * n, p * n))
-    comp[:n] = np.hstack(list(w))
-    comp[n:, : (p - 1) * n] = np.eye((p - 1) * n)
-    return comp
-
-
 def _companion_radius(w: np.ndarray) -> float:
-    return spectral_radius(_companion(w))
+    return spectral_radius(_state_map(_block_operators(w, 1)[0]))  # M at L = 1
 
 
 def simulate_sdd(
@@ -426,8 +425,8 @@ def add_measurement_noise(
     The variance matches the per-step system-noise scaling, so eta equal to the
     system noise strength is the comparable regime.
     """
-    if eta < 0:
-        raise ConfigurationError(f"measurement noise strength must be >= 0, got {eta}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ConfigurationError(f"measurement noise strength must be finite and >= 0, got {eta}")
     if eta == 0.0:
         return ts
     scale = eta * math.sqrt(ts.dt / ts.n)

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all pemnet modules, and the line and table
 readers of their file loaders."""
 
+import numbers
 from contextlib import suppress
 
 import numpy as np
@@ -36,6 +37,14 @@ class NilpotentGraphError(PemnetError):
 
 class FileFormatError(PemnetError):
     """A serialized input file does not match its expected format."""
+
+
+def _require_integers(**values) -> None:
+    """Raise ConfigurationError naming the first of the values that is no
+    integer (numpy integers pass; 10.0 does not)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def _data_lines(path: str, empty: str) -> tuple[tuple[int, str], list[tuple[int, str]]]:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigurationError, FileFormatError, NilpotentGraphError, _data_lines,
-                     _data_table)
+                     _data_table, _require_integers)
 from .numerics import _pattern_nilpotent, spectral_radius
 
 GRAPH_MODELS = ("gnm", "er", "ba", "rr", "sw")
@@ -60,20 +60,25 @@ def _checked_delta(n: int, sources, targets, lags, delta: int | None) -> int:
 class DirectedGraph:
     """A directed graph with per-edge transmission lags, held as a lag matrix.
 
-    Built from (source, target) pairs and a lags dict (a missing lag is 0), or
-    from a lag matrix with from_lag_matrix, and validated once. delta is the
-    largest lag the generating configuration allows (None: the largest one
-    assigned). lag and mask are read-only.
+    Built from (source, target) pairs and a lags dict (a missing lag is 0; a
+    lag on a pair that is not an edge is refused), or from a lag matrix with
+    from_lag_matrix, and validated once. delta is the largest lag the
+    generating configuration allows (None: the largest one assigned). lag and
+    mask are read-only.
     """
 
     def __init__(self, n: int, edges, lags: dict[Edge, int] | None = None,
                  delta: int | None = None):
+        lags = lags or {}
         try:
             pairs = np.unique(np.asarray(list(edges), dtype=np.int64).reshape(-1, 2), axis=0)
-            k = np.array([int((lags or {}).get(e, 0)) for e in map(tuple, pairs.tolist())],
-                         dtype=np.int64)
+            keys = list(map(tuple, pairs.tolist()))
+            k = np.array([int(lags.get(e, 0)) for e in keys], dtype=np.int64)
         except OverflowError as exc:
             raise ConfigurationError(f"edge endpoint or lag out of range: {exc}") from exc
+        stray = set(lags).difference(keys)
+        if stray:
+            raise ConfigurationError(f"lag given for {min(stray)}, which is not an edge")
         delta = _checked_delta(n, *pairs.T, k, delta)
         try:
             lag = np.full((n, n), NO_EDGE)
@@ -137,6 +142,7 @@ class GraphConfig:
     def __post_init__(self):
         if self.model not in GRAPH_MODELS:
             raise ConfigurationError(f"unknown graph model {self.model!r}")
+        _require_integers(n=self.n, delta=self.delta)
         if self.n < 2:
             raise ConfigurationError(f"need n >= 2, got {self.n}")
         if not 0.0 < self.d_e <= 1.0:
@@ -362,6 +368,7 @@ def assign_lags(g: DirectedGraph, delta: int, rng: np.random.Generator) -> Direc
     """Assign each edge an independent lag uniform on {0, ..., delta}.
 
     At delta = 0 nothing is drawn, and a graph of delta 0 is returned itself."""
+    _require_integers(delta=delta)
     if delta < 0:
         raise ConfigurationError(f"delta must be >= 0, got {delta}")
     if not delta and not g.delta:  # every lag is 0 already

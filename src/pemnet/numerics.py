@@ -42,7 +42,7 @@ def spectral_radius(a: np.ndarray) -> float:
     entries) return exactly 0.0. A nonnegative matrix with n >= 64 gets its
     Perron root from a certified power-iteration bracket (_perron_root); any
     other matrix, or one whose bracket does not close, gets a dense LAPACK
-    eigensolve.
+    eigensolve. A NaN or inf entry raises NumericalError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -54,7 +54,10 @@ def spectral_radius(a: np.ndarray) -> float:
         root = _perron_root(a)
         if root is not None:
             return root
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    try:
+        return float(np.max(np.abs(np.linalg.eigvals(a))))
+    except np.linalg.LinAlgError as exc:  # NaN or inf entries, or no convergence
+        raise NumericalError(f"spectral radius failed: {exc}") from exc
 
 
 def _perron_root(a: np.ndarray) -> float | None:
@@ -77,8 +80,11 @@ def _perron_root(a: np.ndarray) -> float | None:
     """
     n = a.shape[0]
     diag = np.diagonal(a)
-    c = _PERRON_SHIFT * float(a.sum() - diag.sum()) / n
-    if not 0.0 < c < np.inf:  # diagonal, or not finite
+    total = float(a.sum())
+    if total == np.inf:  # an inf entry, or a sum past the float range
+        return None
+    c = _PERRON_SHIFT * (total - float(diag.sum())) / n
+    if not c > 0.0:  # diagonal
         return None
     shift = c - float(diag.min())
     b = a.copy()

@@ -242,6 +242,24 @@ class TestRunTrial:
         assert records[0].error
         assert "variance" in records[0].error
 
+    def test_simulate_failure_is_a_record_per_measure(self):
+        # eps = 1 puts the summed lag matrix at radius 1: refused as unstable
+        records = run_trial(GraphConfig(), SDDParams(eps=1.0), ["lc", "lcrc"], seed=0)
+        assert [r.pem_kind for r in records] == ["lc", "lcrc"]
+        for r in records:
+            assert r.error.startswith(
+                "simulate: update rule (summed lag matrix) is unstable")
+            assert np.isnan(r.accuracy) and np.isnan(r.wall_time_s)
+
+    def test_graph_failure_is_a_record_per_measure(self):
+        # 15 backbone edges cannot join 20 nodes by preferential attachment
+        config = GraphConfig(model="ba", n=20, d_e=0.04, r_e=0.0)
+        records = run_trial(config, SDDParams(), ["lc", "gc"], seed=0)
+        assert [r.pem_kind for r in records] == ["lc", "gc"]
+        for r in records:
+            assert r.error.startswith("graph: preferential attachment needs")
+            assert np.isnan(r.accuracy)
+
     def test_delta_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
             run_trial(GraphConfig(delta=2), SDDParams(delta=0), ["lc"], seed=0)

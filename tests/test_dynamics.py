@@ -11,7 +11,6 @@ from pemnet import numerics
 from pemnet.dynamics import (
     SDDParams,
     TimeSeries,
-    _companion,
     add_measurement_noise,
     load_time_series,
     save_time_series,
@@ -69,6 +68,11 @@ def per_step_recurrence(w, noise):
     return x[p:]
 
 
+def state_map(w, block):
+    """M at block length L: the last p states before a block to those after it."""
+    return pemnet.dynamics._state_map(pemnet.dynamics._block_operators(w, block)[0])
+
+
 def chunks_of(t_total, n, p):
     """Blocks per chunk sdd_recurrence takes for T steps; 0 is no chunks."""
     return pemnet.dynamics._route(t_total, n, p)[2]
@@ -110,6 +114,14 @@ class TestParams:
             SDDParams(sigma=-1.0)
         with pytest.raises(ConfigurationError):
             SDDParams(n_obs=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("delta", 1.5), ("delta", 1.0), ("n_obs", 1000.5), ("n_obs", "1000")])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            SDDParams(**{name: value})
+        # numpy integers are integers
+        assert getattr(SDDParams(**{name: np.int64(3)}), name) == 3
 
     @pytest.mark.parametrize("name", ["eps", "tau", "dt", "sigma", "eta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -342,9 +354,9 @@ class TestBurnIn:
         mats = paper_graph_mats(delta, seed=delta)
         params = SDDParams(eps=eps, dt=dt, delta=delta, n_obs=2)
         b = burn_of(mats, params)
-        comp = _companion(step_matrices(mats, params))
+        comp = state_map(step_matrices(mats, params), 1)
         q = np.zeros_like(comp)
-        q[:10, :10] = np.eye(10)
+        q[-10:, -10:] = np.eye(10)  # the noise drives the newest state, last
         sigma = solve_discrete_lyapunov(comp, q)
         cb = np.linalg.matrix_power(comp, b)
         deficit = np.abs(cb @ sigma @ cb.T).max() / np.abs(sigma).max()
@@ -362,7 +374,7 @@ class TestBurnIn:
         w = step_matrices(list(a), params)
         b = burn_of(list(a), params)
         assert b == p * 3
-        assert not np.linalg.matrix_power(_companion(w), b).any()
+        assert not np.linalg.matrix_power(state_map(w, 1), b).any()
         noise = np.random.default_rng(3).standard_normal((b + 50, 3)) * (
             params.sigma * np.sqrt(params.dt / 3))
         ts = simulate_sdd(list(a), params, np.random.default_rng(3))
@@ -516,6 +528,21 @@ class TestBlockOperators:
                 else:
                     assert_allclose(got, h[i - j], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 6])
+    def test_state_map_is_companion_power(self, p):
+        # M at L = 1 is the companion matrix with its state oldest first: the
+        # last n rows are [W_p ... W_1], the rest shift the history by n
+        n = 4
+        w = np.random.default_rng(p).standard_normal((p, n, n)) * (0.5 / (p * np.sqrt(n)))
+        companion = state_map(w, 1)
+        assert np.array_equal(companion[-n:], np.hstack(w[::-1]))
+        assert np.array_equal(companion[:-n], np.eye(p * n)[n:])
+        # every block length, shorter than the history (shift rows on top
+        # of G) or not, maps the history as L steps of the companion
+        for block in sorted({1, 2, p, p + 1, 12}):
+            assert_allclose(state_map(w, block), np.linalg.matrix_power(companion, block),
+                            rtol=0, atol=1e-14)
+
 
 class TestScan:
     @pytest.mark.parametrize("p", [1, 3, 6])
@@ -557,7 +584,9 @@ class TestScan:
         # whose blocks are shorter than _SCAN_BLOCK
         assert route(1040, 10, 1) == ("scan", 4, 0)
         assert route(300, 40, 1) == ("scan", 3, 0)
-        assert route(300, 64, 1) == ("scan", 2, 0)
+        assert route(250, 64, 1) == ("scan", 2, 0)
+        # 150 blocks of L = 2: the power M^S costs 4 products, less than a pass
+        assert route(300, 64, 1) == ("chunks", 2, 9)
         # sweep-n100 keeps its chunks, p > 1 at n = 100 the per-step loop
         assert route(1040, 100, 1)[0] == "chunks"
         assert route(1040, 100, 3) == ("loop", 1, 0)
@@ -607,6 +636,12 @@ class TestMeasurementNoise:
         noisy = add_measurement_noise(ts, params.sigma, np.random.default_rng(11))
         ratio = noisy.values.var(axis=0) / ts.values.var(axis=0)
         assert np.abs(ratio - 2.0).max() < 0.1
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -0.1])
+    def test_bad_eta_refused_as_configuration(self, eta):
+        ts = simulate_sdd(ring_mats(), SDDParams(n_obs=100), np.random.default_rng(9))
+        with pytest.raises(ConfigurationError, match="measurement noise strength"):
+            add_measurement_noise(ts, eta, np.random.default_rng(0))
 
     def test_large_eta_dilutes_autocorrelation(self):
         params = SDDParams(n_obs=50_000)  # dt_tau = 0.5, autocorrelated

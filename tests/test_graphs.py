@@ -135,6 +135,16 @@ class TestDirectedGraph:
         with pytest.raises(ConfigurationError, match=message):
             DirectedGraph.from_lag_matrix(lag, delta)
 
+    def test_lag_on_a_non_edge_refused(self, tmp_path):
+        with pytest.raises(ConfigurationError, match=r"lag given for \(1, 2\), which is not"):
+            DirectedGraph(3, [(0, 1)], {(1, 2): 3})
+        with pytest.raises(ConfigurationError, match=r"\(2, 0\)"):
+            DirectedGraph(3, [(0, 1), (1, 2)], {(0, 1): 1, (1, 2): 0, (2, 0): 1})
+        # an edge list's lags come from its own edge rows
+        path = tmp_path / "g.txt"
+        path.write_text("3 2 2\n0 1 2\n1 2 1\n")
+        assert load_edge_list(str(path)).lags == {(0, 1): 2, (1, 2): 1}
+
     def test_lag_matrix_must_be_square(self):
         with pytest.raises(ConfigurationError, match="square"):
             DirectedGraph.from_lag_matrix(np.zeros((2, 3), dtype=int))
@@ -259,7 +269,39 @@ class TestGenBackbone:
             gen_backbone(cfg, np.random.default_rng(0))
 
 
+class TestGraphConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"model": "grid"}, "unknown graph model 'grid'"),
+        ({"n": 1}, "need n >= 2, got 1"),
+        ({"n": 10.0}, "n must be an integer, got 10.0"),
+        ({"n": "10"}, "n must be an integer, got '10'"),
+        ({"d_e": 0.0}, r"edge density must be in \(0, 1\], got 0.0"),
+        ({"d_e": 1.5}, r"edge density must be in \(0, 1\], got 1.5"),
+        ({"r_e": -0.1}, r"edge reciprocity must be in \[0, 1\], got -0.1"),
+        ({"delta": -1}, "max lag must be >= 0, got -1"),
+        ({"delta": 1.5}, "delta must be an integer, got 1.5"),
+        ({"rewire_p": 2.0}, r"rewiring probability must be in \[0, 1\], got 2.0"),
+        ({"n": 3, "d_e": 0.05}, "configuration yields zero edges"),
+    ])
+    def test_refusals(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            GraphConfig(**kwargs)
+
+    def test_numpy_integers_pass(self):
+        config = GraphConfig(n=np.int64(12), delta=np.int32(2))
+        g = assign_lags(gen_graph(config, np.random.default_rng(0)), config.delta,
+                        np.random.default_rng(1))
+        assert (g.n, g.delta) == (12, 2)
+
+
 class TestAssignLags:
+    @pytest.mark.parametrize("delta", [1.5, 2.0])
+    def test_delta_must_be_an_integer(self, delta):
+        rng, fresh = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match=f"delta must be an integer, got {delta}"):
+            assign_lags(complete_graph(4), delta, rng)
+        assert rng.random() == fresh.random()
+
     def test_zero_delta(self):
         # every lag 0, the equal lag-0 graph back, and nothing drawn
         g = complete_graph(5)

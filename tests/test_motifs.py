@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pemnet.errors import ConfigurationError, StabilityError
+from pemnet.errors import ConfigurationError, NumericalError, StabilityError
 from pemnet.graphs import GraphConfig, gen_graph_non_nilpotent, normalize_adjacency
 from pemnet.motifs import (
     TruncationWarning,
@@ -281,6 +281,13 @@ class TestCovarianceSeries:
         a = random_normalized(2)
         with pytest.raises(StabilityError):
             covariance_series(a, eps=1.05, tau=1.0, sigma=0.2, dt_tau=1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_adjacency_raises_numerical_error(self):
+        a = random_normalized(3)
+        a[1, 2] = np.nan
+        with pytest.raises(NumericalError, match="spectral radius"):
+            covariance_series(a, eps=0.9, tau=1.0, sigma=0.2, dt_tau=0.5)
 
     def test_eps_one_refused_on_every_graph(self):
         # at eps = 1 the radius is 1 up to roundoff; the stability margin

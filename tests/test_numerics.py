@@ -172,6 +172,13 @@ class TestDiscreteLyapunov:
         with pytest.raises(StabilityError):
             solve_discrete_lyapunov(np.eye(2), np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_k_raises_numerical_error(self):
+        k = 0.5 * np.eye(3)
+        k[0, 1] = np.nan
+        with pytest.raises(NumericalError, match="spectral radius"):
+            solve_discrete_lyapunov(k, np.eye(3))
+
 
 class TestContinuousLyapunov:
     def test_minus_identity(self):
@@ -364,6 +371,19 @@ class TestSpectralRadius:
                                         np.random.default_rng(seed))
             assert spectral_radius(g.adjacency()) > 0.0
             assert spectral_radius(summed_step_matrices(100, 0.5, seed)) > 0.0
+
+    # an inf reaches the Perron iteration from n = 64 on, a NaN never does;
+    # either way the eigensolve refuses it, with no warning on the way
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [5, 70])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_entries_raise_numerical_error(self, n, value):
+        with pytest.raises(NumericalError, match="spectral radius"):
+            spectral_radius(np.full((n, n), value))
+        a = np.ones((n, n))
+        a[1, 2] = value
+        with pytest.raises(NumericalError, match="spectral radius"):
+            spectral_radius(a)
 
     @pytest.mark.parametrize("a", [
         np.ones((63, 63)),  # below _PERRON_MIN_N
