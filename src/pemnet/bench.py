@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dynamics import SDDParams, add_measurement_noise, simulate_sdd
-from .errors import ConfigurationError, DataError, PemnetError
+from .errors import ConfigurationError, DataError, PemnetError, _require_integers
 from .graphs import (
     NO_EDGE,
     DirectedGraph,
@@ -58,7 +58,9 @@ def derive_seed(*parts: int) -> int:
 
 
 def check_edge_count(n: int, m: int) -> None:
-    """Refuse an edge count that n nodes cannot hold, m outside [1, n(n - 1)]."""
+    """Refuse a count that is no integer, or an edge count that n nodes cannot
+    hold, m outside [1, n(n - 1)]."""
+    _require_integers(n=n, m=m)
     if not 1 <= m <= n * (n - 1):
         raise ConfigurationError(f"edge count {m} outside [1, {n * (n - 1)}]")
 
@@ -241,6 +243,7 @@ class SweepSpec:
                         f"sweep value {v!r} for {key!r} is not of type {conv.__name__}")
                 if key == "delta_hat" and conv(v) < 0:  # the one key no config checks
                     raise ConfigurationError(f"delta_hat must be >= 0, got {v}")
+        _require_integers(trials=self.trials, jobs=self.jobs)
         if self.trials < 1:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
         if self.jobs < 1:

@@ -320,7 +320,9 @@ class TimeSeries:
             raise DataError(f"time series needs shape (N >= 2, n >= 1), got {values.shape}")
         if not np.isfinite(values).all():
             raise DataError("time series contains non-finite values")
-        object.__setattr__(self, "values", values)
+        # C order fixes the summation order of every statistic: a series scores
+        # the same whatever the layout it came in (no copy for a C-ordered one)
+        object.__setattr__(self, "values", np.ascontiguousarray(values))
 
     @property
     def n(self) -> int:

@@ -37,6 +37,7 @@ def _round_half_up(x: float) -> int:
 def _checked_delta(n: int, sources, targets, lags, delta: int | None) -> int:
     """Validate edges given as arrays in (source, target) order and return the
     max lag (the largest assigned when delta is None). Errors name the first fault."""
+    _require_integers(n=n, delta=0 if delta is None else delta)
     if n < 1:
         raise ConfigurationError(f"node count must be >= 1, got {n}")
     if not sources.size:
@@ -73,7 +74,9 @@ class DirectedGraph:
         try:
             pairs = np.unique(np.asarray(list(edges), dtype=np.int64).reshape(-1, 2), axis=0)
             keys = list(map(tuple, pairs.tolist()))
-            k = np.array([int(lags.get(e, 0)) for e in keys], dtype=np.int64)
+            named = {f"lag on edge {e}": lags.get(e, 0) for e in keys}
+            _require_integers(**named)
+            k = np.array(list(named.values()), dtype=np.int64)
         except OverflowError as exc:
             raise ConfigurationError(f"edge endpoint or lag out of range: {exc}") from exc
         stray = set(lags).difference(keys)
@@ -89,7 +92,16 @@ class DirectedGraph:
 
     @classmethod
     def from_lag_matrix(cls, lag, delta: int | None = None) -> DirectedGraph:
-        """The graph with lag[target, source] on each edge and NO_EDGE elsewhere."""
+        """The graph with lag[target, source] on each edge and NO_EDGE elsewhere.
+
+        lag holds integers, or floats that are all whole numbers."""
+        lag = np.asarray(lag)
+        if lag.dtype.kind not in "iu":  # an integer dtype needs no pass over the entries
+            if lag.dtype.kind != "f":
+                raise ConfigurationError(f"lag matrix must hold integers, got {lag.dtype}")
+            whole = np.isfinite(lag) & (lag == np.floor(lag))
+            if not whole.all():
+                raise ConfigurationError(f"lag matrix entry {lag[~whole][0]} is not an integer")
         lag = np.array(lag, dtype=np.int64)
         if lag.ndim != 2 or lag.shape[0] != lag.shape[1]:
             raise ConfigurationError(f"lag matrix must be square, got shape {lag.shape}")
@@ -405,6 +417,7 @@ def gen_shooting_star(n: int, hub_degree: int) -> DirectedGraph:
     nodes form a path whose first node connects to the hub, so the hub ends up
     with degree hub_degree. The result is a tree on n nodes.
     """
+    _require_integers(n=n, hub_degree=hub_degree)
     if not 2 <= hub_degree <= n - 1:
         raise ConfigurationError(
             f"hub degree must lie in [2, n-1] = [2, {n - 1}], got {hub_degree}"

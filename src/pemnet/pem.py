@@ -3,7 +3,8 @@
 compute_pems scores a series with several measures, as in one trial, and
 compute_pem with one. Entry (i, j) scores the directed edge j -> i, matching
 <x_{t+k*dt} x_t^T>; the diagonal is NaN and not ranked. The lc family reads
-lagged_corrs: one centering and one pass of sample_lagged_cov, the lag kernel.
+lagged_corrs: one centering by _node_means (which gc shares) and one pass
+of sample_lagged_cov, the lag kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dynamics import TimeSeries
 from .errors import (ConfigurationError, DataError, FileFormatError, NumericalError,
-                     PemnetError, _data_lines, _data_table)
+                     PemnetError, _data_lines, _data_table, _require_integers)
 from .numerics import ols_fit
 
 AUTO = "auto"
@@ -74,6 +75,7 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     (_blocked_lagged_cov), which agrees with the per-lag products to roundoff.
     """
     n_obs, n = x.shape
+    _require_integers(k_max=k_max)
     if k_max < 0:
         raise ConfigurationError(f"lag must be >= 0, got {k_max}")
     if n_obs - k_max < 2:
@@ -118,12 +120,27 @@ def _blocked_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     return sums / (n_obs - 1 - np.arange(b))[:, None, None]
 
 
+def _node_means(ts: TimeSeries) -> np.ndarray:
+    """The mean of each node's series, which every centering subtracts; see
+    lagged_corrs."""
+    return np.einsum("ti->i", ts.values) / ts.n_obs
+
+
 def lagged_corrs(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(S_0..S_k_max, C_0..C_k_max), the lag-k covariances and correlations of
     ts as (k_max + 1, n, n) stacks, from one centering and one
     sample_lagged_cov pass. A node whose lag-0 variance is within the roundoff
-    of centering its mean (a constant column) raises DataError."""
-    mean = ts.values.mean(axis=0)
+    of centering its mean (a constant column) raises DataError.
+
+    The mean (_node_means, which pem_gc shares) takes the column sums with
+    np.einsum, one pass over the rows, where values.mean(axis=0) runs one short
+    inner loop per row: about half the time at N = 10 000, n = 30. On a
+    C-ordered float64 array, which TimeSeries always holds, both add the rows
+    in the same order, so the mean is bit-identical to mean(axis=0). The
+    centered copy lives only for the kernel call: held until the correlations
+    are allocated, it cost an n = 100, N = 1000 trial about 57 page faults.
+    """
+    mean = _node_means(ts)
     covs = sample_lagged_cov(ts.values - mean, k_max)
     var = np.diagonal(covs[0])
     roundoff = ts.n_obs * np.finfo(float).eps * np.abs(mean)
@@ -193,12 +210,13 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
     cancels, so scores are differences of log error variances and are always
     >= 0 for nested fits. Rank-deficient pairs score 0 and are flagged.
     """
+    _require_integers(p_hat=p_hat)
     if p_hat < 1:
         raise ConfigurationError(f"need p_hat >= 1, got {p_hat}")
     n_obs, n = ts.n_obs, ts.n
     if n_obs < 2 * p_hat + 10:
         raise DataError(f"need N >= 2 * p_hat + 10, got N={n_obs}")
-    x = ts.values - ts.values.mean(axis=0)
+    x = ts.values - _node_means(ts)
     # lag block for node v: columns x_v,{t-1}, ..., x_v,{t-p_hat}
     lag_cols = {
         v: np.column_stack([x[p_hat - lag : n_obs - lag, v] for lag in range(1, p_hat + 1)])
@@ -249,7 +267,8 @@ def compute_pems(
     lc is the lag-1 correlation C_1; lccf and lcrc are the max over assumed
     edge lags d <= delta_hat of C_(1+d) - alpha C_d, where alpha_lccf
     (alpha_lcrc) cancels the shared-driver (reversed-edge) motif; gc is pem_gc
-    at p_hat = delta_hat + 1. Every kind needs delta_hat >= 0. dt_tau, read by
+    at p_hat = delta_hat + 1. Every kind needs an integer delta_hat >= 0,
+    checked once: a bad one is every kind's ConfigurationError. dt_tau, read by
     lccf and lcrc only, lies in (0, 1] or is AUTO (estimate_tau_inv).
 
     A kind whose configuration or lags (N - 2 at most) fail _reads fails before
@@ -259,6 +278,12 @@ def compute_pems(
     own scoring plus the shared parts it reads, whatever the order of kinds.
     """
     kinds, reads, out = tuple(kinds), {}, {}
+    try:
+        _require_integers(delta_hat=delta_hat)
+        if delta_hat < 0:
+            raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
+    except ConfigurationError as exc:
+        return {kind: (exc, 0.0) for kind in kinds}
     for kind in kinds:
         try:
             reads[kind] = _reads(kind, dt_tau, delta_hat, ts.n_obs)
@@ -281,10 +306,9 @@ def compute_pems(
 
 
 def _reads(kind: str, dt_tau, delta_hat: int, n_obs: int) -> tuple[int, bool]:
-    """(the deepest lag kind reads, 0 for gc; whether it reads the dt/tau estimate).
-    A bad configuration raises ConfigurationError, a lag past N - 2 DataError."""
-    if delta_hat < 0:
-        raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
+    """(the deepest lag kind reads, 0 for gc; whether it reads the dt/tau estimate)
+    at a checked delta_hat. A bad configuration raises ConfigurationError, a lag
+    past N - 2 DataError."""
     if kind not in PEM_KINDS:
         raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
     corrected = kind in ("lccf", "lcrc")

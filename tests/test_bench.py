@@ -113,6 +113,12 @@ class TestThreshold:
         with pytest.raises(ConfigurationError):
             threshold_pem(pem, 7)
 
+    def test_m_must_be_an_integer(self):
+        pem = pem_from(np.arange(9.0).reshape(3, 3))
+        with pytest.raises(ConfigurationError, match="m must be an integer, got 3.0"):
+            threshold_pem(pem, 3.0)
+        assert threshold_pem(pem, np.int64(3)) == threshold_pem(pem, 3)
+
 
 class TestAccuracy:
     def test_perfect_match(self):
@@ -180,6 +186,13 @@ class TestBaseline:
 
     def test_sparse_value(self):
         assert baseline_accuracy(10, 9) == pytest.approx(0.82)
+
+    @pytest.mark.parametrize("n, m, message", [(4, 3.5, "m must be an integer, got 3.5"),
+                                               (4.0, 3, "n must be an integer, got 4.0")])
+    def test_counts_must_be_integers(self, n, m, message):
+        with pytest.raises(ConfigurationError, match=message):
+            baseline_accuracy(n, m)
+        assert baseline_accuracy(np.int64(10), np.int32(45)) == 0.5
 
 
 class TestSpearman:
@@ -263,6 +276,14 @@ class TestRunTrial:
     def test_delta_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
             run_trial(GraphConfig(delta=2), SDDParams(delta=0), ["lc"], seed=0)
+
+    def test_non_integer_delta_hat_is_a_record_per_measure(self):
+        records = run_trial(GraphConfig(), SDDParams(), ["lc", "lcrc", "gc"], seed=0,
+                            delta_hat=0.5)
+        assert [r.pem_kind for r in records] == ["lc", "lcrc", "gc"]
+        for r in records:
+            assert r.error == f"pem[{r.pem_kind}]: delta_hat must be an integer, got 0.5"
+            assert np.isnan(r.accuracy)
 
     def test_wall_time_measured(self):
         records = run_trial(GraphConfig(), SDDParams(), ["gc"], seed=1)
@@ -491,6 +512,17 @@ class TestSweep:
     def test_rejects_unknown_dt_tau_mode(self):
         with pytest.raises(ConfigurationError, match="unknown dt/tau mode 'bogus'"):
             SweepSpec(dt_tau="bogus")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"jobs": 1.5}, "jobs must be an integer, got 1.5"),
+        ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+    ])
+    def test_rejects_non_integer_counts(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SweepSpec(**kwargs)
+        spec = SweepSpec(trials=np.int64(2), jobs=np.int32(1))
+        assert len(sweep(spec)) == 2
 
     def test_cell_keys_map_onto_configs_and_columns(self):
         grid = {"N": ["500"], "delta": [2], "eps": [0.5]}

@@ -151,6 +151,39 @@ class TestDirectedGraph:
         with pytest.raises(ConfigurationError, match="node count"):
             DirectedGraph.from_lag_matrix(np.zeros((0, 0), dtype=int))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DirectedGraph(3.0, [(0, 1)]), "n must be an integer, got 3.0"),
+        (lambda: DirectedGraph(3, [(0, 1)], {(0, 1): 1}, delta=1.5),
+         "delta must be an integer, got 1.5"),
+        (lambda: DirectedGraph(3, [(0, 1)], {(0, 1): 1.5}),
+         r"lag on edge \(0, 1\) must be an integer, got 1.5"),
+        (lambda: DirectedGraph(3, [(0, 1)], {(0, 1): 1.0}),
+         r"lag on edge \(0, 1\) must be an integer, got 1.0"),
+        (lambda: DirectedGraph.from_lag_matrix([[-1, 1], [-1, -1]], delta=1.7),
+         "delta must be an integer, got 1.7"),
+        (lambda: DirectedGraph.from_lag_matrix([[-1, 1.6], [-1, -1]]),
+         "lag matrix entry 1.6 is not an integer"),
+        (lambda: DirectedGraph.from_lag_matrix([[-1, np.nan], [-1, -1]]),
+         "lag matrix entry nan is not an integer"),
+        (lambda: DirectedGraph.from_lag_matrix([[-1, np.inf], [-1, -1]]),
+         "lag matrix entry inf is not an integer"),
+        (lambda: DirectedGraph.from_lag_matrix([[False, True], [False, False]]),
+         "lag matrix must hold integers, got bool"),
+    ], ids=["n", "delta", "lag", "whole-float-lag", "matrix-delta", "matrix-fraction",
+            "matrix-nan", "matrix-inf", "matrix-bool"])
+    def test_counts_must_be_integers(self, build, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build()
+
+    def test_integer_counts_pass(self):
+        g = DirectedGraph(np.int64(3), [(0, 1)], {(0, 1): np.int32(1)}, delta=np.int64(2))
+        assert (g.n, g.delta, g.lags) == (3, 2, {(0, 1): 1})
+        # a float lag matrix of whole numbers is read as the integer one
+        lag = np.array([[-1, 1], [-1, -1]])
+        for same in (lag.astype(float), lag.astype(np.int8)):
+            got = DirectedGraph.from_lag_matrix(same, delta=np.int64(1))
+            assert got == DirectedGraph.from_lag_matrix(lag) and got.lag.dtype == np.int64
+
     def test_views_agree_with_lag_matrix(self):
         edges = ((2, 0), (0, 1), (0, 2), (3, 1), (0, 1))
         g = DirectedGraph(4, edges, {(0, 2): 3, (3, 1): 1})
@@ -447,6 +480,17 @@ class TestShootingStar:
             gen_shooting_star(10, 1)
         with pytest.raises(ConfigurationError):
             gen_shooting_star(10, 10)
+
+    @pytest.mark.parametrize("n, hub_degree, message", [
+        (10.0, 3, "n must be an integer, got 10.0"),
+        (10, 3.0, "hub_degree must be an integer, got 3.0"),
+    ])
+    def test_counts_must_be_integers(self, n, hub_degree, message):
+        with pytest.raises(ConfigurationError, match=message):
+            gen_shooting_star(n, hub_degree)
+
+    def test_numpy_integers_pass(self):
+        assert gen_shooting_star(np.int64(10), np.int32(3)) == gen_shooting_star(10, 3)
 
 
 class TestAnticlustering:

@@ -335,6 +335,93 @@ class TestLagStack:
             compute_pem(ts, kind, dt_tau=dt_tau, delta_hat=delta_hat)
 
 
+class TestCentering:
+    # the three workload shapes (N, n), and one with an odd N and n
+    @pytest.mark.parametrize("shape", [(10_000, 30), (1000, 100), (1000, 10), (10_003, 7)])
+    def test_lag_kernel_reads_values_minus_their_mean(self, monkeypatch, shape):
+        # bit for bit: the einsum column sums add the rows in mean(axis=0)'s order
+        rng = np.random.default_rng(shape[0] + shape[1])
+        ts = TimeSeries(values=rng.standard_normal(shape) + rng.uniform(-100, 100, shape[1]),
+                        dt=1.0)
+        arrays = []
+        real = pemnet.pem.sample_lagged_cov
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov",
+                            lambda x, k: arrays.append(x) or real(x, k))
+        lagged_corrs(ts, 1)
+        assert len(arrays) == 1
+        assert np.array_equal(arrays[0], ts.values - ts.values.mean(axis=0))
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        # long enough for the blocked pass; the offsets make the mean's rounding matter
+        g = graph_with_cycle([(0, 1), (1, 2), (0, 3)])
+        _, mats = normalize_adjacency(g)
+        ts = simulate_sdd(mats, SDDParams(n_obs=80_000), np.random.default_rng(34))
+        return ts.values + np.array([3.0, -40.0, 0.5, 700.0, -2.0])
+
+    @pytest.mark.parametrize("n_obs", [1000, 40_000])  # per-lag products, blocked pass
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_scores_do_not_depend_on_the_layout(self, series, n_obs, layout):
+        if layout == "fortran":
+            values = np.asfortranarray(series[:n_obs])
+        else:
+            values = series[: 2 * n_obs : 2]
+        assert not values.flags.c_contiguous
+        c_copy = np.ascontiguousarray(values)
+        assert takes_blocked_pass(c_copy, 3) == (n_obs > 1000)
+        kinds = ("lc", "lccf", "lcrc", "gc")
+        got = compute_pems(TimeSeries(values=values, dt=1.0), kinds, AUTO, 2)
+        want = compute_pems(TimeSeries(values=c_copy, dt=1.0), kinds, AUTO, 2)
+        for kind in kinds:
+            assert np.array_equal(got[kind][0].values, want[kind][0].values, equal_nan=True)
+            assert got[kind][0].params == want[kind][0].params
+
+    def test_series_stored_c_ordered_without_copying_c_input(self, series):
+        assert TimeSeries(values=series, dt=1.0).values is series
+        stored = TimeSeries(values=np.asfortranarray(series), dt=1.0).values
+        assert stored.flags.c_contiguous and np.array_equal(stored, series)
+
+
+class TestLagDepthsMustBeIntegers:
+    @pytest.fixture(scope="class")
+    def ts(self):
+        return TimeSeries(values=np.random.default_rng(35).standard_normal((500, 4)), dt=1.0)
+
+    @pytest.mark.parametrize("kind", PEM_KINDS)
+    @pytest.mark.parametrize("delta_hat", [1.5, 0.5, 2.0])
+    def test_delta_hat_refused_for_every_kind(self, ts, monkeypatch, kind, delta_hat):
+        def failing(x, k):
+            raise AssertionError("covariance computed before the delta_hat check")
+
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", failing)
+        message = f"delta_hat must be an integer, got {delta_hat}"
+        with pytest.raises(ConfigurationError, match=message):
+            compute_pem(ts, kind, dt_tau=0.5, delta_hat=delta_hat)
+
+    def test_each_kind_gets_the_error_as_its_result(self, ts):
+        got = compute_pems(ts, ["lc", "gc", "bogus", "lcrc"], AUTO, 1.5)
+        assert list(got) == ["lc", "gc", "bogus", "lcrc"]
+        for result, seconds in got.values():
+            assert isinstance(result, ConfigurationError) and seconds == 0.0
+            assert str(result) == "delta_hat must be an integer, got 1.5"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda ts: lagged_corrs(ts, 1.5), "k_max must be an integer, got 1.5"),
+        (lambda ts: sample_lagged_cov(centered(ts), 2.0), "k_max must be an integer, got 2.0"),
+        (lambda ts: pem_gc(ts, p_hat=1.5), "p_hat must be an integer, got 1.5"),
+    ], ids=["lagged_corrs", "sample_lagged_cov", "pem_gc"])
+    def test_kernel_depths_refused(self, ts, call, message):
+        with pytest.raises(ConfigurationError, match=message):
+            call(ts)
+
+    def test_numpy_integers_pass(self, ts):
+        for kind in PEM_KINDS:
+            got = compute_pem(ts, kind, dt_tau=0.5, delta_hat=np.int64(2)).values
+            assert np.array_equal(got, compute_pem(ts, kind, dt_tau=0.5, delta_hat=2).values,
+                                  equal_nan=True)
+        assert np.array_equal(lagged_corrs(ts, np.int32(2))[0], lagged_corrs(ts, 2)[0])
+
+
 class TestCorrectionFactors:
     def test_boundary_at_one(self):
         assert alpha_lccf(1.0) == 0.0
