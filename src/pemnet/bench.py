@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dynamics import SDDParams, add_measurement_noise, simulate_sdd
-from .errors import ConfigurationError, DataError, PemnetError, _require_integers
+from .errors import (ConfigurationError, DataError, PemnetError, _require_integers,
+                     _require_lists)
 from .graphs import (
     NO_EDGE,
     DirectedGraph,
@@ -168,8 +169,14 @@ def run_trial(
     (pass AUTO to estimate it from the data). One compute_pems call scores the
     measures, each thresholded with the true edge count and scored on masks.
     Deterministic given the seed, except for wall_time_s: the seconds that
-    compute_pems charges the measure, independent of the order of pems.
+    compute_pems charges the measure, independent of the order of pems. seed
+    and trial are integers >= 0.
     """
+    _require_lists(pems=pems)
+    _require_integers(seed=seed, trial=trial)
+    for name, value in (("seed", seed), ("trial", trial)):
+        if value < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {value}")
     if config.delta != params.delta:
         raise ConfigurationError(
             f"graph max lag {config.delta} != dynamics max lag {params.delta}"
@@ -243,7 +250,7 @@ class SweepSpec:
                         f"sweep value {v!r} for {key!r} is not of type {conv.__name__}")
                 if key == "delta_hat" and conv(v) < 0:  # the one key no config checks
                     raise ConfigurationError(f"delta_hat must be >= 0, got {v}")
-        _require_integers(trials=self.trials, jobs=self.jobs)
+        _require_integers(trials=self.trials, seed=self.seed, jobs=self.jobs)
         if self.trials < 1:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
         if self.jobs < 1:
@@ -252,6 +259,7 @@ class SweepSpec:
             raise ConfigurationError(
                 f"unknown dt/tau mode {self.dt_tau!r}; expected 'true' or 'auto'"
             )
+        _require_lists(pems=self.pems)
         if not self.pems:
             raise ConfigurationError("no edge measures requested")
         for kind in self.pems:

@@ -47,6 +47,15 @@ def _require_integers(**values) -> None:
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_lists(**values) -> None:
+    """Raise ConfigurationError naming the first of the values that is a bare
+    string where a list is expected: "lc" would iterate as 'l' and 'c'."""
+    for name, value in values.items():
+        if isinstance(value, str):
+            raise ConfigurationError(
+                f"{name} must be a list, such as [{value!r}], not the string {value!r}")
+
+
 def _data_lines(path: str, empty: str) -> tuple[tuple[int, str], list[tuple[int, str]]]:
     """(header, rows) of a text file: its non-blank lines as (physical line
     number, stripped text), the first one apart. A file with no non-blank line

@@ -102,6 +102,10 @@ class DirectedGraph:
             whole = np.isfinite(lag) & (lag == np.floor(lag))
             if not whole.all():
                 raise ConfigurationError(f"lag matrix entry {lag[~whole][0]} is not an integer")
+            wide = (lag < -(2.0**63)) | (lag >= 2.0**63)  # int64 holds [-2^63, 2^63)
+            if wide.any():
+                raise ConfigurationError(
+                    f"lag matrix entry {lag[wide][0]} is outside the int64 range")
         lag = np.array(lag, dtype=np.int64)
         if lag.ndim != 2 or lag.shape[0] != lag.shape[1]:
             raise ConfigurationError(f"lag matrix must be square, got shape {lag.shape}")

@@ -18,7 +18,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _require_integers
 from .numerics import require_stable, spectral_radius
 
 
@@ -35,11 +35,16 @@ def psi(p: int, q: int, z: float) -> float:
     is exact for all z in (0, 1], including z near 0 where the direct series
     needs millions of terms.
     """
+    _require_integers(p=p, q=q)
     if p < 0 or q < 0:
         raise ConfigurationError(f"walk lengths must be >= 0, got ({p}, {q})")
+    return _psi_cached(p, q, _checked_z(z))
+
+
+def _checked_z(z: float) -> float:
     if not 0.0 < z <= 1.0:
         raise ConfigurationError(f"z must lie in (0, 1], got {z}")
-    return _psi_cached(p, q, float(z))
+    return float(z)
 
 
 @lru_cache(maxsize=200_000)
@@ -59,6 +64,7 @@ def contribution_cov(
     l_b: int, l_f: int, *, eps: float, tau: float, sigma: float, n: int, dt_tau: float
 ) -> float:
     """Contribution of motif (l_b, l_f) to steady-state covariance."""
+    _require_integers(l_b=l_b, l_f=l_f, n=n)
     return tau * sigma**2 / n * eps ** (l_b + l_f) * psi(l_b, l_f, dt_tau)
 
 
@@ -67,6 +73,7 @@ def contribution_lagk(
     eps: float, tau: float, sigma: float, n: int, dt_tau: float,
 ) -> float:
     """Contribution of motif (l_b, l_f) to the lag-k steady-state covariance."""
+    _require_integers(k=k, l_b=l_b, l_f=l_f, n=n)
     if min(l_b, l_f) < 0:
         raise ConfigurationError(f"walk lengths must be >= 0, got ({l_b}, {l_f})")
     return float(_coefficients(k, l_b + l_f + 1, eps=eps, tau=tau, sigma=sigma, n=n,
@@ -85,12 +92,12 @@ def _coefficients(
     """
     if k < 0:
         raise ConfigurationError(f"lag must be >= 0, got {k}")
-    z = dt_tau
+    z = _checked_z(dt_tau)
     # contribution_cov's product, in its order: (tau sigma^2 / n eps^L) psi
     scale = [tau * sigma**2 / n * eps**total for total in range(size)]
     c = np.zeros((size, size))
     for b in range(size):
-        c[b, : size - b] = [scale[b + f] * psi(b, f, z) for f in range(size - b)]
+        c[b, : size - b] = [scale[b + f] * _psi_cached(b, f, z) for f in range(size - b)]
     for _ in range(k):
         c[:, 1:] = c[:, 1:] * (1.0 - z) + c[:, :-1] * eps * z
         c[:, 0] *= 1.0 - z
@@ -121,7 +128,10 @@ def covariance_series(
     needed for 1e-8 absolute accuracy; a result that still exceeds tol at l_max
     carries a TruncationWarning and converged=False.
     """
+    _require_integers(k=k, l_max=l_max)
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConfigurationError(f"adjacency must be square, got shape {a.shape}")
     n = a.shape[0]
     z = dt_tau
     require_stable(spectral_radius(eps * z * a + (1.0 - z) * np.eye(n)),
@@ -168,6 +178,7 @@ def contribution_table(
     eps: float, tau: float, sigma: float, n: int, dt_tau: float,
 ) -> list[ContributionRow]:
     """Exhaustive grid of lag-k contributions for walk lengths up to l_max."""
+    _require_integers(l_max=l_max, n=n)
     for name, value in (("eps", eps), ("tau", tau), ("sigma", sigma), ("dt_tau", dt_tau)):
         if not isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
@@ -180,6 +191,7 @@ def contribution_table(
         raise ConfigurationError(f"need l_max >= 1, got {l_max}")
     rows: list[ContributionRow] = []
     for k in k_values:
+        _require_integers(k=k)
         values = _coefficients(k, 2 * l_max + 1, eps=eps, tau=tau, sigma=sigma, n=n,
                                dt_tau=dt_tau)[: l_max + 1, : l_max + 1]
         peak = values.flat[1:].max()  # every motif but (0, 0)

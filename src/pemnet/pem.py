@@ -14,10 +14,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import TimeSeries
 from .errors import (ConfigurationError, DataError, FileFormatError, NumericalError,
-                     PemnetError, _data_lines, _data_table, _require_integers)
+                     PemnetError, _data_lines, _data_table, _require_integers,
+                     _require_lists)
 from .numerics import ols_fit
 
 AUTO = "auto"
@@ -56,11 +58,11 @@ class TauInverseEstimate:
     clamped: bool
 
 
-# sample_lagged_cov takes the blocked pass for a series of at least this many
+# sample_lagged_cov reads whole blocks for a series of at least this many
 # values whose block Gram is at most this wide; per-lag products are faster on
 # shorter series, and a wider Gram costs more memory than it saves (shape table
-# in CHANGES.md). A single node always takes the per-lag products: each is a
-# dot product, which needs no packing.
+# in CHANGES.md). A single node never reads blocks: each of its lag products is
+# a dot product, which needs no packing.
 _BLOCKED_MIN_VALUES = 2**17
 _BLOCKED_MAX_GRAM = 2048
 
@@ -69,10 +71,11 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     """Lag-k sample covariances S_k[i, j] = cov(x_i at t+k, x_j at t), k = 0..k_max.
 
     x is the (N, n) series centered by its per-node mean; S_k divides by
-    N - k - 1. Returns the (k_max + 1, n, n) stack. A short series, or a
-    single node, gets one product x[k:].T @ x[:N-k] per lag. A long one gets
-    every lag from one pass over blocks of k_max + 1 steps
-    (_blocked_lagged_cov), which agrees with the per-lag products to roundoff.
+    N - k - 1. Returns the (k_max + 1, n, n) stack. A long series first sums
+    the pairs inside its m whole blocks of b = k_max + 1 steps
+    (_whole_blocks); a short one, or a single node, has m = 0. One product per
+    lag adds the pairs that end past row m b: at m = 0 this is
+    x[k:].T @ x[:N-k], and at m > 0 it agrees with that to roundoff.
     """
     n_obs, n = x.shape
     _require_integers(k_max=k_max)
@@ -80,9 +83,14 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
         raise ConfigurationError(f"lag must be >= 0, got {k_max}")
     if n_obs - k_max < 2:
         raise _too_short(n_obs)
-    if n > 1 and x.size >= _BLOCKED_MIN_VALUES and (k_max + 1) * n <= _BLOCKED_MAX_GRAM:
-        return _blocked_lagged_cov(x, k_max)
-    return np.stack([x[k:].T @ x[: n_obs - k] / (n_obs - k - 1) for k in range(k_max + 1)])
+    b = k_max + 1
+    blocked = n > 1 and x.size >= _BLOCKED_MIN_VALUES and b * n <= _BLOCKED_MAX_GRAM
+    m = n_obs // b if blocked else 0
+    sums = _whole_blocks(x, m, b) if m else np.zeros((b, n, n))
+    for k in range(b):
+        start = max(m * b, k)
+        sums[k] += x[start:].T @ x[start - k : n_obs - k]
+    return np.divide(sums, (n_obs - 1 - np.arange(b))[:, None, None], out=sums)
 
 
 def _too_short(n_obs: int) -> DataError:
@@ -90,20 +98,16 @@ def _too_short(n_obs: int) -> DataError:
     return DataError(f"need N - k >= 2, got N={n_obs}, k={n_obs - 1}")
 
 
-def _blocked_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
-    """sample_lagged_cov from blocks of b = k_max + 1 steps.
+def _whole_blocks(x: np.ndarray, m: int, b: int) -> np.ndarray:
+    """The (b, n, n) lag sums over the pairs of steps in the first m b rows.
 
-    The first m * b rows, viewed without a copy as an (m, b n) array z whose
-    row r holds steps rb .. rb + b - 1, give every pair of steps at most k_max
-    apart in one of three ways: inside a block (the symmetric Gram z^T z),
-    straddling two adjacent blocks (b - 1 products of one block column against
-    the later ones), or ending in the < b leftover rows (one small product per
-    lag). The flops are those of the per-lag products, but the series is
-    packed about twice instead of 2b times.
+    Those rows, viewed without a copy as an (m, b n) array z whose row r holds
+    steps rb .. rb + b - 1, hold each pair inside a block (the symmetric Gram
+    z^T z) or straddling two adjacent blocks (b - 1 products of one block
+    column against the later ones). The flops are those of the per-lag
+    products, but the series is packed about twice instead of 2b times.
     """
-    n_obs, n = x.shape
-    b = k_max + 1
-    m = n_obs // b
+    n = x.shape[1]
     z = x[: m * b].reshape(m, b * n)
     gram = (z.T @ z).reshape(b, n, b, n)
     sums = np.empty((b, n, n))
@@ -114,10 +118,7 @@ def _blocked_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
         # position p of block r + 1 against positions q > p of block r: lag b + p - q
         later = z[1:, p * n : (p + 1) * n].T @ z[:-1, (p + 1) * n :]
         sums[p + 1 :][::-1] += later.reshape(n, b - 1 - p, n).transpose(1, 0, 2)
-    if m * b < n_obs:
-        for k in range(b):
-            sums[k] += x[m * b :].T @ x[m * b - k : n_obs - k]
-    return sums / (n_obs - 1 - np.arange(b))[:, None, None]
+    return sums
 
 
 def _node_means(ts: TimeSeries) -> np.ndarray:
@@ -217,19 +218,16 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
     if n_obs < 2 * p_hat + 10:
         raise DataError(f"need N >= 2 * p_hat + 10, got N={n_obs}")
     x = ts.values - _node_means(ts)
-    # lag block for node v: columns x_v,{t-1}, ..., x_v,{t-p_hat}
-    lag_cols = {
-        v: np.column_stack([x[p_hat - lag : n_obs - lag, v] for lag in range(1, p_hat + 1)])
-        for v in range(n)
-    }
+    # lag_cols[:, v] holds node v's regressors: columns x_v,{t-1}, ..., x_v,{t-p_hat}
+    lag_cols = sliding_window_view(x[:-1], p_hat, axis=0)[:, :, ::-1]
     values = np.zeros((n, n))
     flags: list[str] = []
     for i in range(n):
-        log_rss_r = _log_rss(x[p_hat:, i], lag_cols[i])
+        log_rss_r = _log_rss(x[p_hat:, i], lag_cols[:, i])
         for j in range(n):
             if i == j:
                 continue
-            design = np.hstack([lag_cols[i], lag_cols[j]])
+            design = np.hstack([lag_cols[:, i], lag_cols[:, j]])
             log_rss_u = None if log_rss_r is None else _log_rss(x[p_hat:, i], design)
             if log_rss_u is None:
                 flags.append(f"gc_pair_failed:{i},{j}")
@@ -277,6 +275,7 @@ def compute_pems(
     kind to its matrix, or the PemnetError it raised, and the seconds of its
     own scoring plus the shared parts it reads, whatever the order of kinds.
     """
+    _require_lists(kinds=kinds)
     kinds, reads, out = tuple(kinds), {}, {}
     try:
         _require_integers(delta_hat=delta_hat)

@@ -277,6 +277,20 @@ class TestRunTrial:
         with pytest.raises(ConfigurationError):
             run_trial(GraphConfig(delta=2), SDDParams(delta=0), ["lc"], seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 0, "trial": 0.5}, "trial must be an integer, got 0.5"),
+        ({"seed": 0, "trial": -2}, "trial must be >= 0, got -2"),
+    ])
+    def test_seed_and_trial_refused(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            run_trial(GraphConfig(), SDDParams(), ["lc"], **kwargs)
+
+    def test_bare_string_of_measures_refused(self):
+        with pytest.raises(ConfigurationError, match="pems must be a list"):
+            run_trial(GraphConfig(), SDDParams(), "lc", seed=0)
+
     def test_non_integer_delta_hat_is_a_record_per_measure(self):
         records = run_trial(GraphConfig(), SDDParams(), ["lc", "lcrc", "gc"], seed=0,
                             delta_hat=0.5)
@@ -517,12 +531,21 @@ class TestSweep:
         ({"trials": 2.5}, "trials must be an integer, got 2.5"),
         ({"jobs": 1.5}, "jobs must be an integer, got 1.5"),
         ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ])
     def test_rejects_non_integer_counts(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):
             SweepSpec(**kwargs)
         spec = SweepSpec(trials=np.int64(2), jobs=np.int32(1))
         assert len(sweep(spec)) == 2
+
+    def test_master_seed_may_be_negative(self):
+        records = sweep(SweepSpec(seed=-3, pems=("lc",)))
+        assert records[0].seed == derive_seed(-3, 0, 0) and not records[0].error
+
+    def test_rejects_bare_string_of_measures(self):
+        with pytest.raises(ConfigurationError, match="pems must be a list"):
+            SweepSpec(pems="lcrc")
 
     def test_cell_keys_map_onto_configs_and_columns(self):
         grid = {"N": ["500"], "delta": [2], "eps": [0.5]}
@@ -628,7 +651,9 @@ class TestBenchmarkCorrectnessGate:
             monkeypatch.setitem(sys.modules, name, load_perfbench(name, name))
         return load_perfbench("workloads")
 
-    @pytest.mark.parametrize("name, items", [("sweep-paper", 60), ("sweep-n100", 4)])
+    # infer-lags is the one workload whose lag kernel reads whole blocks
+    @pytest.mark.parametrize("name, items",
+                             [("sweep-paper", 60), ("sweep-n100", 4), ("infer-lags", 4)])
     def test_problems_empty(self, workloads, name, items):
         workload = workloads.make(name, seed=1)
         workload.setup()

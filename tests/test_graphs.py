@@ -169,8 +169,14 @@ class TestDirectedGraph:
          "lag matrix entry inf is not an integer"),
         (lambda: DirectedGraph.from_lag_matrix([[False, True], [False, False]]),
          "lag matrix must hold integers, got bool"),
+        (lambda: DirectedGraph.from_lag_matrix([[-1, 1e30], [-1, -1]]),
+         r"lag matrix entry 1e\+30 is outside the int64 range"),
+        (lambda: DirectedGraph.from_lag_matrix([[-1, -1e30], [-1, -1]]),
+         r"lag matrix entry -1e\+30 is outside the int64 range"),
     ], ids=["n", "delta", "lag", "whole-float-lag", "matrix-delta", "matrix-fraction",
-            "matrix-nan", "matrix-inf", "matrix-bool"])
+            "matrix-nan", "matrix-inf", "matrix-bool", "matrix-above-int64",
+            "matrix-below-int64"])
+    @pytest.mark.filterwarnings("error")  # refused before numpy's cast could warn
     def test_counts_must_be_integers(self, build, message):
         with pytest.raises(ConfigurationError, match=message):
             build()

@@ -300,6 +300,33 @@ class TestCovarianceSeries:
                     covariance_series(a, eps=1.0, tau=1.0, sigma=0.2, dt_tau=0.5)
 
 
+TABLE_KW = dict(eps=0.9, tau=1.0, sigma=1.0, n=10, dt_tau=0.5)
+SERIES_KW = dict(eps=0.5, tau=1.0, sigma=1.0, dt_tau=0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: psi(1.5, 1, 0.5), "p must be an integer, got 1.5"),
+    (lambda: contribution_cov(0.5, 1, **TABLE_KW), "l_b must be an integer, got 0.5"),
+    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, n=2.5)), "n must be an integer"),
+    (lambda: contribution_lagk(1.5, 1, 1, **TABLE_KW), "k must be an integer, got 1.5"),
+    (lambda: contribution_lagk(1, 1, 1.0, **TABLE_KW), "l_f must be an integer, got 1.0"),
+    (lambda: covariance_series(np.zeros((3, 3)), k=1.5, **SERIES_KW),
+     "k must be an integer, got 1.5"),
+    (lambda: covariance_series(np.zeros((3, 3)), l_max=10.0, **SERIES_KW),
+     "l_max must be an integer, got 10.0"),
+    (lambda: covariance_series(np.zeros((2, 3)), **SERIES_KW),
+     r"adjacency must be square, got shape \(2, 3\)"),
+    (lambda: contribution_table([1.5], 2, **TABLE_KW), "k must be an integer, got 1.5"),
+    (lambda: contribution_table([1], 2.5, **TABLE_KW), "l_max must be an integer, got 2.5"),
+    (lambda: contribution_table([1], 2, **dict(TABLE_KW, n=2.5)),
+     "n must be an integer, got 2.5"),
+], ids=["psi", "cov-l_b", "cov-n", "lagk-k", "lagk-l_f", "series-k", "series-l_max",
+        "series-square", "table-k", "table-l_max", "table-n"])
+def test_counts_and_lags_must_be_integers(call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call()
+
+
 class TestContributionTable:
     def test_var1_argmax_is_shared_driver(self):
         rows = contribution_table([0], 3, eps=0.9, tau=1.0, sigma=1.0, n=10,

@@ -120,15 +120,17 @@ class TestSampleLaggedCov:
         assert np.array_equal(sample_lagged_cov(x, k_max), want)
 
     def test_single_node_never_takes_blocked_pass(self, monkeypatch):
-        # each lag product of one column is a dot product; the blocked pass
-        # would only add the packing
-        def failing(x, k_max):
-            raise AssertionError("blocked pass ran")
+        # each lag product of one column is a dot product; summing whole
+        # blocks would only add the packing
+        def failing(*args):
+            raise AssertionError("whole-block pass ran")
 
-        monkeypatch.setattr(pemnet.pem, "_blocked_lagged_cov", failing)
+        monkeypatch.setattr(pemnet.pem, "_whole_blocks", failing)
         x = np.random.default_rng(3).standard_normal((2**18, 1))
         want = np.stack([lag_product(x, k) for k in range(4)])
         assert np.array_equal(sample_lagged_cov(x, 3), want)
+        with pytest.raises(AssertionError, match="whole-block pass ran"):
+            sample_lagged_cov(np.hstack([x, x]), 3)  # two nodes do read the blocks
 
 
 class TestSampleLaggedCorr:
@@ -397,6 +399,10 @@ class TestLagDepthsMustBeIntegers:
         message = f"delta_hat must be an integer, got {delta_hat}"
         with pytest.raises(ConfigurationError, match=message):
             compute_pem(ts, kind, dt_tau=0.5, delta_hat=delta_hat)
+
+    def test_bare_string_of_kinds_refused(self, ts):
+        with pytest.raises(ConfigurationError, match=r"kinds must be a list, such as \['lc'\]"):
+            compute_pems(ts, "lc")
 
     def test_each_kind_gets_the_error_as_its_result(self, ts):
         got = compute_pems(ts, ["lc", "gc", "bogus", "lcrc"], AUTO, 1.5)
