@@ -73,9 +73,11 @@ def _top_m_mask(values: np.ndarray, m: int) -> np.ndarray:
     check_edge_count(n, m)
     keys = -values.ravel()  # row-major positions
     keys[:: n + 1] = np.inf  # the diagonal ranks below every score
-    kth = np.partition(keys, m - 1)[m - 1]
+    part = keys.copy()
+    part.partition(m - 1)
+    kth = part[m - 1]
     mask = keys < kth  # fewer than m; the ties at kth fill the rest in position order
-    ties = np.flatnonzero(keys == kth)
+    ties = (keys == kth).nonzero()[0]
     mask[ties[: m - np.count_nonzero(mask)]] = True
     return mask.reshape(n, n)
 

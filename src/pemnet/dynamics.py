@@ -93,7 +93,7 @@ def _block_operators(w: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray 
     row [W_p ... W_1] and the operator, the identity, is None.
     """
     p, n, _ = w.shape
-    w_rev = np.hstack(w[::-1])
+    w_rev = np.concatenate(w[::-1], axis=1)
     if block == 1:
         return w_rev, None
     x = np.zeros((p + block, n, p * n))

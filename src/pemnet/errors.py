@@ -41,9 +41,10 @@ class FileFormatError(PemnetError):
 
 def _require_integers(**values) -> None:
     """Raise ConfigurationError naming the first of the values that is no
-    integer (numpy integers pass; 10.0 does not)."""
+    integer (numpy integers pass; 10.0 does not). An exact int passes without
+    the numbers.Integral check, an ABC lookup that costs more than the test."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if type(value) is not int and not isinstance(value, numbers.Integral):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 

@@ -94,7 +94,12 @@ class DirectedGraph:
     def from_lag_matrix(cls, lag, delta: int | None = None) -> DirectedGraph:
         """The graph with lag[target, source] on each edge and NO_EDGE elsewhere.
 
-        lag holds integers, or floats that are all whole numbers."""
+        lag holds integers, or floats that are all whole numbers. After its
+        dtype, shape and delta, a matrix is accepted from whole-matrix
+        reductions: a diagonal of NO_EDGE, no entry below NO_EDGE, at least
+        one edge and none above delta. Only a matrix they refuse has its edge
+        arrays walked through _checked_delta, whose error names the first
+        fault in (source, target) order."""
         lag = np.asarray(lag)
         if lag.dtype.kind not in "iu":  # an integer dtype needs no pass over the entries
             if lag.dtype.kind != "f":
@@ -109,6 +114,12 @@ class DirectedGraph:
         lag = np.array(lag, dtype=np.int64)
         if lag.ndim != 2 or lag.shape[0] != lag.shape[1]:
             raise ConfigurationError(f"lag matrix must be square, got shape {lag.shape}")
+        _require_integers(delta=0 if delta is None else delta)
+        if lag.size:
+            top = int(lag.max())
+            if (top >= 0 and (delta is None or top <= delta) and lag.min() >= NO_EDGE
+                    and lag.diagonal().max() == NO_EDGE):
+                return cls.__new__(cls)._init(lag, top if delta is None else int(delta))
         sources, targets = np.nonzero(lag.T != NO_EDGE)
         delta = _checked_delta(lag.shape[0], sources, targets, lag[targets, sources], delta)
         return cls.__new__(cls)._init(lag, delta)

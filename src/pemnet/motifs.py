@@ -126,9 +126,12 @@ def covariance_series(
     below tol (at dt/tau = 1 every layer below k, and then every other layer, is
     exactly 0). Layers decay like eps^L, so at eps = 0.9 roughly 150 layers are
     needed for 1e-8 absolute accuracy; a result that still exceeds tol at l_max
-    carries a TruncationWarning and converged=False.
+    carries a TruncationWarning and converged=False. l_max < 0 raises
+    ConfigurationError.
     """
     _require_integers(k=k, l_max=l_max)
+    if l_max < 0:
+        raise ConfigurationError(f"need l_max >= 0, got {l_max}")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"adjacency must be square, got shape {a.shape}")

@@ -48,14 +48,14 @@ def spectral_radius(a: np.ndarray) -> float:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # a non-zero diagonal entry is a cycle of length 1: no peel needed
-    if not np.diagonal(a).any() and _pattern_nilpotent(a != 0.0):
+    if not a.diagonal().any() and _pattern_nilpotent(a != 0.0):
         return 0.0
     if a.shape[0] >= _PERRON_MIN_N and a.min() >= 0.0:
         root = _perron_root(a)
         if root is not None:
             return root
     try:
-        return float(np.max(np.abs(np.linalg.eigvals(a))))
+        return float(np.abs(np.linalg.eigvals(a)).max())
     except np.linalg.LinAlgError as exc:  # NaN or inf entries, or no convergence
         raise NumericalError(f"spectral radius failed: {exc}") from exc
 
@@ -134,12 +134,12 @@ def _pattern_nilpotent(pattern: np.ndarray) -> bool:
     the digraph is acyclic exactly when every node is peeled. Nilpotency then
     holds for any values on that pattern.
     """
-    inputs = np.count_nonzero(pattern, axis=1)
+    inputs = pattern.sum(axis=1, dtype=np.intp)
     alive = np.ones(pattern.shape[0], dtype=bool)
     peel = inputs == 0
     while peel.any():
         alive &= ~peel
-        inputs -= np.count_nonzero(pattern[:, peel], axis=1)
+        inputs -= pattern[:, peel].sum(axis=1, dtype=np.intp)
         peel = alive & (inputs == 0)
     return not alive.any()
 

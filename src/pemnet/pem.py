@@ -10,6 +10,7 @@ of sample_lagged_cov, the lag kernel.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -75,8 +76,11 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     the pairs inside its m whole blocks of b = k_max + 1 steps
     (_whole_blocks); a short one, or a single node, has m = 0. One product per
     lag adds the pairs that end past row m b: at m = 0 this is
-    x[k:].T @ x[:N-k], and at m > 0 it agrees with that to roundoff.
+    x[k:].T @ x[:N-k], and at m > 0 it agrees with that to roundoff. An x
+    that is not 2-D raises DataError before any lag is checked.
     """
+    if x.ndim != 2:
+        raise DataError(f"series must be 2-D (N, n), got shape {x.shape}")
     n_obs, n = x.shape
     _require_integers(k_max=k_max)
     if k_max < 0:
@@ -143,13 +147,13 @@ def lagged_corrs(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """
     mean = _node_means(ts)
     covs = sample_lagged_cov(ts.values - mean, k_max)
-    var = np.diagonal(covs[0])
-    roundoff = ts.n_obs * np.finfo(float).eps * np.abs(mean)
-    bad = np.flatnonzero(var <= roundoff**2)
+    var = covs[0].diagonal()
+    roundoff = ts.n_obs * sys.float_info.epsilon * np.abs(mean)
+    bad = (var <= roundoff**2).nonzero()[0]
     if bad.size:
         raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
     scale = np.sqrt(var)
-    return covs, covs / np.outer(scale, scale)
+    return covs, covs / (scale[:, None] * scale)
 
 
 def alpha_lccf(dt_tau: float) -> float:
@@ -174,10 +178,11 @@ def _check_dt_tau(dt_tau: float) -> float:
     return float(dt_tau)
 
 
-def _with_nan_diagonal(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    np.fill_diagonal(out, np.nan)
-    return out
+def _nan_diagonal(values: np.ndarray) -> np.ndarray:
+    """values, a matrix no one else holds, with its unused diagonal set to NaN
+    in place."""
+    values.flat[:: values.shape[0] + 1] = np.nan
+    return values
 
 
 def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInverseEstimate:
@@ -235,7 +240,7 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
                 # nested fits guarantee rss_u <= rss_r; clamp roundoff to 0
                 values[i, j] = max(0.0, log_rss_r - log_rss_u)
     return PEMMatrix(
-        _with_nan_diagonal(values), "gc", {"p_hat": p_hat}, tuple(flags)
+        _nan_diagonal(values), "gc", {"p_hat": p_hat}, tuple(flags)
     )
 
 
@@ -349,11 +354,11 @@ def _score(ts: TimeSeries, kind: str, stack, tau, delta_hat: int) -> PEMMatrix:
             raise part
     corrs, (z, flags) = stack[1], tau
     if kind == "lc":
-        return PEMMatrix(_with_nan_diagonal(corrs[1]), "lc")
+        return PEMMatrix(_nan_diagonal(corrs[1].copy()), "lc")
     alpha = (alpha_lccf if kind == "lccf" else alpha_lcrc)(z)
     best = (corrs[1 : delta_hat + 2] - alpha * corrs[: delta_hat + 1]).max(axis=0)
     params = {"dt_tau": float(z), "delta_hat": delta_hat, "alpha": alpha}
-    return PEMMatrix(_with_nan_diagonal(best), kind, params, flags)
+    return PEMMatrix(_nan_diagonal(best), kind, params, flags)
 
 
 def save_pem(pem: PEMMatrix, path: str) -> None:

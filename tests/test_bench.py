@@ -585,14 +585,38 @@ class TestGoldenSweep:
             "--seed", "11", "--out", str(out),
         ]) == 0
 
-        def columns(text):
-            rows = [line.split(",") for line in text.splitlines()]
-            wall = rows[0].index("wall_time_s")
-            return [row[:wall] + row[wall + 1:] for row in rows]
-
         golden = (Path(__file__).parent / "data" / "golden_sweep.csv").read_text()
         assert len(golden.splitlines()) == 1 + 5 * 2 * 2 * 2 * 3
-        assert columns(out.read_text()) == columns(golden)
+        assert golden_columns(out.read_text()) == golden_columns(golden)
+
+    @pytest.mark.parametrize("name, args, rows", [
+        ("golden_sweep_n100.csv", ["--n-list", "100", "--d-e-list", "0.1", "--trials", "2"], 6),
+        ("golden_sweep_lagged.csv",
+         ["--n-list", "30", "--d-e-list", "0.2", "--delta-list", "5", "--n-obs-list", "10000",
+          "--dt-tau-mode", "auto", "--trials", "1"], 3),
+    ], ids=["n100", "lagged-auto"])
+    def test_matches_recorded_csv_beyond_small_n(self, tmp_path, name, args, rows):
+        """The paths the small cells miss, held to their bits: at n = 100 the
+        Perron root, the chunked carry and the top-m mask of a large matrix;
+        at n = 30, N = 10 000, delta = 5 the whole-block lag pass and the
+        dt/tau estimate. tests/data/<name> was written with
+
+            PYTHONPATH=src python -m pemnet.cli sweep --model-list gnm \\
+                --pems lc,lccf,lcrc --seed 11 <args> --out tests/data/<name>
+        """
+        out = tmp_path / name
+        assert cli.main(["sweep", "--model-list", "gnm", "--pems", "lc,lccf,lcrc",
+                         "--seed", "11", *args, "--out", str(out)]) == 0
+        golden = (Path(__file__).parent / "data" / name).read_text()
+        assert len(golden.splitlines()) == 1 + rows
+        assert golden_columns(out.read_text()) == golden_columns(golden)
+
+
+def golden_columns(text):
+    """The rows of a sweep CSV without its wall_time_s column."""
+    rows = [line.split(",") for line in text.splitlines()]
+    wall = rows[0].index("wall_time_s")
+    return [row[:wall] + row[wall + 1:] for row in rows]
 
 
 def load_tracing():

@@ -1,10 +1,12 @@
 import re
+from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pemnet.graphs
 from pemnet.errors import (
     ConfigurationError,
     FileFormatError,
@@ -15,6 +17,7 @@ from pemnet.graphs import (
     NO_EDGE,
     DirectedGraph,
     GraphConfig,
+    _checked_delta,
     _pair_at,
     anticlustering,
     assign_lags,
@@ -144,6 +147,43 @@ class TestDirectedGraph:
         path = tmp_path / "g.txt"
         path.write_text("3 2 2\n0 1 2\n1 2 1\n")
         assert load_edge_list(str(path)).lags == {(0, 1): 2, (1, 2): 1}
+
+    def test_lag_matrix_accepted_exactly_where_its_edge_arrays_are(self, monkeypatch):
+        # from_lag_matrix accepts from whole-matrix reductions; the edge arrays
+        # it used to walk in every case stay the oracle, message for message
+        walked = []
+
+        def spy(*args):
+            walked.append(args)
+            return _checked_delta(*args)
+
+        monkeypatch.setattr(pemnet.graphs, "_checked_delta", spy)
+        rng = np.random.default_rng(25)
+        outcomes = Counter()
+        for _ in range(2000):
+            n, top = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+            lag = rng.integers(NO_EDGE, top + 1, size=(n, n))
+            lag.flat[:: n + 1] = NO_EDGE
+            for _ in range(rng.integers(0, 3)):  # entries in [-3, top + 2], diagonal too
+                lag[rng.integers(n), rng.integers(n)] = rng.integers(-3, top + 3)
+            delta = (None, top, np.int64(top), -int(rng.integers(1, 3)))[rng.integers(4)]
+            sources, targets = np.nonzero(lag.T != NO_EDGE)
+            walked.clear()
+            try:
+                want = _checked_delta(n, sources, targets, lag[targets, sources], delta)
+            except ConfigurationError as exc:
+                with pytest.raises(ConfigurationError) as got:
+                    DirectedGraph.from_lag_matrix(lag, delta)
+                assert str(got.value) == str(exc) and len(walked) == 1
+                outcomes[str(exc).split()[0]] += 1
+            else:
+                g = DirectedGraph.from_lag_matrix(lag, delta)
+                assert (g.delta, type(g.delta)) == (want, int) and not walked
+                assert np.array_equal(g.lag, lag)
+                outcomes["accepted"] += 1
+        # every fault is met, and a fair share of matrices is accepted
+        assert set(outcomes) == {"accepted", "graph", "self-loop", "lag"}
+        assert min(outcomes.values()) >= 50
 
     def test_lag_matrix_must_be_square(self):
         with pytest.raises(ConfigurationError, match="square"):

@@ -314,6 +314,8 @@ SERIES_KW = dict(eps=0.5, tau=1.0, sigma=1.0, dt_tau=0.5)
      "k must be an integer, got 1.5"),
     (lambda: covariance_series(np.zeros((3, 3)), l_max=10.0, **SERIES_KW),
      "l_max must be an integer, got 10.0"),
+    (lambda: covariance_series(np.zeros((3, 3)), l_max=-1, **SERIES_KW),
+     r"need l_max >= 0, got -1"),
     (lambda: covariance_series(np.zeros((2, 3)), **SERIES_KW),
      r"adjacency must be square, got shape \(2, 3\)"),
     (lambda: contribution_table([1.5], 2, **TABLE_KW), "k must be an integer, got 1.5"),
@@ -321,7 +323,7 @@ SERIES_KW = dict(eps=0.5, tau=1.0, sigma=1.0, dt_tau=0.5)
     (lambda: contribution_table([1], 2, **dict(TABLE_KW, n=2.5)),
      "n must be an integer, got 2.5"),
 ], ids=["psi", "cov-l_b", "cov-n", "lagk-k", "lagk-l_f", "series-k", "series-l_max",
-        "series-square", "table-k", "table-l_max", "table-n"])
+        "series-negative-l_max", "series-square", "table-k", "table-l_max", "table-n"])
 def test_counts_and_lags_must_be_integers(call, message):
     with pytest.raises(ConfigurationError, match=message):
         call()

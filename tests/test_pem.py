@@ -93,6 +93,13 @@ class TestSampleLaggedCov:
         with pytest.raises(DataError):
             sample_lagged_cov(np.zeros((5, 2)), 4)
 
+    @pytest.mark.parametrize("shape", [(50,), (50, 2, 2)])
+    def test_series_must_be_2d(self, shape):
+        # refused before the lag checks: k_max 1.5 and 60 would raise otherwise
+        for k_max in (1, 1.5, 60):
+            with pytest.raises(DataError, match=re.escape(f"2-D (N, n), got shape {shape}")):
+                sample_lagged_cov(np.zeros(shape), k_max)
+
     @pytest.mark.parametrize("n, n_obs, k_max", [
         (2, 2**16, 3), (30, 10_000, 6), (30, 10_003, 6), (5, 40_000, 8),
     ])
