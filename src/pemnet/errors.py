@@ -48,6 +48,14 @@ def _require_integers(**values) -> None:
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _checked_dt_tau(dt_tau) -> float:
+    """dt_tau as a float. A value outside (0, 1], NaN, or no real number at all
+    (the string "0.5" included) raises ConfigurationError."""
+    if isinstance(dt_tau, numbers.Real) and 0.0 < dt_tau <= 1.0:
+        return float(dt_tau)
+    raise ConfigurationError(f"dt/tau must lie in (0, 1], got {dt_tau!r}")
+
+
 def _require_lists(**values) -> None:
     """Raise ConfigurationError naming the first of the values that is a bare
     string where a list is expected: "lc" would iterate as 'l' and 'c'."""

@@ -215,22 +215,27 @@ def _oriented(
     return DirectedGraph.from_lag_matrix(lag, delta)
 
 
+def _feasible_counts(config: GraphConfig) -> tuple[int, int, int]:
+    """(n, m, p) of config. Its m edges with p reciprocal pairs occupy m - p
+    node pairs; more than the n(n-1)/2 that n nodes have raises
+    ConfigurationError."""
+    n, m, p = config.n, config.m, config.reciprocal_pairs
+    if m - p > n * (n - 1) // 2:
+        raise ConfigurationError(
+            f"infeasible targets: {m} edges with {p} reciprocal pairs need {m - p} "
+            f"node pairs, more than the {n * (n - 1) // 2} of n={n} nodes")
+    return n, m, p
+
+
 def gen_gnm(config: GraphConfig, rng: np.random.Generator) -> DirectedGraph:
     """Directed G(n, m) sample with an exact reciprocal-pair count.
 
     Draws p unordered pairs (both directions added), then m - 2p further
     unordered pairs that each receive a single, uniformly chosen direction.
     """
-    n, m, p = config.n, config.m, config.reciprocal_pairs
-    s = m - 2 * p
-    n_pairs = n * (n - 1) // 2
-    if p + s > n_pairs:
-        raise ConfigurationError(
-            f"infeasible targets: {p} reciprocal + {s} single pairs exceed "
-            f"{n_pairs} unordered pairs (n={n}, m={m})"
-        )
-    first, second = _pair_at(n, rng.choice(n_pairs, size=p + s, replace=False))
-    return _oriented(n, first, second, np.arange(p + s) < p, config.delta, rng)
+    n, m, p = _feasible_counts(config)
+    first, second = _pair_at(n, rng.choice(n * (n - 1) // 2, size=m - p, replace=False))
+    return _oriented(n, first, second, np.arange(m - p) < p, config.delta, rng)
 
 
 def _pair_at(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,26 +254,22 @@ def _pair_at(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ring_lattice_pairs(n: int, n_edges: int, rng: np.random.Generator) -> list[Edge]:
-    """Undirected ring lattice with n_edges edges.
+    """Undirected ring lattice with 1 <= n_edges <= n(n-1)/2 edges.
 
     Fills neighbor-distance classes 1, 2, ... outward; a partial final class is
     sampled uniformly, so leftover edges go to randomly chosen closest
     non-neighbors.
     """
     out: list[Edge] = []
-    for d in range(1, n // 2 + 1):
+    for d in itertools.count(1):  # classes 1 .. n // 2 hold every pair
         layer = sorted({tuple(sorted((i, (i + d) % n))) for i in range(n)})
-        if len(out) + len(layer) <= n_edges:
-            out.extend(layer)
-        else:
-            need = n_edges - len(out)
+        need = n_edges - len(out)
+        if len(layer) > need:
             idx = rng.choice(len(layer), size=need, replace=False)
-            out.extend(layer[t] for t in sorted(idx.tolist()))
+            layer = [layer[t] for t in sorted(idx.tolist())]
+        out.extend(layer)
         if len(out) == n_edges:
             return out
-    raise ConfigurationError(
-        f"ring lattice cannot host {n_edges} edges on {n} nodes"
-    )
 
 
 def _rewire_small_world(
@@ -305,10 +306,9 @@ def _preferential_attachment_pairs(
     degree-proportional target choice, then places leftover edges between
     degree-proportionally sampled non-adjacent pairs.
     """
-    if n_edges < n - 1 or n_edges > n * (n - 1) // 2:
+    if n_edges < n - 1:
         raise ConfigurationError(
-            f"preferential attachment needs n-1 <= edges <= n(n-1)/2, got {n_edges}"
-        )
+            f"preferential attachment needs at least n-1 = {n - 1} edges, got {n_edges}")
     m_att = 1
     while True:
         seed_nodes = m_att + 2
@@ -351,19 +351,14 @@ def gen_backbone(config: GraphConfig, rng: np.random.Generator) -> DirectedGraph
     Builds an undirected backbone with m - p edges, upgrades p of them to
     bidirectional pairs, and orients the rest uniformly at random.
     """
-    n, m, p = config.n, config.m, config.reciprocal_pairs
-    n_undirected = m - p
-    if n_undirected > n * (n - 1) // 2:
-        raise ConfigurationError(
-            f"{n_undirected} undirected backbone edges exceed capacity for n={n}"
-        )
+    n, m, p = _feasible_counts(config)
     if config.model == "rr":
-        backbone = _ring_lattice_pairs(n, n_undirected, rng)
+        backbone = _ring_lattice_pairs(n, m - p, rng)
     elif config.model == "sw":
-        backbone = _ring_lattice_pairs(n, n_undirected, rng)
+        backbone = _ring_lattice_pairs(n, m - p, rng)
         backbone = _rewire_small_world(backbone, n, config.rewire_p, rng)
     elif config.model == "ba":
-        backbone = _preferential_attachment_pairs(n, n_undirected, rng)
+        backbone = _preferential_attachment_pairs(n, m - p, rng)
     else:
         raise ConfigurationError(f"model {config.model!r} has no backbone generator")
     both = np.zeros(len(backbone), dtype=bool)

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, isfinite
+from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigurationError, _require_integers
+from .errors import ConfigurationError, _checked_dt_tau, _require_integers
 from .numerics import require_stable, spectral_radius
 
 
@@ -38,13 +39,7 @@ def psi(p: int, q: int, z: float) -> float:
     _require_integers(p=p, q=q)
     if p < 0 or q < 0:
         raise ConfigurationError(f"walk lengths must be >= 0, got ({p}, {q})")
-    return _psi_cached(p, q, _checked_z(z))
-
-
-def _checked_z(z: float) -> float:
-    if not 0.0 < z <= 1.0:
-        raise ConfigurationError(f"z must lie in (0, 1], got {z}")
-    return float(z)
+    return _psi_cached(p, q, _checked_dt_tau(z))
 
 
 @lru_cache(maxsize=200_000)
@@ -63,9 +58,9 @@ def _psi_cached(p: int, q: int, z: float) -> float:
 def contribution_cov(
     l_b: int, l_f: int, *, eps: float, tau: float, sigma: float, n: int, dt_tau: float
 ) -> float:
-    """Contribution of motif (l_b, l_f) to steady-state covariance."""
-    _require_integers(l_b=l_b, l_f=l_f, n=n)
-    return tau * sigma**2 / n * eps ** (l_b + l_f) * psi(l_b, l_f, dt_tau)
+    """Contribution of motif (l_b, l_f) to steady-state covariance, the lag-0
+    contribution_lagk."""
+    return contribution_lagk(0, l_b, l_f, eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=dt_tau)
 
 
 def contribution_lagk(
@@ -73,7 +68,7 @@ def contribution_lagk(
     eps: float, tau: float, sigma: float, n: int, dt_tau: float,
 ) -> float:
     """Contribution of motif (l_b, l_f) to the lag-k steady-state covariance."""
-    _require_integers(k=k, l_b=l_b, l_f=l_f, n=n)
+    _require_integers(l_b=l_b, l_f=l_f)
     if min(l_b, l_f) < 0:
         raise ConfigurationError(f"walk lengths must be >= 0, got ({l_b}, {l_f})")
     return float(_coefficients(k, l_b + l_f + 1, eps=eps, tau=tau, sigma=sigma, n=n,
@@ -89,11 +84,19 @@ def _coefficients(
     c^(k)_{b,f} = (1 - z) c^(k-1)_{b,f} + eps z c^(k-1)_{b,f-1}, with
     c_{b,-1} = 0 (the boundary forced by the one-step update of the dynamics).
     Row l_b reads only its own smaller l_f, so the lag-0 triangle suffices.
+    The one check of every caller's motif parameters: a bad one raises
+    ConfigurationError.
     """
+    _require_integers(k=k, n=n)
     if k < 0:
         raise ConfigurationError(f"lag must be >= 0, got {k}")
-    z = _checked_z(dt_tau)
-    # contribution_cov's product, in its order: (tau sigma^2 / n eps^L) psi
+    for name, value in (("eps", eps), ("tau", tau), ("sigma", sigma), ("dt_tau", dt_tau)):
+        if not (isinstance(value, Real) and isfinite(value)):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+    if n < 1 or tau <= 0 or sigma < 0 or eps < 0:
+        raise ConfigurationError(f"need n >= 1, tau > 0, sigma >= 0 and eps >= 0; "
+                                 f"got n={n}, tau={tau}, sigma={sigma}, eps={eps}")
+    z = _checked_dt_tau(dt_tau)
     scale = [tau * sigma**2 / n * eps**total for total in range(size)]
     c = np.zeros((size, size))
     for b in range(size):
@@ -126,20 +129,20 @@ def covariance_series(
     below tol (at dt/tau = 1 every layer below k, and then every other layer, is
     exactly 0). Layers decay like eps^L, so at eps = 0.9 roughly 150 layers are
     needed for 1e-8 absolute accuracy; a result that still exceeds tol at l_max
-    carries a TruncationWarning and converged=False. l_max < 0 raises
-    ConfigurationError.
+    carries a TruncationWarning and converged=False. l_max < 0, and the motif
+    parameters that _coefficients refuses, raise ConfigurationError before the
+    stability check.
     """
-    _require_integers(k=k, l_max=l_max)
+    _require_integers(l_max=l_max)
     if l_max < 0:
         raise ConfigurationError(f"need l_max >= 0, got {l_max}")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"adjacency must be square, got shape {a.shape}")
     n = a.shape[0]
-    z = dt_tau
-    require_stable(spectral_radius(eps * z * a + (1.0 - z) * np.eye(n)),
+    coef = _coefficients(k, l_max + 1, eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=dt_tau)
+    require_stable(spectral_radius(eps * dt_tau * a + (1.0 - dt_tau) * np.eye(n)),
                    "update rule for this adjacency")
-    coef = _coefficients(k, l_max + 1, eps=eps, tau=tau, sigma=sigma, n=n, dt_tau=z)
     # walks[:, j] = A^j: any run of powers side by side is one (n, jn) view
     walks = np.stack(list(accumulate(repeat(a, l_max), np.matmul, initial=np.eye(n))),
                      axis=1)
@@ -181,20 +184,13 @@ def contribution_table(
     eps: float, tau: float, sigma: float, n: int, dt_tau: float,
 ) -> list[ContributionRow]:
     """Exhaustive grid of lag-k contributions for walk lengths up to l_max."""
-    _require_integers(l_max=l_max, n=n)
-    for name, value in (("eps", eps), ("tau", tau), ("sigma", sigma), ("dt_tau", dt_tau)):
-        if not isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-    if n < 1 or tau <= 0 or sigma < 0 or eps < 0:
-        raise ConfigurationError(f"need n >= 1, tau > 0, sigma >= 0 and eps >= 0; "
-                                 f"got n={n}, tau={tau}, sigma={sigma}, eps={eps}")
+    _require_integers(l_max=l_max)
     if l_max > 12:
         raise ConfigurationError(f"l_max is capped at 12, got {l_max}")
     if l_max < 1:
         raise ConfigurationError(f"need l_max >= 1, got {l_max}")
     rows: list[ContributionRow] = []
     for k in k_values:
-        _require_integers(k=k)
         values = _coefficients(k, 2 * l_max + 1, eps=eps, tau=tau, sigma=sigma, n=n,
                                dt_tau=dt_tau)[: l_max + 1, : l_max + 1]
         peak = values.flat[1:].max()  # every motif but (0, 0)

@@ -19,8 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import TimeSeries
 from .errors import (ConfigurationError, DataError, FileFormatError, NumericalError,
-                     PemnetError, _data_lines, _data_table, _require_integers,
-                     _require_lists)
+                     PemnetError, _checked_dt_tau, _data_lines, _data_table,
+                     _require_integers, _require_lists)
 from .numerics import ols_fit
 
 AUTO = "auto"
@@ -162,20 +162,13 @@ def alpha_lccf(dt_tau: float) -> float:
     Closed form 2(1 - z) / (2 - 2z + z^2); equal by construction to the ratio
     of the motif's lag-1 to lag-0 contribution (motifs.contribution_lagk).
     """
-    z = _check_dt_tau(dt_tau)
+    z = _checked_dt_tau(dt_tau)
     return 2.0 * (1.0 - z) / (2.0 - 2.0 * z + z * z)
 
 
 def alpha_lcrc(dt_tau: float) -> float:
     """Correction factor cancelling the reversed-edge motif (1, 0): 1 - z."""
-    z = _check_dt_tau(dt_tau)
-    return 1.0 - z
-
-
-def _check_dt_tau(dt_tau: float) -> float:
-    if not 0.0 < dt_tau <= 1.0:
-        raise ConfigurationError(f"dt/tau must lie in (0, 1], got {dt_tau}")
-    return float(dt_tau)
+    return 1.0 - _checked_dt_tau(dt_tau)
 
 
 def _nan_diagonal(values: np.ndarray) -> np.ndarray:
@@ -317,7 +310,7 @@ def _reads(kind: str, dt_tau, delta_hat: int, n_obs: int) -> tuple[int, bool]:
         raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
     corrected = kind in ("lccf", "lcrc")
     if corrected and dt_tau != AUTO:
-        _check_dt_tau(dt_tau)
+        _checked_dt_tau(dt_tau)
     lag = delta_hat + 1 if corrected else int(kind == "lc")
     if lag > n_obs - 2:
         raise _too_short(n_obs)

@@ -273,6 +273,12 @@ class TestRunTrial:
             assert r.error.startswith("graph: preferential attachment needs")
             assert np.isnan(r.accuracy)
 
+    def test_string_dt_tau_is_a_record_per_corrected_measure(self):
+        records = run_trial(GraphConfig(), SDDParams(), ["lc", "lcrc"], seed=0, dt_tau="x")
+        assert records[0].pem_kind == "lc" and not records[0].error
+        assert records[1].error == "pem[lcrc]: dt/tau must lie in (0, 1], got 'x'"
+        assert np.isnan(records[1].accuracy)
+
     def test_delta_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
             run_trial(GraphConfig(delta=2), SDDParams(delta=0), ["lc"], seed=0)

@@ -341,6 +341,19 @@ class TestGenBackbone:
                 assert abs(density - 0.3) <= 1.0 / (12 * 11)
                 assert abs(reciprocity - r_e) <= 2.0 / g.m
 
+    @pytest.mark.parametrize("model", GRAPH_MODELS)
+    def test_one_feasibility_rule_for_every_model(self, model):
+        # 12 edges without a reciprocal pair need 12 of the 6 pairs of 4 nodes
+        cfg = GraphConfig(model=model, n=4, d_e=1.0, r_e=0.0)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "infeasible targets: 12 edges with 0 reciprocal pairs need 12 node "
+                "pairs, more than the 6 of n=4 nodes")):
+            gen_graph(cfg, np.random.default_rng(0))
+
+    def test_gnm_config_has_no_backbone(self):
+        with pytest.raises(ConfigurationError, match="model 'gnm' has no backbone generator"):
+            gen_backbone(GraphConfig(), np.random.default_rng(0))
+
     def test_infeasible_ba(self):
         # too few backbone edges for preferential attachment on n nodes
         cfg = GraphConfig(model="ba", n=20, d_e=0.04, r_e=0.0)  # P = 15 < n - 1

@@ -118,6 +118,19 @@ class TestContributionCov:
             1.0 * 0.2**2 * 0.9**3 / (2**4 * 5) * comb(3, 2), rel=1e-14
         )
 
+    def test_is_the_closed_product_bit_for_bit(self):
+        # the lag-0 table entry is the product (tau sigma^2 / n eps^L) psi, in
+        # that order, that contribution_cov once computed itself
+        tau, sigma, n = DEFAULTS["tau"], DEFAULTS["sigma"], DEFAULTS["n"]
+        for z in (1e-5, 0.1, 0.5, 1.0):
+            for eps in (0.5, 0.9):
+                args = dict(DEFAULTS, eps=eps, dt_tau=z)
+                for total in range(25):
+                    for l_f in range(total + 1):
+                        l_b = total - l_f
+                        want = tau * sigma**2 / n * eps ** (l_b + l_f) * psi(l_b, l_f, z)
+                        assert contribution_cov(l_b, l_f, **args) == want
+
 
 class TestContributionLagk:
     def test_k1_recursion_instance(self):
@@ -325,6 +338,36 @@ SERIES_KW = dict(eps=0.5, tau=1.0, sigma=1.0, dt_tau=0.5)
 ], ids=["psi", "cov-l_b", "cov-n", "lagk-k", "lagk-l_f", "series-k", "series-l_max",
         "series-negative-l_max", "series-square", "table-k", "table-l_max", "table-n"])
 def test_counts_and_lags_must_be_integers(call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call()
+
+
+STABLE = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: psi(1, 1, "x"), r"dt/tau must lie in \(0, 1\], got 'x'"),
+    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, n=0)), "got n=0,"),
+    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, n=0)), "got n=0,"),
+    (lambda: covariance_series(np.zeros((0, 0)), **SERIES_KW), "got n=0,"),
+    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, tau=-1.0)), "tau=-1.0,"),
+    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, tau=-1.0)), "tau=-1.0,"),
+    (lambda: covariance_series(STABLE, **dict(SERIES_KW, tau=-1.0)), "tau=-1.0,"),
+    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, eps=np.nan)), "eps must be finite"),
+    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, eps=np.nan)), "eps must be finite"),
+    (lambda: covariance_series(STABLE, **dict(SERIES_KW, eps=np.nan)), "eps must be finite"),
+    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, sigma="x")), "sigma must be finite"),
+    (lambda: contribution_table([0], 2, **dict(TABLE_KW, dt_tau=1.5)),
+     r"dt/tau must lie in \(0, 1\], got 1.5"),
+    (lambda: contribution_table([0], 0, **TABLE_KW), "need l_max >= 1, got 0"),
+    (lambda: psi(-1, 0, 0.5), r"walk lengths must be >= 0, got \(-1, 0\)"),
+], ids=["psi-string-z", "cov-n0", "lagk-n0", "series-0x0", "cov-tau", "lagk-tau",
+        "series-tau", "cov-nan-eps", "lagk-nan-eps", "series-nan-eps", "lagk-string-sigma",
+        "table-dt_tau", "table-l_max-0", "psi-negative-p"])
+def test_every_motif_function_refuses_bad_parameters(call, message):
+    # one check in _coefficients serves every function; the n = 0, tau < 0 and
+    # NaN eps calls once raised ZeroDivisionError, returned a negative
+    # covariance, or returned NaN (covariance_series: NumericalError)
     with pytest.raises(ConfigurationError, match=message):
         call()
 

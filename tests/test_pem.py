@@ -343,6 +343,20 @@ class TestLagStack:
         with pytest.raises(ConfigurationError, match=match):
             compute_pem(ts, kind, dt_tau=dt_tau, delta_hat=delta_hat)
 
+    @pytest.mark.parametrize("call, shown", [
+        (lambda ts: compute_pem(ts, "lcrc", dt_tau="x"), "'x'"),
+        (lambda ts: compute_pem(ts, "lccf", dt_tau=None), "None"),
+        (lambda ts: compute_pem(ts, "lcrc", dt_tau=np.nan), "nan"),
+        (lambda ts: alpha_lccf("0.5"), "'0.5'"),
+        (lambda ts: alpha_lcrc(0.0), "0.0"),
+    ], ids=["string", "none", "nan", "alpha-string", "alpha-zero"])
+    def test_dt_tau_that_is_no_number_in_range_refused(self, ts, call, shown):
+        # one check serves the measures and the motif layer; a string or None
+        # once ended in a bare TypeError
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"dt/tau must lie in (0, 1], got {shown}")):
+            call(ts)
+
 
 class TestCentering:
     # the three workload shapes (N, n), and one with an odd N and n
