@@ -2,6 +2,7 @@
 readers of their file loaders."""
 
 import numbers
+from collections.abc import Collection
 from contextlib import suppress
 
 import numpy as np
@@ -58,11 +59,12 @@ def _checked_dt_tau(dt_tau) -> float:
 
 def _require_lists(**values) -> None:
     """Raise ConfigurationError naming the first of the values that is a bare
-    string where a list is expected: "lc" would iterate as 'l' and 'c'."""
+    string, or no collection at all, where a list is expected: "lc" would
+    iterate as 'l' and 'c', and 5 or a generator cannot be read twice."""
     for name, value in values.items():
-        if isinstance(value, str):
+        if isinstance(value, str) or not isinstance(value, Collection):
             raise ConfigurationError(
-                f"{name} must be a list, such as [{value!r}], not the string {value!r}")
+                f"{name} must be a list, such as [{value!r}], not {value!r}")
 
 
 def _data_lines(path: str, empty: str) -> tuple[tuple[int, str], list[tuple[int, str]]]:

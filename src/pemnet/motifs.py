@@ -129,13 +129,15 @@ def covariance_series(
     below tol (at dt/tau = 1 every layer below k, and then every other layer, is
     exactly 0). Layers decay like eps^L, so at eps = 0.9 roughly 150 layers are
     needed for 1e-8 absolute accuracy; a result that still exceeds tol at l_max
-    carries a TruncationWarning and converged=False. l_max < 0, and the motif
-    parameters that _coefficients refuses, raise ConfigurationError before the
-    stability check.
+    carries a TruncationWarning and converged=False. l_max < 0, a tol that is
+    negative or not finite, and the motif parameters that _coefficients
+    refuses raise ConfigurationError before the stability check.
     """
     _require_integers(l_max=l_max)
     if l_max < 0:
         raise ConfigurationError(f"need l_max >= 0, got {l_max}")
+    if not (isfinite(tol) and tol >= 0.0):
+        raise ConfigurationError(f"tol must be finite and >= 0, got {tol}")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"adjacency must be square, got shape {a.shape}")

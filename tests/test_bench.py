@@ -216,14 +216,19 @@ class TestSpearman:
         with pytest.raises(DataError):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "a"])
     @pytest.mark.parametrize("side", ["xs", "ys"])
     def test_non_finite_input_raises(self, bad, side):
-        # a NaN once ranked last and gave 0.8 here
+        # a NaN once ranked last and gave 0.8 here; "a" ended in numpy's ValueError
         values, ranks = [1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0]
         args = (values, ranks) if side == "xs" else (ranks, values)
-        with pytest.raises(DataError, match="NaN or inf"):
+        match = "non-numeric input" if isinstance(bad, str) else "NaN or inf"
+        with pytest.raises(DataError, match=match):
             spearman(*args)
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ConfigurationError, match="equal-length lists of at least 3"):
+            spearman([1, 2, 3], [1, 2])
 
 
 class TestDeriveSeed:
@@ -514,6 +519,19 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             SweepSpec(grid={"bogus": [1]})
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"n": "12"}, r"n must be a list, such as \['12'\], not '12'"),  # once n = 1, 2
+        ({"dt": "0.5"}, r"dt must be a list, such as \['0.5'\], not '0.5'"),
+        ({"n": 5}, r"n must be a list, such as \[5\], not 5"),  # once a TypeError
+    ], ids=["string-n", "string-dt", "int-n"])
+    def test_rejects_grid_value_that_is_no_list(self, grid, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SweepSpec(grid=grid)
+
+    def test_rejects_empty_value_list(self):
+        with pytest.raises(ConfigurationError, match="sweep grid has an empty value list"):
+            SweepSpec(grid={"n": []})
+
     @pytest.mark.parametrize("grid, key", [
         ({"n": [10.7], "delta": [0.9]}, "n"),  # int() would run n = 10, delta = 0
         ({"delta": [0, 0.9]}, "delta"),
@@ -552,6 +570,10 @@ class TestSweep:
     def test_rejects_bare_string_of_measures(self):
         with pytest.raises(ConfigurationError, match="pems must be a list"):
             SweepSpec(pems="lcrc")
+
+    def test_rejects_no_measures(self):
+        with pytest.raises(ConfigurationError, match="no edge measures requested"):
+            SweepSpec(pems=())
 
     def test_cell_keys_map_onto_configs_and_columns(self):
         grid = {"N": ["500"], "delta": [2], "eps": [0.5]}

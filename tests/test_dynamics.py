@@ -18,7 +18,8 @@ from pemnet.dynamics import (
     simulate_sdd,
     step_matrices,
 )
-from pemnet.errors import ConfigurationError, DataError, FileFormatError, StabilityError
+from pemnet.errors import (ConfigurationError, DataError, FileFormatError, NumericalError,
+                           StabilityError)
 from pemnet.graphs import (
     DirectedGraph,
     GraphConfig,
@@ -128,6 +129,21 @@ class TestParams:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             SDDParams(**{name: value})
+
+    def test_negative_max_lag_refused(self):
+        with pytest.raises(ConfigurationError, match="max lag must be >= 0, got -1"):
+            SDDParams(delta=-1)
+
+    def test_no_coupling_matrix_refused(self):
+        with pytest.raises(ConfigurationError, match="need at least one coupling matrix"):
+            step_matrices([], SDDParams())
+
+    def test_overflow_raises_numerical_error(self):
+        # a finite sigma whose noise overflows to inf within the first steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="simulation produced non-finite values"):
+                simulate_sdd(ring_mats(), SDDParams(sigma=1.6e308, n_obs=10),
+                             np.random.default_rng(0))
 
     def test_dt_tau_above_one_warns(self):
         with pytest.warns(UserWarning, match="outside the studied regime"):
@@ -692,6 +708,13 @@ class TestTimeSeriesIO:
         path = tmp_path / "ts.txt"
         path.write_text(lines)
         with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_time_series(str(path))
+
+    @pytest.mark.parametrize("header", ["2 x 0.5", "2 2"])
+    def test_bad_header_refused(self, tmp_path, header):
+        path = tmp_path / "ts.txt"
+        path.write_text(header + "\n0.0 0.0\n1.0 2.0\n")
+        with pytest.raises(FileFormatError, match=re.escape(f":1: bad header {header!r}")):
             load_time_series(str(path))
 
     def test_rejects_short_rows(self, tmp_path):

@@ -354,6 +354,12 @@ class TestGenBackbone:
         with pytest.raises(ConfigurationError, match="model 'gnm' has no backbone generator"):
             gen_backbone(GraphConfig(), np.random.default_rng(0))
 
+    def test_gives_up_on_a_config_with_only_nilpotent_graphs(self):
+        # one edge on two nodes has no cycle: every draw is nilpotent
+        with pytest.raises(ConfigurationError, match="no non-nilpotent sample within 1000"):
+            gen_graph_non_nilpotent(GraphConfig(n=2, d_e=0.5, r_e=0.0),
+                                    np.random.default_rng(0))
+
     def test_infeasible_ba(self):
         # too few backbone edges for preferential attachment on n nodes
         cfg = GraphConfig(model="ba", n=20, d_e=0.04, r_e=0.0)  # P = 15 < n - 1
@@ -387,6 +393,10 @@ class TestGraphConfig:
 
 
 class TestAssignLags:
+    def test_negative_delta_refused(self):
+        with pytest.raises(ConfigurationError, match="delta must be >= 0, got -1"):
+            assign_lags(complete_graph(4), -1, np.random.default_rng(0))
+
     @pytest.mark.parametrize("delta", [1.5, 2.0])
     def test_delta_must_be_an_integer(self, delta):
         rng, fresh = np.random.default_rng(0), np.random.default_rng(0)
@@ -658,6 +668,18 @@ class TestEdgeListIO:
             load_edge_list(str(path))
         with pytest.raises(ConfigurationError, match="n=100000000000000000000"):
             DirectedGraph(10**20, ((0, 1),))
+
+    @pytest.mark.parametrize("lines, message", [
+        ("", "empty edge-list file"),
+        ("\n  \n", "empty edge-list file"),
+        ("3 x 0\n0 1 0\n", ":1: bad header '3 x 0'"),
+        ("3 0 0\n", "graph must have at least one edge"),
+    ], ids=["empty", "blank", "bad-header", "no-rows"])
+    def test_rejects_file_without_edges(self, tmp_path, lines, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(lines)
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_edge_list(str(path))
 
     def test_rejects_wrong_count(self, tmp_path):
         path = tmp_path / "bad.txt"

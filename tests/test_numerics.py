@@ -237,6 +237,16 @@ class TestSpectralRadius:
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((4, 4))) == 0.0
 
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+            spectral_radius(np.zeros((2, 3)))
+
+    def test_diagonal_falls_back_to_the_eigensolve(self):
+        # no off-diagonal mass, so the Perron bracket has no shift to work with
+        a = np.diag(np.arange(1.0, 65.0))
+        assert _perron_root(a) is None
+        assert spectral_radius(a) == 64.0
+
     def test_non_zero_diagonal_skips_the_peel(self, monkeypatch):
         # a self-loop is a cycle: the radius of a triangular matrix is its
         # largest diagonal entry, found without peeling the pattern
@@ -429,3 +439,12 @@ class TestOlsFit:
         x = np.ones((20, 2))  # duplicate columns
         with pytest.raises(NumericalError):
             ols_fit(np.arange(20.0), x)
+
+    @pytest.mark.parametrize("x, message", [
+        (np.ones(3), "design matrix must be 2-D"),
+        (np.ones((3, 3)), "need T > q >= 1, got T=3, q=3"),
+        (np.ones((3, 0)), "need T > q >= 1, got T=3, q=0"),
+    ], ids=["1-d", "t-equals-q", "no-columns"])
+    def test_bad_design_refused(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            ols_fit(np.arange(3.0), x)

@@ -436,7 +436,8 @@ class TestLagDepthsMustBeIntegers:
         (lambda ts: lagged_corrs(ts, 1.5), "k_max must be an integer, got 1.5"),
         (lambda ts: sample_lagged_cov(centered(ts), 2.0), "k_max must be an integer, got 2.0"),
         (lambda ts: pem_gc(ts, p_hat=1.5), "p_hat must be an integer, got 1.5"),
-    ], ids=["lagged_corrs", "sample_lagged_cov", "pem_gc"])
+        (lambda ts: pem_gc(ts, p_hat=0), "need p_hat >= 1, got 0"),
+    ], ids=["lagged_corrs", "sample_lagged_cov", "pem_gc", "pem_gc-zero"])
     def test_kernel_depths_refused(self, ts, call, message):
         with pytest.raises(ConfigurationError, match=message):
             call(ts)
@@ -737,6 +738,18 @@ class TestSerialization:
         path.write_text(lines)
         with pytest.raises(FileFormatError, match=re.escape(message)):
             load_pem(str(path))
+
+    @pytest.mark.parametrize("header", ["pem lc x", "pem lc"])
+    def test_bad_header_names_its_line(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"\n{header}\nnan 0.5\n0.5 nan\n")
+        with pytest.raises(FileFormatError, match=re.escape(f":2: bad header {header!r}")):
+            load_pem(str(path))
+
+    def test_header_value_of_no_number_stays_a_string(self, tmp_path):
+        path = tmp_path / "pem.txt"
+        path.write_text("pem lcrc 2 delta_hat=2 dt_tau=0.5 note=auto\nnan 0.5\n0.5 nan\n")
+        assert load_pem(str(path)).params == {"delta_hat": 2, "dt_tau": 0.5, "note": "auto"}
 
     def test_reads_tokens_only_float_takes(self, tmp_path):
         # numpy's parser refuses 1_000; the token-by-token pass reads it
