@@ -19,7 +19,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigurationError, _checked_dt_tau, _require_integers
+from .errors import ConfigurationError, _checked_dt_tau, _require_integers, _require_lists
 from .numerics import require_stable, spectral_radius
 
 
@@ -185,7 +185,13 @@ def contribution_table(
     k_values: list[int], l_max: int, *,
     eps: float, tau: float, sigma: float, n: int, dt_tau: float,
 ) -> list[ContributionRow]:
-    """Exhaustive grid of lag-k contributions for walk lengths up to l_max."""
+    """Exhaustive grid of lag-k contributions for walk lengths up to l_max.
+
+    Needs at least one lag: the motif parameters are checked with each lag's
+    table (_coefficients)."""
+    _require_lists(k_values=k_values)
+    if len(k_values) == 0:
+        raise ConfigurationError("need at least one lag k")
     _require_integers(l_max=l_max)
     if l_max > 12:
         raise ConfigurationError(f"l_max is capped at 12, got {l_max}")

@@ -523,14 +523,11 @@ class TestSweep:
         ({"n": "12"}, r"n must be a list, such as \['12'\], not '12'"),  # once n = 1, 2
         ({"dt": "0.5"}, r"dt must be a list, such as \['0.5'\], not '0.5'"),
         ({"n": 5}, r"n must be a list, such as \[5\], not 5"),  # once a TypeError
-    ], ids=["string-n", "string-dt", "int-n"])
+        ({"n": []}, "sweep grid has an empty value list"),
+    ], ids=["string-n", "string-dt", "int-n", "empty"])
     def test_rejects_grid_value_that_is_no_list(self, grid, message):
         with pytest.raises(ConfigurationError, match=message):
             SweepSpec(grid=grid)
-
-    def test_rejects_empty_value_list(self):
-        with pytest.raises(ConfigurationError, match="sweep grid has an empty value list"):
-            SweepSpec(grid={"n": []})
 
     @pytest.mark.parametrize("grid, key", [
         ({"n": [10.7], "delta": [0.9]}, "n"),  # int() would run n = 10, delta = 0

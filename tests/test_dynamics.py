@@ -115,6 +115,8 @@ class TestParams:
             SDDParams(sigma=-1.0)
         with pytest.raises(ConfigurationError):
             SDDParams(n_obs=1)
+        with pytest.raises(ConfigurationError, match="max lag must be >= 0, got -1"):
+            SDDParams(delta=-1)
 
     @pytest.mark.parametrize("name, value", [
         ("delta", 1.5), ("delta", 1.0), ("n_obs", 1000.5), ("n_obs", "1000")])
@@ -129,14 +131,6 @@ class TestParams:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             SDDParams(**{name: value})
-
-    def test_negative_max_lag_refused(self):
-        with pytest.raises(ConfigurationError, match="max lag must be >= 0, got -1"):
-            SDDParams(delta=-1)
-
-    def test_no_coupling_matrix_refused(self):
-        with pytest.raises(ConfigurationError, match="need at least one coupling matrix"):
-            step_matrices([], SDDParams())
 
     def test_overflow_raises_numerical_error(self):
         # a finite sigma whose noise overflows to inf within the first steps
@@ -328,6 +322,7 @@ class TestSimulate:
         ([np.full((3, 3), np.inf)], "lag 0 has non-finite"),
         ([np.zeros((3, 2))], r"lag 0 must be square, got shape \(3, 2\)"),
         ([np.zeros((3, 3)), np.zeros((2, 2))], r"lag 1 has shape \(2, 2\)"),
+        ([], "need at least one coupling matrix"),
     ])
     def test_bad_couplings_refused_before_any_noise(self, mats, message):
         rng, fresh = np.random.default_rng(0), np.random.default_rng(0)

@@ -365,10 +365,11 @@ STABLE = np.array([[0.0, 1.0], [1.0, 0.0]])
     (lambda: contribution_table([0], 2, **dict(TABLE_KW, dt_tau=1.5)),
      r"dt/tau must lie in \(0, 1\], got 1.5"),
     (lambda: contribution_table([0], 0, **TABLE_KW), "need l_max >= 1, got 0"),
+    (lambda: contribution_table([], 2, **dict(TABLE_KW, n=0)), "need at least one lag k"),
     (lambda: psi(-1, 0, 0.5), r"walk lengths must be >= 0, got \(-1, 0\)"),
 ], ids=["psi-string-z", "cov-n0", "lagk-n0", "series-0x0", "cov-tau", "lagk-tau",
         "series-tau", "cov-nan-eps", "lagk-nan-eps", "series-nan-eps", "lagk-string-sigma",
-        "table-dt_tau", "table-l_max-0", "psi-negative-p"])
+        "table-dt_tau", "table-l_max-0", "table-no-lag", "psi-negative-p"])
 def test_every_motif_function_refuses_bad_parameters(call, message):
     # one check in _coefficients serves every function; the n = 0, tau < 0 and
     # NaN eps calls once raised ZeroDivisionError, returned a negative
