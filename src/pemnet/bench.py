@@ -8,8 +8,8 @@ results are independent of execution order and of the number of worker processes
 Every record carries the wall time of the work its measure read, so a serial
 sweep (jobs = 1) over n, N or delta is also the timing table. Worker processes
 share the cores and their BLAS threads, which inflates wall_time_s (median
-52.6 ms against 0.67 ms serially at n = 100 and jobs = 2); every other field
-of a record is the same whatever the number of jobs.
+52.6 ms against 0.67 ms serially at n = 100 and jobs = 2, on a 2-core VM);
+every other field of a record is the same whatever the number of jobs.
 """
 
 from __future__ import annotations
