@@ -181,10 +181,7 @@ def run_trial(
     and trial are integers >= 0.
     """
     _require_lists(pems=pems)
-    _require_integers(seed=seed, trial=trial)
-    for name, value in (("seed", seed), ("trial", trial)):
-        if value < 0:
-            raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    _require_integers(0, seed=seed, trial=trial)
     if config.delta != params.delta:
         raise ConfigurationError(
             f"graph max lag {config.delta} != dynamics max lag {params.delta}"
@@ -257,13 +254,10 @@ class SweepSpec:
                 if not kept:
                     raise ConfigurationError(
                         f"sweep value {v!r} for {key!r} is not of type {conv.__name__}")
-                if key == "delta_hat" and conv(v) < 0:  # the one key no config checks
-                    raise ConfigurationError(f"delta_hat must be >= 0, got {v}")
-        _require_integers(trials=self.trials, seed=self.seed, jobs=self.jobs)
-        if self.trials < 1:
-            raise ConfigurationError(f"need trials >= 1, got {self.trials}")
-        if self.jobs < 1:
-            raise ConfigurationError(f"need jobs >= 1, got {self.jobs}")
+                if key == "delta_hat":  # the one key no config checks
+                    _require_integers(0, delta_hat=conv(v))
+        _require_integers(seed=self.seed)
+        _require_integers(1, trials=self.trials, jobs=self.jobs)
         if self.dt_tau not in ("true", "auto"):
             raise ConfigurationError(
                 f"unknown dt/tau mode {self.dt_tau!r}; expected 'true' or 'auto'"

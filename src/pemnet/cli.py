@@ -25,6 +25,7 @@ from .errors import (
     ConfigurationError,
     FileFormatError,
     PemnetError,
+    _require_integers,
 )
 from .graphs import (
     GRAPH_MODELS,
@@ -106,8 +107,7 @@ def _dt_tau_arg(text: str):
 
 def _rng(seed: int) -> np.random.Generator:
     """The generator of generate and simulate; numpy refuses negative seeds."""
-    if seed < 0:
-        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
+    _require_integers(0, **{"--seed": seed})
     return np.random.default_rng(seed)
 
 

@@ -59,6 +59,7 @@ from .errors import (
     _data_lines,
     _data_table,
     _require_integers,
+    _require_reals,
 )
 from .numerics import require_stable, spectral_radius
 
@@ -284,21 +285,10 @@ class SDDParams:
     n_obs: int = 1000
 
     def __post_init__(self):
-        for name in ("eps", "tau", "dt", "sigma", "eta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        _require_integers(delta=self.delta, n_obs=self.n_obs)
-        if self.eps < 0:
-            raise ConfigurationError(f"coupling strength must be >= 0, got {self.eps}")
-        if self.tau <= 0 or self.dt <= 0:
-            raise ConfigurationError("tau and dt must be positive")
-        if self.sigma < 0 or self.eta < 0:
-            raise ConfigurationError("noise strengths must be >= 0")
-        if self.delta < 0:
-            raise ConfigurationError(f"max lag must be >= 0, got {self.delta}")
-        if self.n_obs < 2:
-            raise ConfigurationError(f"need at least 2 observations, got {self.n_obs}")
+        _require_reals("[0, inf)", eps=self.eps, sigma=self.sigma, eta=self.eta)
+        _require_reals("(0, inf)", tau=self.tau, dt=self.dt)
+        _require_integers(0, delta=self.delta)
+        _require_integers(2, n_obs=self.n_obs)
 
     @property
     def dt_tau(self) -> float:
@@ -427,8 +417,7 @@ def add_measurement_noise(
     The variance matches the per-step system-noise scaling, so eta equal to the
     system noise strength is the comparable regime.
     """
-    if not (math.isfinite(eta) and eta >= 0):
-        raise ConfigurationError(f"measurement noise strength must be finite and >= 0, got {eta}")
+    _require_reals("[0, inf)", eta=eta)
     if eta == 0.0:
         return ts
     scale = eta * math.sqrt(ts.dt / ts.n)

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all pemnet modules, and the line and table
 readers of their file loaders."""
 
+import math
 import numbers
 from collections.abc import Collection
 from contextlib import suppress
@@ -40,22 +41,48 @@ class FileFormatError(PemnetError):
     """A serialized input file does not match its expected format."""
 
 
-def _require_integers(**values) -> None:
+def _require_integers(minimum=None, **values) -> None:
     """Raise ConfigurationError naming the first of the values that is no
-    integer (numpy integers pass; 10.0 does not). An exact int passes without
-    the numbers.Integral check, an ABC lookup that costs more than the test."""
+    integer (numpy integers pass; 10.0 and True do not) or, given minimum, that
+    lies below it. An exact int passes without the numbers.Integral check, an
+    ABC lookup that costs more than the test."""
     for name, value in values.items():
-        if type(value) is not int and not isinstance(value, numbers.Integral):
+        if type(value) is not int and (type(value) is bool
+                                       or not isinstance(value, numbers.Integral)):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+
+
+# The intervals a real parameter may be asked to lie in; NaN and inf lie in none.
+_INTERVALS = {
+    "(0, 1]": lambda v: 0.0 < v <= 1.0,
+    "[0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "(0, inf)": lambda v: 0.0 < v < math.inf,
+    "[0, inf)": lambda v: 0.0 <= v < math.inf,
+}
+
+
+def _require_reals(interval: str, **values) -> None:
+    """Raise ConfigurationError naming the first of the values that is no real
+    number (a string, None and True included) or lies outside interval, one of
+    the keys of _INTERVALS. A float skips the numbers.Real check, an ABC lookup
+    that costs more than the test."""
+    inside = _INTERVALS[interval]
+    for name, value in values.items():
+        if not ((type(value) is float or (type(value) is not bool
+                                          and isinstance(value, numbers.Real)))
+                and inside(value)):
+            raise ConfigurationError(f"{name} must lie in {interval}, got {value!r}")
 
 
 def _checked_dt_tau(dt_tau) -> float:
-    """dt_tau as a float. A value outside (0, 1], NaN, or no real number at all
-    (the string "0.5" included) raises ConfigurationError. A float skips the
-    numbers.Real check, an ABC lookup that costs more than the test."""
-    if (type(dt_tau) is float or isinstance(dt_tau, numbers.Real)) and 0.0 < dt_tau <= 1.0:
-        return float(dt_tau)
-    raise ConfigurationError(f"dt/tau must lie in (0, 1], got {dt_tau!r}")
+    """dt_tau as a float: the (0, 1] case of _require_reals, with a fast path
+    for a float inside it."""
+    if type(dt_tau) is float and 0.0 < dt_tau <= 1.0:
+        return dt_tau
+    _require_reals("(0, 1]", **{"dt/tau": dt_tau})
+    return float(dt_tau)
 
 
 def _require_lists(**values) -> None:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigurationError, FileFormatError, NilpotentGraphError, _data_lines,
-                     _data_table, _require_integers)
+                     _data_table, _require_integers, _require_reals)
 from .numerics import _pattern_nilpotent, spectral_radius
 
 GRAPH_MODELS = ("gnm", "er", "ba", "rr", "sw")
@@ -37,9 +37,8 @@ def _round_half_up(x: float) -> int:
 def _checked_delta(n: int, sources, targets, lags, delta: int | None) -> int:
     """Validate edges given as arrays in (source, target) order and return the
     max lag (the largest assigned when delta is None). Errors name the first fault."""
-    _require_integers(n=n, delta=0 if delta is None else delta)
-    if n < 1:
-        raise ConfigurationError(f"node count must be >= 1, got {n}")
+    _require_integers(1, n=n)
+    _require_integers(delta=0 if delta is None else delta)
     if not sources.size:
         raise ConfigurationError("graph must have at least one edge")
     bad = (sources == targets) | (np.minimum(sources, targets) < 0)
@@ -169,18 +168,10 @@ class GraphConfig:
     def __post_init__(self):
         if self.model not in GRAPH_MODELS:
             raise ConfigurationError(f"unknown graph model {self.model!r}")
-        _require_integers(n=self.n, delta=self.delta)
-        if self.n < 2:
-            raise ConfigurationError(f"need n >= 2, got {self.n}")
-        if not 0.0 < self.d_e <= 1.0:
-            raise ConfigurationError(f"edge density must be in (0, 1], got {self.d_e}")
-        if not 0.0 <= self.r_e <= 1.0:
-            raise ConfigurationError(f"edge reciprocity must be in [0, 1], got {self.r_e}")
-        if self.delta < 0:
-            raise ConfigurationError(f"max lag must be >= 0, got {self.delta}")
-        if not 0.0 <= self.rewire_p <= 1.0:
-            raise ConfigurationError(
-                f"rewiring probability must be in [0, 1], got {self.rewire_p}")
+        _require_integers(2, n=self.n)
+        _require_integers(0, delta=self.delta)
+        _require_reals("(0, 1]", d_e=self.d_e)
+        _require_reals("[0, 1]", r_e=self.r_e, rewire_p=self.rewire_p)
         if self.m < 1:
             raise ConfigurationError("configuration yields zero edges")
 
@@ -390,9 +381,7 @@ def assign_lags(g: DirectedGraph, delta: int, rng: np.random.Generator) -> Direc
     """Assign each edge an independent lag uniform on {0, ..., delta}.
 
     At delta = 0 nothing is drawn, and a graph of delta 0 is returned itself."""
-    _require_integers(delta=delta)
-    if delta < 0:
-        raise ConfigurationError(f"delta must be >= 0, got {delta}")
+    _require_integers(0, delta=delta)
     if not delta and not g.delta:  # every lag is 0 already
         return g
     lag = np.where(g.mask, 0, NO_EDGE)

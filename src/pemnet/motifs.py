@@ -14,12 +14,12 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, isfinite
-from numbers import Real
+from math import comb
 
 import numpy as np
 
-from .errors import ConfigurationError, _checked_dt_tau, _require_integers, _require_lists
+from .errors import (ConfigurationError, _checked_dt_tau, _require_integers, _require_lists,
+                     _require_reals)
 from .numerics import require_stable, spectral_radius
 
 
@@ -36,9 +36,7 @@ def psi(p: int, q: int, z: float) -> float:
     is exact for all z in (0, 1], including z near 0 where the direct series
     needs millions of terms.
     """
-    _require_integers(p=p, q=q)
-    if p < 0 or q < 0:
-        raise ConfigurationError(f"walk lengths must be >= 0, got ({p}, {q})")
+    _require_integers(0, p=p, q=q)
     return _psi_cached(p, q, _checked_dt_tau(z))
 
 
@@ -68,9 +66,7 @@ def contribution_lagk(
     eps: float, tau: float, sigma: float, n: int, dt_tau: float,
 ) -> float:
     """Contribution of motif (l_b, l_f) to the lag-k steady-state covariance."""
-    _require_integers(l_b=l_b, l_f=l_f)
-    if min(l_b, l_f) < 0:
-        raise ConfigurationError(f"walk lengths must be >= 0, got ({l_b}, {l_f})")
+    _require_integers(0, l_b=l_b, l_f=l_f)
     return float(_coefficients(k, l_b + l_f + 1, eps=eps, tau=tau, sigma=sigma, n=n,
                                dt_tau=dt_tau)[l_b, l_f])
 
@@ -87,15 +83,10 @@ def _coefficients(
     The one check of every caller's motif parameters: a bad one raises
     ConfigurationError.
     """
-    _require_integers(k=k, n=n)
-    if k < 0:
-        raise ConfigurationError(f"lag must be >= 0, got {k}")
-    for name, value in (("eps", eps), ("tau", tau), ("sigma", sigma), ("dt_tau", dt_tau)):
-        if not (isinstance(value, Real) and isfinite(value)):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-    if n < 1 or tau <= 0 or sigma < 0 or eps < 0:
-        raise ConfigurationError(f"need n >= 1, tau > 0, sigma >= 0 and eps >= 0; "
-                                 f"got n={n}, tau={tau}, sigma={sigma}, eps={eps}")
+    _require_integers(0, k=k)
+    _require_integers(1, n=n)
+    _require_reals("[0, inf)", eps=eps, sigma=sigma)
+    _require_reals("(0, inf)", tau=tau)
     z = _checked_dt_tau(dt_tau)
     scale = [tau * sigma**2 / n * eps**total for total in range(size)]
     c = np.zeros((size, size))
@@ -133,11 +124,8 @@ def covariance_series(
     negative or not finite, and the motif parameters that _coefficients
     refuses raise ConfigurationError before the stability check.
     """
-    _require_integers(l_max=l_max)
-    if l_max < 0:
-        raise ConfigurationError(f"need l_max >= 0, got {l_max}")
-    if not (isfinite(tol) and tol >= 0.0):
-        raise ConfigurationError(f"tol must be finite and >= 0, got {tol}")
+    _require_integers(0, l_max=l_max)
+    _require_reals("[0, inf)", tol=tol)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"adjacency must be square, got shape {a.shape}")
@@ -192,11 +180,9 @@ def contribution_table(
     _require_lists(k_values=k_values)
     if len(k_values) == 0:
         raise ConfigurationError("need at least one lag k")
-    _require_integers(l_max=l_max)
+    _require_integers(1, l_max=l_max)
     if l_max > 12:
         raise ConfigurationError(f"l_max is capped at 12, got {l_max}")
-    if l_max < 1:
-        raise ConfigurationError(f"need l_max >= 1, got {l_max}")
     rows: list[ContributionRow] = []
     for k in k_values:
         values = _coefficients(k, 2 * l_max + 1, eps=eps, tau=tau, sigma=sigma, n=n,

@@ -82,9 +82,7 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     if x.ndim != 2:
         raise DataError(f"series must be 2-D (N, n), got shape {x.shape}")
     n_obs, n = x.shape
-    _require_integers(k_max=k_max)
-    if k_max < 0:
-        raise ConfigurationError(f"lag must be >= 0, got {k_max}")
+    _require_integers(0, k_max=k_max)
     if n_obs - k_max < 2:
         raise _too_short(n_obs)
     b = k_max + 1
@@ -209,9 +207,7 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
     cancels, so scores are differences of log error variances and are always
     >= 0 for nested fits. Rank-deficient pairs score 0 and are flagged.
     """
-    _require_integers(p_hat=p_hat)
-    if p_hat < 1:
-        raise ConfigurationError(f"need p_hat >= 1, got {p_hat}")
+    _require_integers(1, p_hat=p_hat)
     n_obs, n = ts.n_obs, ts.n
     if n_obs < 2 * p_hat + 10:
         raise DataError(f"need N >= 2 * p_hat + 10, got N={n_obs}")
@@ -276,9 +272,7 @@ def compute_pems(
     _require_lists(kinds=kinds)
     kinds, reads, out = tuple(kinds), {}, {}
     try:
-        _require_integers(delta_hat=delta_hat)
-        if delta_hat < 0:
-            raise ConfigurationError(f"delta_hat must be >= 0, got {delta_hat}")
+        _require_integers(0, delta_hat=delta_hat)
     except ConfigurationError as exc:
         return {kind: (exc, 0.0) for kind in kinds}
     for kind in kinds:

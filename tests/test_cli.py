@@ -70,7 +70,7 @@ class TestSimulate:
         run(["generate", "--seed", 1, "--out", g])
         assert run(["simulate", "--graph", g, flag, value, "--out", ts]) == 2
         assert not ts.exists()
-        assert "must be finite" in capsys.readouterr().err
+        assert "must lie in" in capsys.readouterr().err
 
     def test_burn_in_flag_is_gone(self, tmp_path):
         # the burn-in follows from the spectral radius; there is no knob for it
@@ -297,25 +297,25 @@ class TestConfigurationErrors:
         (["sweep", "--pems", "lcrc,foo", "--trials", 1], "unknown PEM kind 'foo'"),
         (["sweep", "--pems", "foo", "--n-list", "10,20", "--trials", 1],
          "unknown PEM kind 'foo'"),
-        (["sweep", "--trials", 0], "need trials >= 1"),
-        (["sweep", "--jobs", 0, "--trials", 1], "need jobs >= 1"),
-        (["sweep", "--jobs", -2, "--trials", 1], "need jobs >= 1"),
+        (["sweep", "--trials", 0], "trials must be >= 1"),
+        (["sweep", "--jobs", 0, "--trials", 1], "jobs must be >= 1"),
+        (["sweep", "--jobs", -2, "--trials", 1], "jobs must be >= 1"),
         (["sweep", "--delta-hat-list", "-1", "--trials", 2], "delta_hat must be >= 0"),
-        (["motif-table", "--n", 0], "got n=0, tau=1.0"),
+        (["motif-table", "--n", 0], "n must be >= 1, got 0"),
         (["sweep", "--eps-list", "0.5,-1", "--trials", 200],
-         "coupling strength must be >= 0"),
-        (["sweep", "--eps-list", "nan"], "eps must be finite"),
-        (["sweep", "--tau-list", "1,inf"], "tau must be finite"),
-        (["sweep", "--n-list", "10,1", "--trials", 1], "need n >= 2"),
-        (["motif-table", "--n", -3, "--tau", -1], "got n=-3, tau=-1.0"),
-        (["motif-table", "--tau", -1], "need n >= 1, tau > 0"),
-        (["motif-table", "--tau", 0], "tau=0.0,"),
-        (["motif-table", "--sigma", -0.5], "sigma=-0.5,"),
-        (["motif-table", "--eps", -0.1], "eps=-0.1"),
-        (["motif-table", "--eps", "nan"], "eps must be finite, got nan"),
-        (["motif-table", "--tau", "inf"], "tau must be finite, got inf"),
-        (["motif-table", "--sigma=-inf"], "sigma must be finite, got -inf"),
-        (["motif-table", "--dt-tau", "nan"], "dt_tau must be finite, got nan"),
+         "eps must lie in [0, inf), got -1.0"),
+        (["sweep", "--eps-list", "nan"], "eps must lie in [0, inf), got nan"),
+        (["sweep", "--tau-list", "1,inf"], "tau must lie in (0, inf), got inf"),
+        (["sweep", "--n-list", "10,1", "--trials", 1], "n must be >= 2, got 1"),
+        (["motif-table", "--n", -3, "--tau", -1], "n must be >= 1, got -3"),
+        (["motif-table", "--tau", -1], "tau must lie in (0, inf), got -1.0"),
+        (["motif-table", "--tau", 0], "tau must lie in (0, inf), got 0.0"),
+        (["motif-table", "--sigma", -0.5], "sigma must lie in [0, inf), got -0.5"),
+        (["motif-table", "--eps", -0.1], "eps must lie in [0, inf), got -0.1"),
+        (["motif-table", "--eps", "nan"], "eps must lie in [0, inf), got nan"),
+        (["motif-table", "--tau", "inf"], "tau must lie in (0, inf), got inf"),
+        (["motif-table", "--sigma=-inf"], "sigma must lie in [0, inf), got -inf"),
+        (["motif-table", "--dt-tau", "nan"], "dt/tau must lie in (0, 1], got nan"),
     ])
     def test_exit_2_before_any_trial(self, argv, message, tmp_path, capsys,
                                      monkeypatch):

@@ -115,7 +115,7 @@ class TestParams:
             SDDParams(sigma=-1.0)
         with pytest.raises(ConfigurationError):
             SDDParams(n_obs=1)
-        with pytest.raises(ConfigurationError, match="max lag must be >= 0, got -1"):
+        with pytest.raises(ConfigurationError, match="delta must be >= 0, got -1"):
             SDDParams(delta=-1)
 
     @pytest.mark.parametrize("name, value", [
@@ -129,7 +129,7 @@ class TestParams:
     @pytest.mark.parametrize("name", ["eps", "tau", "dt", "sigma", "eta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, name, value):
-        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        with pytest.raises(ConfigurationError, match=f"{name} must lie in"):
             SDDParams(**{name: value})
 
     def test_overflow_raises_numerical_error(self):
@@ -651,7 +651,7 @@ class TestMeasurementNoise:
     @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -0.1])
     def test_bad_eta_refused_as_configuration(self, eta):
         ts = simulate_sdd(ring_mats(), SDDParams(n_obs=100), np.random.default_rng(9))
-        with pytest.raises(ConfigurationError, match="measurement noise strength"):
+        with pytest.raises(ConfigurationError, match="eta must lie in"):
             add_measurement_noise(ts, eta, np.random.default_rng(0))
 
     def test_large_eta_dilutes_autocorrelation(self):

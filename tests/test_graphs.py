@@ -188,7 +188,7 @@ class TestDirectedGraph:
     def test_lag_matrix_must_be_square(self):
         with pytest.raises(ConfigurationError, match="square"):
             DirectedGraph.from_lag_matrix(np.zeros((2, 3), dtype=int))
-        with pytest.raises(ConfigurationError, match="node count"):
+        with pytest.raises(ConfigurationError, match="n must be >= 1, got 0"):
             DirectedGraph.from_lag_matrix(np.zeros((0, 0), dtype=int))
 
     @pytest.mark.parametrize("build, message", [
@@ -370,15 +370,15 @@ class TestGenBackbone:
 class TestGraphConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"model": "grid"}, "unknown graph model 'grid'"),
-        ({"n": 1}, "need n >= 2, got 1"),
+        ({"n": 1}, "n must be >= 2, got 1"),
         ({"n": 10.0}, "n must be an integer, got 10.0"),
         ({"n": "10"}, "n must be an integer, got '10'"),
-        ({"d_e": 0.0}, r"edge density must be in \(0, 1\], got 0.0"),
-        ({"d_e": 1.5}, r"edge density must be in \(0, 1\], got 1.5"),
-        ({"r_e": -0.1}, r"edge reciprocity must be in \[0, 1\], got -0.1"),
-        ({"delta": -1}, "max lag must be >= 0, got -1"),
+        ({"d_e": 0.0}, r"d_e must lie in \(0, 1\], got 0.0"),
+        ({"d_e": 1.5}, r"d_e must lie in \(0, 1\], got 1.5"),
+        ({"r_e": -0.1}, r"r_e must lie in \[0, 1\], got -0.1"),
+        ({"delta": -1}, "delta must be >= 0, got -1"),
         ({"delta": 1.5}, "delta must be an integer, got 1.5"),
-        ({"rewire_p": 2.0}, r"rewiring probability must be in \[0, 1\], got 2.0"),
+        ({"rewire_p": 2.0}, r"rewire_p must lie in \[0, 1\], got 2.0"),
         ({"n": 3, "d_e": 0.05}, "configuration yields zero edges"),
     ])
     def test_refusals(self, kwargs, message):

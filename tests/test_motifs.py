@@ -328,13 +328,13 @@ SERIES_KW = dict(eps=0.5, tau=1.0, sigma=1.0, dt_tau=0.5)
     (lambda: covariance_series(np.zeros((3, 3)), l_max=10.0, **SERIES_KW),
      "l_max must be an integer, got 10.0"),
     (lambda: covariance_series(np.zeros((3, 3)), l_max=-1, **SERIES_KW),
-     r"need l_max >= 0, got -1"),
+     "l_max must be >= 0, got -1"),
     (lambda: covariance_series(np.zeros((2, 3)), **SERIES_KW),
      r"adjacency must be square, got shape \(2, 3\)"),
     (lambda: covariance_series(np.zeros((3, 3)), tol=np.nan, **SERIES_KW),
-     "tol must be finite and >= 0, got nan"),
+     r"tol must lie in \[0, inf\), got nan"),
     (lambda: covariance_series(np.zeros((3, 3)), tol=-1e-12, **SERIES_KW),
-     "tol must be finite and >= 0, got -1e-12"),
+     r"tol must lie in \[0, inf\), got -1e-12"),
     (lambda: contribution_table([1.5], 2, **TABLE_KW), "k must be an integer, got 1.5"),
     (lambda: contribution_table([1], 2.5, **TABLE_KW), "l_max must be an integer, got 2.5"),
     (lambda: contribution_table([1], 2, **dict(TABLE_KW, n=2.5)),
@@ -352,21 +352,24 @@ STABLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 @pytest.mark.parametrize("call, message", [
     (lambda: psi(1, 1, "x"), r"dt/tau must lie in \(0, 1\], got 'x'"),
-    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, n=0)), "got n=0,"),
-    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, n=0)), "got n=0,"),
-    (lambda: covariance_series(np.zeros((0, 0)), **SERIES_KW), "got n=0,"),
-    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, tau=-1.0)), "tau=-1.0,"),
-    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, tau=-1.0)), "tau=-1.0,"),
-    (lambda: covariance_series(STABLE, **dict(SERIES_KW, tau=-1.0)), "tau=-1.0,"),
-    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, eps=np.nan)), "eps must be finite"),
-    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, eps=np.nan)), "eps must be finite"),
-    (lambda: covariance_series(STABLE, **dict(SERIES_KW, eps=np.nan)), "eps must be finite"),
-    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, sigma="x")), "sigma must be finite"),
+    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, n=0)), "n must be >= 1, got 0"),
+    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, n=0)), "n must be >= 1, got 0"),
+    (lambda: covariance_series(np.zeros((0, 0)), **SERIES_KW), "n must be >= 1, got 0"),
+    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, tau=-1.0)),
+     r"tau must lie in \(0, inf\), got -1.0"),
+    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, tau=-1.0)),
+     r"tau must lie in \(0, inf\), got -1.0"),
+    (lambda: covariance_series(STABLE, **dict(SERIES_KW, tau=-1.0)),
+     r"tau must lie in \(0, inf\), got -1.0"),
+    (lambda: contribution_cov(1, 1, **dict(TABLE_KW, eps=np.nan)), "eps must lie in"),
+    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, eps=np.nan)), "eps must lie in"),
+    (lambda: covariance_series(STABLE, **dict(SERIES_KW, eps=np.nan)), "eps must lie in"),
+    (lambda: contribution_lagk(1, 1, 1, **dict(TABLE_KW, sigma="x")), "sigma must lie in"),
     (lambda: contribution_table([0], 2, **dict(TABLE_KW, dt_tau=1.5)),
      r"dt/tau must lie in \(0, 1\], got 1.5"),
-    (lambda: contribution_table([0], 0, **TABLE_KW), "need l_max >= 1, got 0"),
+    (lambda: contribution_table([0], 0, **TABLE_KW), "l_max must be >= 1, got 0"),
     (lambda: contribution_table([], 2, **dict(TABLE_KW, n=0)), "need at least one lag k"),
-    (lambda: psi(-1, 0, 0.5), r"walk lengths must be >= 0, got \(-1, 0\)"),
+    (lambda: psi(-1, 0, 0.5), "p must be >= 0, got -1"),
 ], ids=["psi-string-z", "cov-n0", "lagk-n0", "series-0x0", "cov-tau", "lagk-tau",
         "series-tau", "cov-nan-eps", "lagk-nan-eps", "series-nan-eps", "lagk-string-sigma",
         "table-dt_tau", "table-l_max-0", "table-no-lag", "psi-negative-p"])

@@ -436,7 +436,7 @@ class TestLagDepthsMustBeIntegers:
         (lambda ts: lagged_corrs(ts, 1.5), "k_max must be an integer, got 1.5"),
         (lambda ts: sample_lagged_cov(centered(ts), 2.0), "k_max must be an integer, got 2.0"),
         (lambda ts: pem_gc(ts, p_hat=1.5), "p_hat must be an integer, got 1.5"),
-        (lambda ts: pem_gc(ts, p_hat=0), "need p_hat >= 1, got 0"),
+        (lambda ts: pem_gc(ts, p_hat=0), "p_hat must be >= 1, got 0"),
     ], ids=["lagged_corrs", "sample_lagged_cov", "pem_gc", "pem_gc-zero"])
     def test_kernel_depths_refused(self, ts, call, message):
         with pytest.raises(ConfigurationError, match=message):
