@@ -44,6 +44,7 @@ e^-4.1 = 1.7% of stationary.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -303,7 +304,9 @@ class TimeSeries:
     dt: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        dt = self.dt  # a float skips the numbers.Real check, an ABC lookup
+        if not ((type(dt) is float or isinstance(dt, numbers.Real))
+                and math.isfinite(dt) and dt > 0):
             raise DataError(f"sampling period dt must be finite and > 0, got {self.dt}")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] < 1:
