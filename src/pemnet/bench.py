@@ -5,15 +5,18 @@ dynamics, computes each requested edge measure, thresholds it with the true edge
 count, and scores the fraction of correctly classified ordered node pairs. Sweep
 seeds derive from (master seed, cell index, trial index) through SplitMix64, so
 results are independent of execution order and of the number of worker processes.
-Every record carries the wall time of the work its measure read, so a serial
-sweep (jobs = 1) over n, N or delta is also the timing table. Worker processes
-share the cores and their BLAS threads, which inflates wall_time_s (median
-52.6 ms against 0.67 ms serially at n = 100 and jobs = 2, on a 2-core VM);
-every other field of a record is the same whatever the number of jobs.
+Every record carries the wall time of the work its measure read, so a sweep
+over n, N or delta is also the timing table. Workers start from a forkserver
+with one BLAS thread each: at n = 100 on a 2-core VM, jobs = 2 ran 1.6-1.9x as
+fast as jobs = 1, with median wall_time_s 1.28 against 1.17-1.24 ms. Every
+other field of a record is the same whatever the number of jobs. The
+forkserver imports the caller's main module, so a script that sweeps with
+jobs > 1 needs an if __name__ == "__main__": guard.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -320,12 +323,39 @@ def sweep(spec: SweepSpec) -> list[TrialRecord]:
     ]
     workers = min(spec.jobs, len(tasks))  # a pool starts all its workers at once
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_task, tasks, chunksize=4))
+        chunks = _pool_map(_sweep_task, tasks, workers)
     else:
         chunks = [_sweep_task(t) for t in tasks]
     return [record for chunk in chunks for record in chunk]
+
+
+# Set to 1 in every worker: with BLAS's default pool, each worker would run one
+# BLAS thread per core, and two workers on two cores would run four.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pool_map(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks] in workers processes started by a forkserver
+    (fork is unsafe in a process with threads, and BLAS starts some), in
+    ceil(len(tasks) / (4 workers)) tasks per chunk. The forkserver, whose
+    environment every worker inherits, starts with one BLAS thread; the
+    caller's environment is restored once the pool has started."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
+    context = multiprocessing.get_context("forkserver")
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        os.environ.update(dict.fromkeys(saved, "1"))
+        try:  # map submits every chunk, and so starts every worker, before it returns
+            results = pool.map(fn, tasks, chunksize=-(-len(tasks) // (4 * workers)))
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+        return list(results)
 
 
 def _fmt(value) -> str:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import importlib.util
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import scipy.stats
 
 import pemnet.pem
-from pemnet import cli
+from pemnet import bench, cli
 from pemnet.bench import (
     GRID_KEYS,
     SWEEP_CSV_HEADER,
@@ -465,12 +466,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("jobs, trials, workers", [(64, 1, []), (8, 3, [3]), (2, 3, [2])])
     def test_pool_no_larger_than_its_tasks(self, monkeypatch, jobs, trials, workers):
-        # a stand-in pool that records its size and maps in this process
-        sizes = []
+        # a stand-in pool that records its size and start method and maps in
+        # this process
+        sizes, methods = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
+                methods.append(mp_context.get_start_method())
 
             def __enter__(self):
                 return self
@@ -485,8 +488,20 @@ class TestSweep:
         spec = SweepSpec(grid={"n": [5]}, trials=trials, seed=6, pems=("lc",), jobs=jobs)
         records = sweep(spec)
         assert sizes == workers
+        assert methods == ["forkserver"] * len(workers)
         assert without_wall_time(records) == without_wall_time(
             sweep(dataclasses.replace(spec, jobs=1)))
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        # the workers start with one BLAS thread whatever the caller set, and
+        # the caller's environment is as it was: a set value kept, an unset
+        # one still unset
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"] * 2
+        assert bench._pool_map(os.getenv, names, 2) == ["1"] * 6
+        assert dict(os.environ) == before
 
     def test_failures_recorded_and_sweep_continues(self):
         spec = SweepSpec(grid={"sigma": [0.0, 0.2]}, trials=2, seed=5,
