@@ -8,10 +8,11 @@ results are independent of execution order and of the number of worker processes
 Every record carries the wall time of the work its measure read, so a sweep
 over n, N or delta is also the timing table. Workers start from a forkserver
 with one BLAS thread each: at n = 100 on a 2-core VM, jobs = 2 ran 1.6-1.9x as
-fast as jobs = 1, with median wall_time_s 1.28 against 1.17-1.24 ms. Every
-other field of a record is the same whatever the number of jobs. The
-forkserver imports the caller's main module, so a script that sweeps with
-jobs > 1 needs an if __name__ == "__main__": guard.
+fast as jobs = 1, and the median wall_time_s stayed within 10% of jobs = 1 in
+4 of 5 runs (30% above in the fifth). Every other field of a record is the
+same whatever the number of jobs. The forkserver imports the caller's main
+module, so a script that sweeps with jobs > 1 needs an
+if __name__ == "__main__": guard.
 """
 
 from __future__ import annotations
@@ -250,8 +251,8 @@ class SweepSpec:
         for key, values in self.grid.items():
             conv = GRID_KEYS[key]
             for v in values:
-                try:  # a string must parse; 10.7 is no int; NaN is left to the configs
-                    kept = conv(v) == v or isinstance(v, str) or v != v
+                try:  # a string must parse; 10.7 and True are no int; NaN is left to the configs
+                    kept = type(v) is not bool and (conv(v) == v or isinstance(v, str) or v != v)
                 except (TypeError, ValueError):
                     kept = False
                 if not kept:
@@ -347,7 +348,7 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         os.environ.update(dict.fromkeys(saved, "1"))
-        try:  # map submits every chunk, and so starts every worker, before it returns
+        try:  # map submits every chunk before it returns; the first starts the server
             results = pool.map(fn, tasks, chunksize=-(-len(tasks) // (4 * workers)))
         finally:
             for name, value in saved.items():

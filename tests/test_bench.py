@@ -550,6 +550,8 @@ class TestSweep:
         ({"N": ["1e3"]}, "N"),
         ({"eps": ["x"]}, "eps"),
         ({"model": [5]}, "model"),
+        ({"delta": [True]}, "delta"),  # int() would run delta = 1
+        ({"eps": [0.5, True]}, "eps"),
     ])
     def test_rejects_value_its_type_changes(self, grid, key):
         with pytest.raises(ConfigurationError, match=f"for '{key}' is not of type"):

@@ -293,29 +293,47 @@ class TestBenchTime:
 
 
 class TestConfigurationErrors:
+    # a case keeps its id when its message is reworded
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--pems", "lcrc,foo", "--trials", 1], "unknown PEM kind 'foo'"),
         (["sweep", "--pems", "foo", "--n-list", "10,20", "--trials", 1],
          "unknown PEM kind 'foo'"),
-        (["sweep", "--trials", 0], "trials must be >= 1"),
-        (["sweep", "--jobs", 0, "--trials", 1], "jobs must be >= 1"),
-        (["sweep", "--jobs", -2, "--trials", 1], "jobs must be >= 1"),
+        pytest.param(["sweep", "--trials", 0], "trials must be >= 1",
+                     id="argv2-need trials >= 1"),
+        pytest.param(["sweep", "--jobs", 0, "--trials", 1], "jobs must be >= 1",
+                     id="argv3-need jobs >= 1"),
+        pytest.param(["sweep", "--jobs", -2, "--trials", 1], "jobs must be >= 1",
+                     id="argv4-need jobs >= 1"),
         (["sweep", "--delta-hat-list", "-1", "--trials", 2], "delta_hat must be >= 0"),
-        (["motif-table", "--n", 0], "n must be >= 1, got 0"),
-        (["sweep", "--eps-list", "0.5,-1", "--trials", 200],
-         "eps must lie in [0, inf), got -1.0"),
-        (["sweep", "--eps-list", "nan"], "eps must lie in [0, inf), got nan"),
-        (["sweep", "--tau-list", "1,inf"], "tau must lie in (0, inf), got inf"),
-        (["sweep", "--n-list", "10,1", "--trials", 1], "n must be >= 2, got 1"),
-        (["motif-table", "--n", -3, "--tau", -1], "n must be >= 1, got -3"),
-        (["motif-table", "--tau", -1], "tau must lie in (0, inf), got -1.0"),
-        (["motif-table", "--tau", 0], "tau must lie in (0, inf), got 0.0"),
-        (["motif-table", "--sigma", -0.5], "sigma must lie in [0, inf), got -0.5"),
-        (["motif-table", "--eps", -0.1], "eps must lie in [0, inf), got -0.1"),
-        (["motif-table", "--eps", "nan"], "eps must lie in [0, inf), got nan"),
-        (["motif-table", "--tau", "inf"], "tau must lie in (0, inf), got inf"),
-        (["motif-table", "--sigma=-inf"], "sigma must lie in [0, inf), got -inf"),
-        (["motif-table", "--dt-tau", "nan"], "dt/tau must lie in (0, 1], got nan"),
+        pytest.param(["motif-table", "--n", 0], "n must be >= 1, got 0",
+                     id="argv6-got n=0, tau=1.0"),
+        pytest.param(["sweep", "--eps-list", "0.5,-1", "--trials", 200],
+                     "eps must lie in [0, inf), got -1.0",
+                     id="argv7-coupling strength must be >= 0"),
+        pytest.param(["sweep", "--eps-list", "nan"], "eps must lie in [0, inf), got nan",
+                     id="argv8-eps must be finite"),
+        pytest.param(["sweep", "--tau-list", "1,inf"], "tau must lie in (0, inf), got inf",
+                     id="argv9-tau must be finite"),
+        pytest.param(["sweep", "--n-list", "10,1", "--trials", 1], "n must be >= 2, got 1",
+                     id="argv10-need n >= 2"),
+        pytest.param(["motif-table", "--n", -3, "--tau", -1], "n must be >= 1, got -3",
+                     id="argv11-got n=-3, tau=-1.0"),
+        pytest.param(["motif-table", "--tau", -1], "tau must lie in (0, inf), got -1.0",
+                     id="argv12-need n >= 1, tau > 0"),
+        pytest.param(["motif-table", "--tau", 0], "tau must lie in (0, inf), got 0.0",
+                     id="argv13-tau=0.0,"),
+        pytest.param(["motif-table", "--sigma", -0.5], "sigma must lie in [0, inf), got -0.5",
+                     id="argv14-sigma=-0.5,"),
+        pytest.param(["motif-table", "--eps", -0.1], "eps must lie in [0, inf), got -0.1",
+                     id="argv15-eps=-0.1"),
+        pytest.param(["motif-table", "--eps", "nan"], "eps must lie in [0, inf), got nan",
+                     id="argv16-eps must be finite, got nan"),
+        pytest.param(["motif-table", "--tau", "inf"], "tau must lie in (0, inf), got inf",
+                     id="argv17-tau must be finite, got inf"),
+        pytest.param(["motif-table", "--sigma=-inf"], "sigma must lie in [0, inf), got -inf",
+                     id="argv18-sigma must be finite, got -inf"),
+        pytest.param(["motif-table", "--dt-tau", "nan"], "dt/tau must lie in (0, 1], got nan",
+                     id="argv19-dt_tau must be finite, got nan"),
     ])
     def test_exit_2_before_any_trial(self, argv, message, tmp_path, capsys,
                                      monkeypatch):

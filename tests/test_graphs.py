@@ -368,17 +368,23 @@ class TestGenBackbone:
 
 
 class TestGraphConfig:
+    # a case keeps its id when its message is reworded
     @pytest.mark.parametrize("kwargs, message", [
         ({"model": "grid"}, "unknown graph model 'grid'"),
-        ({"n": 1}, "n must be >= 2, got 1"),
+        pytest.param({"n": 1}, "n must be >= 2, got 1", id="kwargs1-need n >= 2, got 1"),
         ({"n": 10.0}, "n must be an integer, got 10.0"),
         ({"n": "10"}, "n must be an integer, got '10'"),
-        ({"d_e": 0.0}, r"d_e must lie in \(0, 1\], got 0.0"),
-        ({"d_e": 1.5}, r"d_e must lie in \(0, 1\], got 1.5"),
-        ({"r_e": -0.1}, r"r_e must lie in \[0, 1\], got -0.1"),
-        ({"delta": -1}, "delta must be >= 0, got -1"),
+        pytest.param({"d_e": 0.0}, r"d_e must lie in \(0, 1\], got 0.0",
+                     id=r"kwargs4-edge density must be in \(0, 1\], got 0.0"),
+        pytest.param({"d_e": 1.5}, r"d_e must lie in \(0, 1\], got 1.5",
+                     id=r"kwargs5-edge density must be in \(0, 1\], got 1.5"),
+        pytest.param({"r_e": -0.1}, r"r_e must lie in \[0, 1\], got -0.1",
+                     id=r"kwargs6-edge reciprocity must be in \[0, 1\], got -0.1"),
+        pytest.param({"delta": -1}, "delta must be >= 0, got -1",
+                     id="kwargs7-max lag must be >= 0, got -1"),
         ({"delta": 1.5}, "delta must be an integer, got 1.5"),
-        ({"rewire_p": 2.0}, r"rewire_p must lie in \[0, 1\], got 2.0"),
+        pytest.param({"rewire_p": 2.0}, r"rewire_p must lie in \[0, 1\], got 2.0",
+                     id=r"kwargs9-rewiring probability must be in \[0, 1\], got 2.0"),
         ({"n": 3, "d_e": 0.05}, "configuration yields zero edges"),
     ])
     def test_refusals(self, kwargs, message):
