@@ -9,7 +9,7 @@ Every record carries the wall time of the work its measure read, so a sweep
 over n, N or delta is also the timing table. Workers start from a forkserver
 with one BLAS thread each: at n = 100 on a 2-core VM, jobs = 2 ran 1.6-1.9x as
 fast as jobs = 1, and the median wall_time_s stayed within 10% of jobs = 1 in
-4 of 5 runs (30% above in the fifth). Every other field of a record is the
+4 of 5 runs (30% above in the other). Every other field of a record is the
 same whatever the number of jobs. The forkserver imports the caller's main
 module, so a script that sweeps with jobs > 1 needs an
 if __name__ == "__main__": guard.

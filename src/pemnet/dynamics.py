@@ -305,7 +305,7 @@ class TimeSeries:
 
     def __post_init__(self):
         dt = self.dt  # a float skips the numbers.Real check, an ABC lookup
-        if not ((type(dt) is float or isinstance(dt, numbers.Real))
+        if not ((type(dt) is float or (type(dt) is not bool and isinstance(dt, numbers.Real)))
                 and math.isfinite(dt) and dt > 0):
             raise DataError(f"sampling period dt must be finite and > 0, got {self.dt}")
         values = np.asarray(self.values, dtype=float)

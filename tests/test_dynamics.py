@@ -726,7 +726,7 @@ class TestTimeSeriesIO:
         with pytest.raises(DataError, match=r"n >= 1\), got \(50, 0\)"):
             TimeSeries(values=np.zeros((50, 0)), dt=0.5)
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf, "0.5", None])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf, "0.5", None, True])
     def test_rejects_bad_sampling_period(self, dt):
         with pytest.raises(DataError, match="dt must be finite and > 0"):
             TimeSeries(values=np.zeros((2, 2)), dt=dt)
