@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,39 +38,31 @@ from .graphs import (
     normalize_adjacency,
     save_edge_list,
 )
-from .pem import AUTO, PEM_KINDS, compute_pem, save_pem
+from .pem import AUTO, PEM_KINDS, compute_pems, save_pem
 
 _DEFAULTS_HELP = "(default: %(default)s)"
 
-
-def _add_graph_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default=GraphConfig.model, choices=list(GRAPH_MODELS),
-                   help="graph model " + _DEFAULTS_HELP)
-    p.add_argument("--n", type=int, default=GraphConfig.n,
-                   help="node count " + _DEFAULTS_HELP)
-    p.add_argument("--d-e", type=float, default=GraphConfig.d_e,
-                   help="edge density " + _DEFAULTS_HELP)
-    p.add_argument("--r-e", type=float, default=GraphConfig.r_e,
-                   help="edge reciprocity " + _DEFAULTS_HELP)
-    p.add_argument("--delta", type=int, default=GraphConfig.delta,
-                   help="max edge transmission lag " + _DEFAULTS_HELP)
-    p.add_argument("--rewire-p", type=float, default=GraphConfig.rewire_p,
-                   help="small-world rewiring probability " + _DEFAULTS_HELP)
+# The help text of each GraphConfig and SDDParams field that is a flag.
+_FIELD_HELP = {
+    "model": "graph model", "n": "node count", "d_e": "edge density",
+    "r_e": "edge reciprocity", "delta": "max edge transmission lag",
+    "rewire_p": "small-world rewiring probability", "eps": "coupling strength",
+    "tau": "characteristic time", "dt": "sampling period", "sigma": "system noise strength",
+    "eta": "measurement noise strength", "n_obs": "number of observations",
+}
+# The fields that generate and simulate take as flags (simulate reads delta from its graph).
+_GRAPH_FIELDS = tuple(f.name for f in fields(GraphConfig))
+_DYN_FIELDS = tuple(f.name for f in fields(SDDParams) if f.name != "delta")
 
 
-def _add_dyn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=SDDParams.eps,
-                   help="coupling strength " + _DEFAULTS_HELP)
-    p.add_argument("--tau", type=float, default=SDDParams.tau,
-                   help="characteristic time " + _DEFAULTS_HELP)
-    p.add_argument("--dt", type=float, default=SDDParams.dt,
-                   help="sampling period " + _DEFAULTS_HELP)
-    p.add_argument("--sigma", type=float, default=SDDParams.sigma,
-                   help="system noise strength " + _DEFAULTS_HELP)
-    p.add_argument("--eta", type=float, default=SDDParams.eta,
-                   help="measurement noise strength " + _DEFAULTS_HELP)
-    p.add_argument("--n-obs", type=int, default=SDDParams.n_obs,
-                   help="number of observations " + _DEFAULTS_HELP)
+def _add_field_flags(p: argparse.ArgumentParser, config_cls, names) -> None:
+    """One flag per field of config_cls in names, with its type and default."""
+    types = get_type_hints(config_cls)
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=types[name],
+                       default=getattr(config_cls, name),
+                       choices=list(GRAPH_MODELS) if name == "model" else None,
+                       help=f"{_FIELD_HELP[name]} {_DEFAULTS_HELP}")
 
 
 def _echo(args: argparse.Namespace, keys: list[str]) -> None:
@@ -112,10 +105,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def cmd_generate(args) -> int:
-    config = GraphConfig(model=args.model, n=args.n, d_e=args.d_e, r_e=args.r_e,
-                         delta=args.delta, rewire_p=args.rewire_p)
+    config = GraphConfig(**{k: getattr(args, k) for k in _GRAPH_FIELDS})
     rng = _rng(args.seed)
-    _echo(args, ["model", "n", "d_e", "r_e", "delta", "rewire_p", "seed", "out"])
+    _echo(args, [*_GRAPH_FIELDS, "seed", "out"])
     graph = gen_graph_non_nilpotent(config, rng)
     graph = assign_lags(graph, config.delta, rng)
     save_edge_list(graph, args.out)
@@ -127,10 +119,9 @@ def cmd_generate(args) -> int:
 
 def cmd_simulate(args) -> int:
     graph = load_edge_list(args.graph)
-    params = SDDParams(eps=args.eps, tau=args.tau, dt=args.dt, sigma=args.sigma,
-                       eta=args.eta, delta=graph.delta, n_obs=args.n_obs)
+    params = SDDParams(**{k: getattr(args, k) for k in _DYN_FIELDS}, delta=graph.delta)
     rng = _rng(args.seed)
-    _echo(args, ["graph", "eps", "tau", "dt", "sigma", "eta", "n_obs", "seed", "out"])
+    _echo(args, ["graph", *_DYN_FIELDS, "seed", "out"])
     _, lag_mats = normalize_adjacency(graph)
     ts = simulate_sdd(lag_mats, params, rng)
     ts = add_measurement_noise(ts, args.eta, rng)
@@ -154,9 +145,9 @@ def cmd_infer(args) -> int:
     if args.m is not None:
         bench.check_edge_count(ts.n, args.m)
     _echo(args, ["ts", "pem", "dt_tau", "delta_hat", "m", "truth", "edges_out", "out"])
-    t0 = time.perf_counter()
-    pem = compute_pem(ts, args.pem, dt_tau=args.dt_tau, delta_hat=args.delta_hat)
-    wall = time.perf_counter() - t0
+    pem, wall = compute_pems(ts, [args.pem], args.dt_tau, args.delta_hat)[args.pem]
+    if isinstance(pem, PemnetError):
+        raise pem
     save_pem(pem, args.out)
     resolved = "".join(f" {k}={v:.10g}" for k, v in sorted(pem.params.items()))
     print(f"wrote {args.out}: pem={pem.kind} n={pem.n}{resolved} "
@@ -173,14 +164,8 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _list_dest(key: str) -> str:
-    """The dest of the sweep flag for a grid key: --n-list for n, and so on;
-    the observation count N is --n-obs-list, as in simulate."""
-    return ("n_obs" if key == "N" else key) + "_list"
-
-
 def cmd_sweep(args) -> int:
-    lists = {key: getattr(args, _list_dest(key)) for key in bench.GRID_KEYS}
+    lists = {key: getattr(args, bench._field(key) + "_list") for key in bench.GRID_KEYS}
     grid = {key: values for key, values in lists.items() if values is not None}
     spec = bench.SweepSpec(grid=grid, trials=args.trials, seed=args.seed,
                            pems=tuple(args.pems), dt_tau=args.dt_tau_mode,
@@ -216,14 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a ground-truth graph")
-    _add_graph_flags(p)
+    _add_field_flags(p, GraphConfig, _GRAPH_FIELDS)
     p.add_argument("--seed", type=int, default=0, help="rng seed " + _DEFAULTS_HELP)
     p.add_argument("--out", required=True, help="output edge-list path")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="simulate dynamics on a graph")
     p.add_argument("--graph", required=True, help="input edge-list path")
-    _add_dyn_flags(p)
+    _add_field_flags(p, SDDParams, _DYN_FIELDS)
     p.add_argument("--seed", type=int, default=0, help="rng seed " + _DEFAULTS_HELP)
     p.add_argument("--out", required=True, help="output time-series path")
     p.set_defaults(func=cmd_simulate)
@@ -244,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("sweep", help="run a seeded parameter sweep to CSV")
+    # one list flag per grid key, named for its field: N is --n-obs-list
     for key, conv in bench.GRID_KEYS.items():
-        p.add_argument("--" + _list_dest(key).replace("_", "-"), type=_csv_of(conv),
+        p.add_argument(f"--{bench._field(key)}-list".replace("_", "-"), type=_csv_of(conv),
                        default=None, help=f"comma-separated values for {key}")
     p.add_argument("--pems", type=_csv_of(str), default="lcrc",
                    help="comma-separated edge measures " + _DEFAULTS_HELP)

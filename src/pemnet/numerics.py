@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, StabilityError
+from .errors import ConfigurationError, ConvergenceError, NumericalError, StabilityError
 
 # Smith doubling for the discrete Lyapunov equation.
 _LYAP_RTOL = 1e-13
@@ -42,11 +42,12 @@ def spectral_radius(a: np.ndarray) -> float:
     entries) return exactly 0.0. A nonnegative matrix with n >= 64 gets its
     Perron root from a certified power-iteration bracket (_perron_root); any
     other matrix, or one whose bracket does not close, gets a dense LAPACK
-    eigensolve. A NaN or inf entry raises NumericalError.
+    eigensolve. A NaN or inf entry raises NumericalError, a non-square input
+    ConfigurationError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ConfigurationError(f"expected a square matrix, got shape {a.shape}")
     # a non-zero diagonal entry is a cycle of length 1: no peel needed
     if not a.diagonal().any() and _pattern_nilpotent(a != 0.0):
         return 0.0
@@ -185,15 +186,16 @@ def ols_fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Ordinary least squares of y on the columns of x.
 
     Returns (coefficients, residual_variance) with residual variance
-    sum(resid^2) / (T - q). Raises NumericalError on a rank-deficient design.
+    sum(resid^2) / (T - q). Raises NumericalError on a rank-deficient design,
+    ConfigurationError on one that is not 2-D with T > q >= 1.
     """
     y = np.asarray(y, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
-        raise ValueError("design matrix must be 2-D")
+        raise ConfigurationError("design matrix must be 2-D")
     t, q = x.shape
     if q < 1 or t <= q:
-        raise ValueError(f"need T > q >= 1, got T={t}, q={q}")
+        raise ConfigurationError(f"need T > q >= 1, got T={t}, q={q}")
     coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < q:
         raise NumericalError(f"design matrix is rank deficient (rank {rank} < {q})")

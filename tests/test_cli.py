@@ -1,15 +1,18 @@
+import argparse
 import os
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from pemnet import bench
 from pemnet.bench import derive_seed, run_trial
-from pemnet.cli import main
+from pemnet.cli import build_parser, main
 from pemnet.dynamics import SDDParams, load_time_series, save_time_series
 from pemnet.graphs import GraphConfig, load_edge_list, save_edge_list
 from pemnet.pem import load_pem, save_pem
@@ -375,6 +378,24 @@ class TestCliContract:
         text = capsys.readouterr().out
         for token in ("0.9", "1.0", "0.5", "0.2", "1000"):
             assert token in text
+
+    @pytest.mark.parametrize("command, config_cls, skipped", [
+        ("generate", GraphConfig, ()),
+        ("simulate", SDDParams, ("delta",)),  # simulate reads delta from its graph
+    ])
+    def test_flags_follow_config_fields(self, command, config_cls, skipped):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in subparsers.choices[command]._actions}
+        types = get_type_hints(config_cls)
+        for field in fields(config_cls):
+            if field.name in skipped:
+                assert field.name not in actions
+                continue
+            action = actions[field.name]
+            assert action.option_strings == ["--" + field.name.replace("_", "-")]
+            assert action.default == field.default
+            assert action.type is type(action.default) is types[field.name]
 
 
 class TestRuntimeDependencies:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from pemnet import numerics
 from pemnet.bench import derive_seed
 from pemnet.dynamics import SDDParams, step_matrices
-from pemnet.errors import ConvergenceError, NumericalError, StabilityError
+from pemnet.errors import ConfigurationError, ConvergenceError, NumericalError, StabilityError
 from pemnet.graphs import (
     GraphConfig,
     assign_lags,
@@ -238,7 +238,8 @@ class TestSpectralRadius:
         assert spectral_radius(np.zeros((4, 4))) == 0.0
 
     def test_non_square_refused(self):
-        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        with pytest.raises(ConfigurationError,
+                           match=r"expected a square matrix, got shape \(2, 3\)"):
             spectral_radius(np.zeros((2, 3)))
 
     def test_diagonal_falls_back_to_the_eigensolve(self):
@@ -446,5 +447,5 @@ class TestOlsFit:
         (np.ones((3, 0)), "need T > q >= 1, got T=3, q=0"),
     ], ids=["1-d", "t-equals-q", "no-columns"])
     def test_bad_design_refused(self, x, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ConfigurationError, match=message):
             ols_fit(np.arange(3.0), x)
