@@ -76,6 +76,12 @@ def _require_reals(interval: str, **values) -> None:
             raise ConfigurationError(f"{name} must lie in {interval}, got {value!r}")
 
 
+def _require_rows(n_obs: int, need: int, what: str) -> None:
+    """Raise DataError "<what> needs N >= <need>, got N=<n_obs>" if n_obs < need."""
+    if n_obs < need:
+        raise DataError(f"{what} needs N >= {need}, got N={n_obs}")
+
+
 def _checked_dt_tau(dt_tau) -> float:
     """dt_tau as a float: the (0, 1] case of _require_reals, with a fast path
     for a float inside it."""

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dynamics import TimeSeries
 from .errors import (ConfigurationError, DataError, FileFormatError, NumericalError,
                      PemnetError, _checked_dt_tau, _data_lines, _data_table,
-                     _require_integers, _require_lists)
+                     _require_integers, _require_lists, _require_rows)
 from .numerics import ols_fit
 
 AUTO = "auto"
@@ -77,14 +77,13 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
     (_whole_blocks); a short one, or a single node, has m = 0. One product per
     lag adds the pairs that end past row m b: at m = 0 this is
     x[k:].T @ x[:N-k], and at m > 0 it agrees with that to roundoff. An x
-    that is not 2-D raises DataError before any lag is checked.
+    that is not 2-D, or has fewer than k_max + 2 rows, raises DataError.
     """
     if x.ndim != 2:
         raise DataError(f"series must be 2-D (N, n), got shape {x.shape}")
     n_obs, n = x.shape
     _require_integers(0, k_max=k_max)
-    if n_obs - k_max < 2:
-        raise _too_short(n_obs)
+    _require_rows(n_obs, k_max + 2, f"sample_lagged_cov at k_max={k_max}")
     b = k_max + 1
     blocked = n > 1 and x.size >= _BLOCKED_MIN_VALUES and b * n <= _BLOCKED_MAX_GRAM
     m = n_obs // b if blocked else 0
@@ -93,11 +92,6 @@ def sample_lagged_cov(x: np.ndarray, k_max: int) -> np.ndarray:
         start = max(m * b, k)
         sums[k] += x[start:].T @ x[start - k : n_obs - k]
     return np.divide(sums, (n_obs - 1 - np.arange(b))[:, None, None], out=sums)
-
-
-def _too_short(n_obs: int) -> DataError:
-    """The error of a lag past N - 2; it names the first lag that does not fit."""
-    return DataError(f"need N - k >= 2, got N={n_obs}, k={n_obs - 1}")
 
 
 def _whole_blocks(x: np.ndarray, m: int, b: int) -> np.ndarray:
@@ -185,8 +179,7 @@ def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInver
     strays outside. covs, when given, is a lag stack of ts whose entries 0 and
     1 are S_0 and S_1; otherwise a two-lag stack is computed from ts.
     """
-    if ts.n_obs < ts.n + 2:
-        raise DataError(f"need N >= n + 2 for the estimate, got N={ts.n_obs}, n={ts.n}")
+    _require_rows(ts.n_obs, ts.n + 2, f"estimate_tau_inv at n={ts.n}")
     s0, s1 = (lagged_corrs(ts, 1)[0] if covs is None else covs)[:2]
     try:
         m = np.linalg.solve(s0.T, s1.T).T
@@ -205,12 +198,13 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
     values (restricted) and additionally on those of x_j (unrestricted); the
     score is the drop in log residual sum of squares. The common sample size
     cancels, so scores are differences of log error variances and are always
-    >= 0 for nested fits. Rank-deficient pairs score 0 and are flagged.
+    >= 0 for nested fits. Rank-deficient pairs score 0 and are flagged. The
+    unrestricted fit has N - p_hat rows and 2 p_hat columns, so gc needs
+    N >= 3 p_hat + 10 rows, 10 residual degrees of freedom; fewer raise DataError.
     """
     _require_integers(1, p_hat=p_hat)
     n_obs, n = ts.n_obs, ts.n
-    if n_obs < 2 * p_hat + 10:
-        raise DataError(f"need N >= 2 * p_hat + 10, got N={n_obs}")
+    _require_rows(n_obs, 3 * p_hat + 10, f"gc at p_hat={p_hat}")
     x = ts.values - _node_means(ts)
     # lag_cols[:, v] holds node v's regressors: columns x_v,{t-1}, ..., x_v,{t-p_hat}
     lag_cols = sliding_window_view(x[:-1], p_hat, axis=0)[:, :, ::-1]
@@ -237,7 +231,7 @@ def _log_rss(y: np.ndarray, design: np.ndarray) -> float | None:
     """log RSS of the OLS fit of y on design; None if rank deficient or no residual."""
     try:
         _, resid_var = ols_fit(y, design)
-    except (NumericalError, ValueError):
+    except NumericalError:
         return None
     rss = resid_var * (design.shape[0] - design.shape[1])
     return None if rss <= 0.0 else math.log(rss)
@@ -299,15 +293,14 @@ def compute_pems(
 def _reads(kind: str, dt_tau, delta_hat: int, n_obs: int) -> tuple[int, bool]:
     """(the deepest lag kind reads, 0 for gc; whether it reads the dt/tau estimate)
     at a checked delta_hat. A bad configuration raises ConfigurationError, a lag
-    past N - 2 DataError."""
+    past N - 2 DataError naming the kind, delta_hat and the lag."""
     if kind not in PEM_KINDS:
         raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
     corrected = kind in ("lccf", "lcrc")
     if corrected and dt_tau != AUTO:
         _checked_dt_tau(dt_tau)
     lag = delta_hat + 1 if corrected else int(kind == "lc")
-    if lag > n_obs - 2:
-        raise _too_short(n_obs)
+    _require_rows(n_obs, lag + 2, f"{kind} at delta_hat={delta_hat} reads lag {lag}:")
     return lag, corrected and dt_tau == AUTO
 
 

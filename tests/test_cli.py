@@ -13,7 +13,7 @@ import pytest
 from pemnet import bench
 from pemnet.bench import derive_seed, run_trial
 from pemnet.cli import build_parser, main
-from pemnet.dynamics import SDDParams, load_time_series, save_time_series
+from pemnet.dynamics import SDDParams, TimeSeries, load_time_series, save_time_series
 from pemnet.graphs import GraphConfig, load_edge_list, save_edge_list
 from pemnet.pem import load_pem, save_pem
 
@@ -176,6 +176,18 @@ class TestInfer:
         assert run(["infer", "--ts", ts, "--truth", g12, "--out", out]) == 2
         assert not out.exists()
         assert "size mismatch: series n=10, truth n=12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--delta-hat", 600], "lcrc at delta_hat=600 reads lag 601: needs N >= 603, got N=500"),
+        (["--pem", "gc", "--delta-hat", 169], "gc at p_hat=170 needs N >= 520, got N=500"),
+    ], ids=["lcrc", "gc"])
+    def test_series_too_short_for_the_lag_exits_3(self, tmp_path, capsys, argv, message):
+        ts, out = tmp_path / "ts.txt", tmp_path / "pem.txt"
+        values = np.random.default_rng(35).standard_normal((500, 3))
+        save_time_series(TimeSeries(values=values, dt=1.0), str(ts))
+        assert run(["infer", "--ts", ts, *argv, "--out", out]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gc_measure(self, tmp_path):
         g, ts = self.make_inputs(tmp_path)

@@ -1,14 +1,21 @@
-"""The two parameter checks of pemnet.errors, and every public entry point
-that sends its parameters through them."""
+"""The two parameter checks of pemnet.errors, every public entry point
+that sends its parameters through them, and the exception hierarchy that every
+raise in the package names."""
 
+import ast
+import builtins
+import importlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pemnet
 from pemnet.bench import SweepSpec, run_trial
 from pemnet.dynamics import SDDParams, TimeSeries, add_measurement_noise
-from pemnet.errors import ConfigurationError, _require_integers, _require_reals
+from pemnet.errors import (ConfigurationError, PemnetError, _require_integers,
+                           _require_reals)
 from pemnet.graphs import GraphConfig
 from pemnet.motifs import (
     contribution_cov,
@@ -114,3 +121,47 @@ def test_require_integers_minimum():
         _require_integers(a=False)
     with pytest.raises(ConfigurationError, match="a must be an integer"):
         _require_integers(a=np.bool_(True))
+
+
+def argparse_types(tree):
+    """The names passed as type= to a call in tree, or called to build one."""
+    names = set()
+    for node in ast.walk(tree):
+        for kw in getattr(node, "keywords", ()):
+            value = kw.value.func if isinstance(kw.value, ast.Call) else kw.value
+            if kw.arg == "type" and isinstance(value, ast.Name):
+                names.add(value.id)
+    return names
+
+
+def stray_raises(path):
+    """'<file>:<line>' of each raise in path that names no PemnetError subclass.
+    A raise of a value (raise result) re-raises what was caught, and the CLI's
+    argparse types raise argparse.ArgumentTypeError."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stem = path.stem
+    module = importlib.import_module("pemnet" if stem == "__init__" else f"pemnet.{stem}")
+    types = argparse_types(tree) if stem == "cli" else set()
+    stray = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            called = isinstance(node.exc, ast.Call)
+            target = node.exc.func if called else node.exc
+            if (isinstance(target, ast.Attribute) and ast.unparse(target)
+                    == "argparse.ArgumentTypeError" and getattr(top, "name", None) in types):
+                continue
+            name = target.id if isinstance(target, ast.Name) else None
+            obj = getattr(module, name, getattr(builtins, name, None)) if name else None
+            if isinstance(obj, type) and issubclass(obj, PemnetError):
+                continue
+            if not called and name and not isinstance(obj, type):
+                continue  # a caught value, raised again
+            stray.append(f"{path.name}:{node.lineno}")
+    return stray
+
+
+def test_every_raise_names_the_hierarchy():
+    paths = sorted(Path(pemnet.__file__).parent.glob("*.py"))
+    assert paths and [s for path in paths for s in stray_raises(path)] == []

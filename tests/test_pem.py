@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pemnet.dynamics import SDDParams, TimeSeries, simulate_sdd
-from pemnet.errors import ConfigurationError, DataError, FileFormatError
+from pemnet.errors import ConfigurationError, DataError, FileFormatError, PemnetError
 from pemnet.graphs import (
     DirectedGraph, GraphConfig, assign_lags, gen_graph_non_nilpotent, normalize_adjacency,
 )
@@ -308,7 +308,7 @@ class TestLagStack:
         got = compute_pems(TimeSeries(values=values, dt=1.0), ["lc", "lccf"], delta_hat=5)
         assert isinstance(got["lc"][0], PEMMatrix)
         assert isinstance(got["lccf"][0], DataError)
-        assert str(got["lccf"][0]) == "need N - k >= 2, got N=6, k=5"
+        assert str(got["lccf"][0]) == "lccf at delta_hat=5 reads lag 6: needs N >= 8, got N=6"
 
     def test_mixed_kinds_check_every_configuration_first(self, ts, monkeypatch):
         # a bad kind gets its own error; the good ones still share one pass,
@@ -668,6 +668,50 @@ class TestPemGc:
                         dt=1.0)
         with pytest.raises(DataError):
             pem_gc(ts, p_hat=2)
+
+
+def scored_with_lc(ts, kind, delta_hat):
+    """kind's result from one compute_pems call over lc, lccf and lcrc; an
+    error is raised."""
+    result = compute_pems(ts, ["lc", "lccf", "lcrc"], AUTO, delta_hat)[kind][0]
+    if isinstance(result, PemnetError):
+        raise result
+    return result
+
+
+class TestRowRule:
+    # each statistic names the rows it reads; message None: the series scores
+    # with no flag
+    @pytest.mark.parametrize("n_obs, call, message", [
+        pytest.param(3, lambda ts: sample_lagged_cov(centered(ts), 5),
+                     "sample_lagged_cov at k_max=5 needs N >= 7, got N=3",
+                     id="sample_lagged_cov"),
+        *[pytest.param(500, lambda ts, kind=kind: scored_with_lc(ts, kind, 600), message,
+                       id=f"compute_pems-{kind}")
+          for kind, message in [
+              ("lc", None),
+              ("lccf", "lccf at delta_hat=600 reads lag 601: needs N >= 603, got N=500"),
+              ("lcrc", "lcrc at delta_hat=600 reads lag 601: needs N >= 603, got N=500")]],
+        pytest.param(4, estimate_tau_inv, "estimate_tau_inv at n=3 needs N >= 5, got N=4",
+                     id="estimate_tau_inv"),
+        *[pytest.param(n_obs, lambda ts, p_hat=p_hat: pem_gc(ts, p_hat), message,
+                       id=f"pem_gc-p{p_hat}-N{n_obs}")
+          for p_hat in (1, 20)
+          for n_obs, message in [
+              (3 * p_hat + 9,
+               f"gc at p_hat={p_hat} needs N >= {3 * p_hat + 10}, got N={3 * p_hat + 9}"),
+              (3 * p_hat + 10, None)]],
+    ])
+    def test_each_statistic_states_its_rows(self, n_obs, call, message):
+        ts = TimeSeries(values=np.random.default_rng(34).standard_normal((n_obs, 3)),
+                        dt=1.0)
+        if message is None:
+            pem = call(ts)
+            assert isinstance(pem, PEMMatrix) and pem.flags == ()
+        else:
+            with pytest.raises(DataError) as info:
+                call(ts)
+            assert str(info.value) == message
 
 
 class TestInvariances:
