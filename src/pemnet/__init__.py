@@ -61,11 +61,7 @@ from .motifs import (
     psi,
     write_contribution_table,
 )
-from .numerics import (
-    ols_fit,
-    solve_discrete_lyapunov,
-    spectral_radius,
-)
+from .numerics import solve_discrete_lyapunov, spectral_radius
 from .pem import (
     AUTO,
     PEMMatrix,

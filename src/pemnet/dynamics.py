@@ -374,7 +374,8 @@ def simulate_sdd(
     rho^(1/p) when every W_k >= 0 and rho is the radius of their sum; a radius
     of 0 burns p * n steps. Raises StabilityError for a radius within
     STABILITY_MARGIN of 1, and, before drawing any noise, when the burn-in
-    would need more than 10^7 noise values (b * n).
+    would need more than 10^7 noise values (b * n); a noise array the machine
+    cannot allocate raises ConfigurationError naming n_obs and n.
     """
     if params.dt_tau > 1.0:
         warnings.warn(
@@ -404,7 +405,12 @@ def simulate_sdd(
         )
     t_total = burn_steps + params.n_obs
     scale = params.sigma * math.sqrt(params.dt / n)
-    noise = rng.standard_normal((t_total, n))
+    try:
+        noise = rng.standard_normal((t_total, n))
+    except (ValueError, MemoryError) as exc:  # numpy's "array is too big", or no memory
+        raise ConfigurationError(
+            f"cannot hold the noise for n_obs={params.n_obs} at n={n}: {exc}"
+        ) from exc
     noise *= scale
     x = sdd_recurrence(w, noise)
     if not np.isfinite(x).all():

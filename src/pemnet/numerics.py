@@ -1,9 +1,9 @@
 """Dense-matrix numerical kernels used throughout the package.
 
 Provides the spectral radius (exactly 0 for a nilpotent pattern, the Perron root
-by power iteration for large nonnegative matrices), the one stability check, the
-discrete-time Lyapunov solver, and ordinary least squares. All tolerances are
-fixed constants so that results are deterministic.
+by power iteration for large nonnegative matrices), the one stability check and
+the discrete-time Lyapunov solver. All tolerances are fixed constants so that
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -180,24 +180,3 @@ def solve_discrete_lyapunov(k_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     raise ConvergenceError(
         f"discrete Lyapunov doubling did not converge within {_LYAP_MAX_DOUBLINGS} steps"
     )
-
-
-def ols_fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ordinary least squares of y on the columns of x.
-
-    Returns (coefficients, residual_variance) with residual variance
-    sum(resid^2) / (T - q). Raises NumericalError on a rank-deficient design,
-    ConfigurationError on one that is not 2-D with T > q >= 1.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ConfigurationError("design matrix must be 2-D")
-    t, q = x.shape
-    if q < 1 or t <= q:
-        raise ConfigurationError(f"need T > q >= 1, got T={t}, q={q}")
-    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < q:
-        raise NumericalError(f"design matrix is rank deficient (rank {rank} < {q})")
-    resid = y - x @ coef
-    return coef, float(resid @ resid) / (t - q)

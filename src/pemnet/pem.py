@@ -18,10 +18,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import TimeSeries
-from .errors import (ConfigurationError, DataError, FileFormatError, NumericalError,
-                     PemnetError, _checked_dt_tau, _data_lines, _data_table,
-                     _require_integers, _require_lists, _require_rows)
-from .numerics import ols_fit
+from .errors import (ConfigurationError, DataError, FileFormatError, PemnetError,
+                     _checked_dt_tau, _data_lines, _data_table, _require_integers,
+                     _require_lists, _require_rows)
 
 AUTO = "auto"
 
@@ -176,8 +175,10 @@ def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInver
     Computes M = S_1 S_0^{-1}; without self-loops every diagonal entry of the
     steady-state M equals 1 - dt/tau, so tau^{-1} = (1 - median_i M_ii) / dt.
     The implied dt/tau is clamped to (0, 1] with a flag when the raw estimate
-    strays outside. covs, when given, is a lag stack of ts whose entries 0 and
-    1 are S_0 and S_1; otherwise a two-lag stack is computed from ts.
+    strays outside; a median that is not finite (lag covariances past the
+    float range) raises DataError. covs, when given, is a lag stack of ts whose
+    entries 0 and 1 are S_0 and S_1; otherwise a two-lag stack is computed
+    from ts.
     """
     _require_rows(ts.n_obs, ts.n + 2, f"estimate_tau_inv at n={ts.n}")
     s0, s1 = (lagged_corrs(ts, 1)[0] if covs is None else covs)[:2]
@@ -185,7 +186,10 @@ def estimate_tau_inv(ts: TimeSeries, covs: np.ndarray | None = None) -> TauInver
         m = np.linalg.solve(s0.T, s1.T).T
     except np.linalg.LinAlgError as exc:
         raise DataError(f"lag-0 covariance is singular: {exc}") from exc
-    raw = 1.0 - float(np.median(np.diag(m)))
+    median = float(np.median(np.diag(m)))
+    if not math.isfinite(median):
+        raise DataError(f"median of diag(S_1 S_0^-1) is {median}, not finite")
+    raw = 1.0 - median
     clamped = not 0.0 < raw <= 1.0
     dt_tau = min(max(raw, 1e-6), 1.0)
     return TauInverseEstimate(dt_tau / ts.dt, dt_tau, clamped)
@@ -198,9 +202,12 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
     values (restricted) and additionally on those of x_j (unrestricted); the
     score is the drop in log residual sum of squares. The common sample size
     cancels, so scores are differences of log error variances and are always
-    >= 0 for nested fits. Rank-deficient pairs score 0 and are flagged. The
-    unrestricted fit has N - p_hat rows and 2 p_hat columns, so gc needs
-    N >= 3 p_hat + 10 rows, 10 residual degrees of freedom; fewer raise DataError.
+    >= 0 for nested fits. Each fit reads its residual sum of squares and rank
+    from one np.linalg.lstsq call (_log_rss); a pair whose fit is rank
+    deficient, leaves no residual or fails in lstsq scores 0 and is flagged
+    gc_pair_failed:i,j. The unrestricted fit has N - p_hat rows and 2 p_hat
+    columns, so gc needs N >= 3 p_hat + 10 rows, 10 residual degrees of
+    freedom; fewer raise DataError.
     """
     _require_integers(1, p_hat=p_hat)
     n_obs, n = ts.n_obs, ts.n
@@ -228,13 +235,16 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
 
 
 def _log_rss(y: np.ndarray, design: np.ndarray) -> float | None:
-    """log RSS of the OLS fit of y on design; None if rank deficient or no residual."""
+    """log of the residual sum of squares of the least-squares fit of y on
+    design, read with the rank from one lstsq call; None if the design is rank
+    deficient, the sum is not positive, or lstsq fails."""
     try:
-        _, resid_var = ols_fit(y, design)
-    except NumericalError:
+        _, rss, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    except np.linalg.LinAlgError:
         return None
-    rss = resid_var * (design.shape[0] - design.shape[1])
-    return None if rss <= 0.0 else math.log(rss)
+    if rank < design.shape[1] or not rss[0] > 0.0:
+        return None
+    return math.log(rss[0])
 
 
 def compute_pem(ts: TimeSeries, kind: str, dt_tau=AUTO, delta_hat: int = 0) -> PEMMatrix:

@@ -100,6 +100,15 @@ class TestSimulate:
         assert run(["simulate", "--graph", g, "--out", tmp_path / "ts.txt"]) == 4
         assert "n=100000000000000000000" in capsys.readouterr().err
 
+    def test_unallocatable_n_obs_exits_2(self, tmp_path, capsys):
+        # numpy refuses this size before it allocates anything
+        g, ts = tmp_path / "g.txt", tmp_path / "ts.txt"
+        run(["generate", "--n", 5, "--seed", 1, "--out", g])
+        assert run(["simulate", "--graph", g, "--n-obs", 10**18, "--out", ts]) == 2
+        assert not ts.exists()
+        assert "cannot hold the noise for n_obs=1000000000000000000 at n=5" in \
+            capsys.readouterr().err
+
 
 class TestInfer:
     def make_inputs(self, tmp_path):
@@ -189,6 +198,16 @@ class TestInfer:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_dt_tau_estimate_exits_3(self, tmp_path, capsys):
+        # finite values whose squares overflow: the lag covariances are inf
+        ts, out = tmp_path / "ts.txt", tmp_path / "pem.txt"
+        values = np.random.default_rng(36).standard_normal((200, 3)) * 1e160
+        save_time_series(TimeSeries(values=values, dt=1.0), str(ts))
+        assert run(["infer", "--ts", ts, "--pem", "lccf", "--out", out]) == 3
+        assert "automatic dt/tau estimation failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gc_measure(self, tmp_path):
         g, ts = self.make_inputs(tmp_path)
         out = tmp_path / "pem.txt"
@@ -246,6 +265,18 @@ class TestSweepCommand:
         run(base + ["--jobs", 2, "--out", b])
         strip = lambda p: [r.split(",")[:16] for r in p.read_text().splitlines()]
         assert strip(a) == strip(b)
+
+    def test_unallocatable_cell_becomes_error_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--n-list", 5, "--n-obs-list", f"1000,{10**18}",
+                    "--trials", 2, "--out", out]) == 0
+        header, *rows = [r.split(",") for r in out.read_text().splitlines()]
+        n_obs, error = header.index("N"), header.index("error")
+        assert [r[n_obs] for r in rows] == ["1000", "1000", str(10**18), str(10**18)]
+        assert [r[error] for r in rows[:2]] == ["", ""]
+        for row in rows[2:]:
+            assert row[error].startswith(
+                "simulate: cannot hold the noise for n_obs=1000000000000000000 at n=5")
 
 
 class TestMotifTable:

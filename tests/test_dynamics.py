@@ -107,6 +107,11 @@ def lag1_autocorr(values):
     return num / den
 
 
+class OutOfMemoryRng:
+    def standard_normal(self, shape):
+        raise MemoryError(f"Unable to allocate an array of shape {shape}")
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -329,6 +334,17 @@ class TestSimulate:
         with pytest.raises(ConfigurationError, match=message):
             simulate_sdd(mats, SDDParams(delta=1, n_obs=100), rng)
         assert rng.random() == fresh.random()
+
+    # only sizes numpy refuses before it allocates, or a generator out of
+    # memory: never a size that an overcommitting kernel could grant
+    @pytest.mark.parametrize("n_obs, rng", [
+        (10**18, np.random.default_rng(0)),
+        (1000, OutOfMemoryRng()),
+    ], ids=["too-big", "memory-error"])
+    def test_unallocatable_noise_is_a_configuration_error(self, n_obs, rng):
+        with pytest.raises(ConfigurationError,
+                           match=f"cannot hold the noise for n_obs={n_obs} at n=3: "):
+            simulate_sdd(ring_mats(), SDDParams(n_obs=n_obs), rng)
 
 
 def burn_of(lag_mats, params):

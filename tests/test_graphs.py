@@ -92,6 +92,14 @@ class TestDirectedGraph:
         with pytest.raises(ConfigurationError):
             DirectedGraph(3, ((0, 5),))
 
+    def test_equality_and_repr(self):
+        g = DirectedGraph(3, ((0, 1), (1, 2)), delta=0)
+        assert g == DirectedGraph(3, ((0, 1), (1, 2)), delta=0)
+        assert g != DirectedGraph(3, ((0, 1), (1, 2)), delta=1)
+        assert g != DirectedGraph(3, ((0, 1),), delta=0)
+        assert g.__eq__("g") is NotImplemented and g != "g"
+        assert repr(g) == "DirectedGraph(n=3, m=2, delta=0)"
+
     def test_adjacency_orientation(self):
         g = DirectedGraph(3, ((0, 1),), {(0, 1): 0}, delta=0)
         a = g.adjacency()

@@ -636,6 +636,17 @@ class TestEstimateTauInv:
         with pytest.raises(DataError):
             estimate_tau_inv(ts)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_estimate_is_a_data_error(self):
+        # finite values whose squares overflow: the lag covariances are inf
+        values = np.random.default_rng(36).standard_normal((200, 3)) * 1e160
+        ts = TimeSeries(values=values, dt=1.0)
+        with pytest.raises(DataError, match=r"median of diag\(S_1 S_0\^-1\) is nan"):
+            estimate_tau_inv(ts)
+        for kind, (result, _) in compute_pems(ts, ["lccf", "lcrc"], AUTO, 0).items():
+            assert isinstance(result, DataError), kind
+            assert str(result).startswith("automatic dt/tau estimation failed (median")
+
 
 class TestPemGc:
     def test_null_pairs_have_small_positive_bias(self):
@@ -668,6 +679,36 @@ class TestPemGc:
                         dt=1.0)
         with pytest.raises(DataError):
             pem_gc(ts, p_hat=2)
+
+    def test_duplicated_node_flags_its_two_pairs(self):
+        values = np.random.default_rng(37).standard_normal((300, 4))
+        values[:, 3] = values[:, 1]
+        pem = pem_gc(TimeSeries(values=values, dt=1.0), p_hat=2)
+        assert pem.flags == ("gc_pair_failed:1,3", "gc_pair_failed:3,1")
+        assert pem.values[1, 3] == pem.values[3, 1] == 0.0
+        assert (np.delete(off_diag(pem.values), [5, 10]) > 0.0).all()
+
+    def test_failed_fit_flags_its_pair_and_scores_the_rest(self, monkeypatch):
+        ts = TimeSeries(values=np.random.default_rng(38).standard_normal((300, 3)),
+                        dt=1.0)
+        clean = compute_pem(ts, "gc", delta_hat=0).values
+        real_lstsq, calls = np.linalg.lstsq, []
+
+        def failing_third_fit(a, b, rcond=None):
+            # fits run restricted(0), (0, 1), (0, 2), restricted(1), ...
+            calls.append(a.shape)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+            return real_lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing_third_fit)
+        pem, _ = compute_pems(ts, ["gc"], AUTO, 0)["gc"]
+        assert isinstance(pem, PEMMatrix)
+        assert pem.flags == ("gc_pair_failed:0,2",)
+        assert pem.values[0, 2] == 0.0
+        scored = ~np.eye(3, dtype=bool)
+        scored[0, 2] = False
+        assert np.array_equal(pem.values[scored], clean[scored])
 
 
 def scored_with_lc(ts, kind, delta_hat):
