@@ -33,15 +33,17 @@ from .graphs import (
     gen_graph_non_nilpotent,
     normalize_adjacency,
 )
-from .pem import AUTO, PEM_KINDS, PEMMatrix, compute_pems
+from .pem import AUTO, PEMMatrix, _require_kind, compute_pems
 
-# Every sweep grid key with the type of its values, in cell and CSV order.
-# N is SDDParams.n_obs; delta sets both the graph's and the dynamics' max lag.
-GRID_KEYS = {
-    "model": str, "n": int, "d_e": float, "r_e": float, "delta": int,
-    "delta_hat": int, "eps": float, "tau": float, "dt": float,
-    "sigma": float, "eta": float, "N": int,
-}
+# Every sweep grid key, in cell and CSV order. Each but delta_hat sets the
+# GraphConfig or SDDParams field of its name, which checks its values: N is
+# SDDParams.n_obs; delta sets both the graph's and the dynamics' max lag.
+GRID_KEYS = ("model", "n", "d_e", "r_e", "delta", "delta_hat", "eps", "tau", "dt",
+             "sigma", "eta", "N")
+
+# The field names of the two configurations, in declaration order.
+_GRAPH_FIELDS = tuple(f.name for f in fields(GraphConfig))
+_SDD_FIELDS = tuple(f.name for f in fields(SDDParams))
 
 SWEEP_CSV_HEADER = ",".join(
     [*GRID_KEYS, "pem", "trial", "seed", "accuracy", "wall_time_s", "error"]
@@ -231,7 +233,9 @@ class SweepSpec:
     """Cartesian parameter grid with per-cell trial count and a master seed.
 
     grid maps any of the GRID_KEYS to a list of values; unlisted parameters
-    stay at their defaults. dt_tau is "true" or "auto".
+    stay at their defaults. Values go to GraphConfig and SDDParams as given,
+    and every cell's configurations are built here, so a value they refuse
+    raises ConfigurationError before any trial runs. dt_tau is "true" or "auto".
     """
 
     grid: dict = field(default_factory=dict)
@@ -248,18 +252,10 @@ class SweepSpec:
         _require_lists(**self.grid)  # "12" would sweep n = 1 and n = 2
         if any(len(v) == 0 for v in self.grid.values()):
             raise ConfigurationError("sweep grid has an empty value list")
-        for key, values in self.grid.items():
-            conv = GRID_KEYS[key]
-            for v in values:
-                try:  # a string must parse; 10.7 and True are no int; NaN is left to the configs
-                    kept = type(v) is not bool and (conv(v) == v or isinstance(v, str) or v != v)
-                except (TypeError, ValueError):
-                    kept = False
-                if not kept:
-                    raise ConfigurationError(
-                        f"sweep value {v!r} for {key!r} is not of type {conv.__name__}")
-                if key == "delta_hat":  # the one key no config checks
-                    _require_integers(0, delta_hat=conv(v))
+        for v in self.grid.get("delta_hat", ()):  # the one key no config checks
+            _require_integers(0, delta_hat=v)
+        for cell in self.cells():
+            _cell_setup(cell)
         _require_integers(seed=self.seed)
         _require_integers(1, trials=self.trials, jobs=self.jobs)
         if self.dt_tau not in ("true", "auto"):
@@ -270,10 +266,7 @@ class SweepSpec:
         if not self.pems:
             raise ConfigurationError("no edge measures requested")
         for kind in self.pems:
-            if kind not in PEM_KINDS:
-                raise ConfigurationError(
-                    f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}"
-                )
+            _require_kind(kind)
 
     def cells(self) -> list[dict]:
         out = [{}]
@@ -283,17 +276,13 @@ class SweepSpec:
         return out
 
 
-_GRAPH_FIELDS = {f.name for f in fields(GraphConfig)}
-_SDD_FIELDS = {f.name for f in fields(SDDParams)}
-
-
 def _field(key: str) -> str:
     """The GraphConfig/SDDParams field that a grid key sets (N is n_obs)."""
     return "n_obs" if key == "N" else key
 
 
 def _cell_setup(cell: dict):
-    values = {_field(key): GRID_KEYS[key](v) for key, v in cell.items()}
+    values = {_field(key): v for key, v in cell.items()}
     config = GraphConfig(**{k: v for k, v in values.items() if k in _GRAPH_FIELDS})
     params = SDDParams(**{k: v for k, v in values.items() if k in _SDD_FIELDS})
     return config, params, values.get("delta_hat")
@@ -312,9 +301,7 @@ def sweep(spec: SweepSpec) -> list[TrialRecord]:
     derive_seed(spec.seed, i, t); serial, or in up to spec.jobs worker processes.
 
     Failures become records with a non-empty error field. Records come cell by
-    cell, trial by trial, one per measure, whatever the number of jobs. Every
-    cell's configuration is built first, so an invalid value raises
-    ConfigurationError before any trial runs.
+    cell, trial by trial, one per measure, whatever the number of jobs.
     """
     setups = [_cell_setup(cell) for cell in spec.cells()]
     tasks = [

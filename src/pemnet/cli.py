@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from typing import get_type_hints
 
 import numpy as np
@@ -50,9 +49,8 @@ _FIELD_HELP = {
     "tau": "characteristic time", "dt": "sampling period", "sigma": "system noise strength",
     "eta": "measurement noise strength", "n_obs": "number of observations",
 }
-# The fields that generate and simulate take as flags (simulate reads delta from its graph).
-_GRAPH_FIELDS = tuple(f.name for f in fields(GraphConfig))
-_DYN_FIELDS = tuple(f.name for f in fields(SDDParams) if f.name != "delta")
+# The SDDParams fields that simulate takes as flags (it reads delta from its graph).
+_DYN_FIELDS = tuple(name for name in bench._SDD_FIELDS if name != "delta")
 
 
 def _add_field_flags(p: argparse.ArgumentParser, config_cls, names) -> None:
@@ -105,9 +103,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def cmd_generate(args) -> int:
-    config = GraphConfig(**{k: getattr(args, k) for k in _GRAPH_FIELDS})
+    config = GraphConfig(**{k: getattr(args, k) for k in bench._GRAPH_FIELDS})
     rng = _rng(args.seed)
-    _echo(args, [*_GRAPH_FIELDS, "seed", "out"])
+    _echo(args, [*bench._GRAPH_FIELDS, "seed", "out"])
     graph = gen_graph_non_nilpotent(config, rng)
     graph = assign_lags(graph, config.delta, rng)
     save_edge_list(graph, args.out)
@@ -144,6 +142,8 @@ def cmd_infer(args) -> int:
         args.m = truth.m  # the edge count used, whether from --m or --truth
     if args.m is not None:
         bench.check_edge_count(ts.n, args.m)
+    elif args.edges_out:
+        raise ConfigurationError("--edges-out needs an edge count: pass --m or --truth")
     _echo(args, ["ts", "pem", "dt_tau", "delta_hat", "m", "truth", "edges_out", "out"])
     pem, wall = compute_pems(ts, [args.pem], args.dt_tau, args.delta_hat)[args.pem]
     if isinstance(pem, PemnetError):
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a ground-truth graph")
-    _add_field_flags(p, GraphConfig, _GRAPH_FIELDS)
+    _add_field_flags(p, GraphConfig, bench._GRAPH_FIELDS)
     p.add_argument("--seed", type=int, default=0, help="rng seed " + _DEFAULTS_HELP)
     p.add_argument("--out", required=True, help="output edge-list path")
     p.set_defaults(func=cmd_generate)
@@ -229,9 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("sweep", help="run a seeded parameter sweep to CSV")
-    # one list flag per grid key, named for its field: N is --n-obs-list
-    for key, conv in bench.GRID_KEYS.items():
-        p.add_argument(f"--{bench._field(key)}-list".replace("_", "-"), type=_csv_of(conv),
+    # one list flag per grid key, named for its field and parsed with its type:
+    # N is --n-obs-list
+    types = {**get_type_hints(GraphConfig), **get_type_hints(SDDParams), "delta_hat": int}
+    for key in bench.GRID_KEYS:
+        name = bench._field(key)
+        p.add_argument(f"--{name}-list".replace("_", "-"), type=_csv_of(types[name]),
                        default=None, help=f"comma-separated values for {key}")
     p.add_argument("--pems", type=_csv_of(str), default="lcrc",
                    help="comma-separated edge measures " + _DEFAULTS_HELP)

@@ -93,23 +93,15 @@ class DirectedGraph:
     def from_lag_matrix(cls, lag, delta: int | None = None) -> DirectedGraph:
         """The graph with lag[target, source] on each edge and NO_EDGE elsewhere.
 
-        lag holds integers, or floats that are all whole numbers. After its
-        dtype, shape and delta, a matrix is accepted from whole-matrix
-        reductions: a diagonal of NO_EDGE, no entry below NO_EDGE, at least
-        one edge and none above delta. Only a matrix they refuse has its edge
-        arrays walked through _checked_delta, whose error names the first
-        fault in (source, target) order."""
+        lag has an integer dtype, as every lag does. After its dtype, shape
+        and delta, a matrix is accepted from whole-matrix reductions: a
+        diagonal of NO_EDGE, no entry below NO_EDGE, at least one edge and
+        none above delta. Only a matrix they refuse has its edge arrays walked
+        through _checked_delta, whose error names the first fault in (source,
+        target) order."""
         lag = np.asarray(lag)
-        if lag.dtype.kind not in "iu":  # an integer dtype needs no pass over the entries
-            if lag.dtype.kind != "f":
-                raise ConfigurationError(f"lag matrix must hold integers, got {lag.dtype}")
-            whole = np.isfinite(lag) & (lag == np.floor(lag))
-            if not whole.all():
-                raise ConfigurationError(f"lag matrix entry {lag[~whole][0]} is not an integer")
-            wide = (lag < -(2.0**63)) | (lag >= 2.0**63)  # int64 holds [-2^63, 2^63)
-            if wide.any():
-                raise ConfigurationError(
-                    f"lag matrix entry {lag[wide][0]} is outside the int64 range")
+        if lag.dtype.kind not in "iu":
+            raise ConfigurationError(f"lag matrix must hold integers, got {lag.dtype}")
         lag = np.array(lag, dtype=np.int64)
         if lag.ndim != 2 or lag.shape[0] != lag.shape[1]:
             raise ConfigurationError(f"lag matrix must be square, got shape {lag.shape}")

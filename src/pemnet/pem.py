@@ -27,6 +27,12 @@ AUTO = "auto"
 PEM_KINDS = ("lc", "lccf", "lcrc", "gc")
 
 
+def _require_kind(kind) -> None:
+    """Raise ConfigurationError if kind is not one of PEM_KINDS."""
+    if kind not in PEM_KINDS:
+        raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
+
+
 @dataclass(frozen=True)
 class PEMMatrix:
     """An n x n matrix of pairwise edge scores; the diagonal is unused (NaN)."""
@@ -125,8 +131,10 @@ def _node_means(ts: TimeSeries) -> np.ndarray:
 def lagged_corrs(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(S_0..S_k_max, C_0..C_k_max), the lag-k covariances and correlations of
     ts as (k_max + 1, n, n) stacks, from one centering and one
-    sample_lagged_cov pass. A node whose lag-0 variance is within the roundoff
-    of centering its mean (a constant column) raises DataError.
+    sample_lagged_cov pass. A node whose lag-0 variance is not finite (its
+    squares overflow the float range) or is within the roundoff of centering
+    its mean (a constant column) raises DataError; numpy's overflow warnings
+    are silenced, since the refusal names the node.
 
     The mean (_node_means, which pem_gc shares) takes the column sums with
     np.einsum, one pass over the rows, where values.mean(axis=0) runs one short
@@ -136,11 +144,17 @@ def lagged_corrs(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     centered copy lives only for the kernel call: held until the correlations
     are allocated, it cost an n = 100, N = 1000 trial about 57 page faults.
     """
-    mean = _node_means(ts)
-    covs = sample_lagged_cov(ts.values - mean, k_max)
-    var = covs[0].diagonal()
-    roundoff = ts.n_obs * sys.float_info.epsilon * np.abs(mean)
-    bad = (var <= roundoff**2).nonzero()[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _node_means(ts)
+        covs = sample_lagged_cov(ts.values - mean, k_max)
+        var = covs[0].diagonal()
+        roundoff = ts.n_obs * sys.float_info.epsilon * np.abs(mean)
+        zero = var <= roundoff**2
+    bad = (~np.isfinite(var)).nonzero()[0]
+    if bad.size:
+        raise DataError(f"node {bad[0]} has variance {var[bad[0]]}: its squares overflow "
+                        "the float range; correlations undefined")
+    bad = zero.nonzero()[0]
     if bad.size:
         raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
     scale = np.sqrt(var)
@@ -204,10 +218,10 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
     cancels, so scores are differences of log error variances and are always
     >= 0 for nested fits. Each fit reads its residual sum of squares and rank
     from one np.linalg.lstsq call (_log_rss); a pair whose fit is rank
-    deficient, leaves no residual or fails in lstsq scores 0 and is flagged
-    gc_pair_failed:i,j. The unrestricted fit has N - p_hat rows and 2 p_hat
-    columns, so gc needs N >= 3 p_hat + 10 rows, 10 residual degrees of
-    freedom; fewer raise DataError.
+    deficient, leaves no residual, overflows the float range or fails in lstsq
+    scores 0 and is flagged gc_pair_failed:i,j. The unrestricted fit has
+    N - p_hat rows and 2 p_hat columns, so gc needs N >= 3 p_hat + 10 rows, 10
+    residual degrees of freedom; fewer raise DataError.
     """
     _require_integers(1, p_hat=p_hat)
     n_obs, n = ts.n_obs, ts.n
@@ -237,12 +251,12 @@ def pem_gc(ts: TimeSeries, p_hat: int = 1) -> PEMMatrix:
 def _log_rss(y: np.ndarray, design: np.ndarray) -> float | None:
     """log of the residual sum of squares of the least-squares fit of y on
     design, read with the rank from one lstsq call; None if the design is rank
-    deficient, the sum is not positive, or lstsq fails."""
+    deficient, the sum is not positive and finite, or lstsq fails."""
     try:
         _, rss, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     except np.linalg.LinAlgError:
         return None
-    if rank < design.shape[1] or not rss[0] > 0.0:
+    if rank < design.shape[1] or not 0.0 < rss[0] < math.inf:
         return None
     return math.log(rss[0])
 
@@ -304,8 +318,7 @@ def _reads(kind: str, dt_tau, delta_hat: int, n_obs: int) -> tuple[int, bool]:
     """(the deepest lag kind reads, 0 for gc; whether it reads the dt/tau estimate)
     at a checked delta_hat. A bad configuration raises ConfigurationError, a lag
     past N - 2 DataError naming the kind, delta_hat and the lag."""
-    if kind not in PEM_KINDS:
-        raise ConfigurationError(f"unknown PEM kind {kind!r}; expected one of {PEM_KINDS}")
+    _require_kind(kind)
     corrected = kind in ("lccf", "lcrc")
     if corrected and dt_tau != AUTO:
         _checked_dt_tau(dt_tau)

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import importlib.util
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -525,7 +526,7 @@ class TestSweep:
         assert fields[0] == "gnm"
         assert fields[-1] == ""  # empty error column on success
 
-    @pytest.mark.parametrize("values", [[-1], [0, "-2"]])
+    @pytest.mark.parametrize("values", [[-1], [0, -2]])
     def test_rejects_negative_delta_hat(self, values):
         with pytest.raises(ConfigurationError, match="delta_hat must be >= 0"):
             SweepSpec(grid={"delta_hat": values})
@@ -544,22 +545,28 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match=message):
             SweepSpec(grid=grid)
 
-    @pytest.mark.parametrize("grid, key", [
-        ({"n": [10.7], "delta": [0.9]}, "n"),  # int() would run n = 10, delta = 0
-        ({"delta": [0, 0.9]}, "delta"),
-        ({"N": ["1e3"]}, "N"),
-        ({"eps": ["x"]}, "eps"),
-        ({"model": [5]}, "model"),
-        ({"delta": [True]}, "delta"),  # int() would run delta = 1
-        ({"eps": [0.5, True]}, "eps"),
-    ])
-    def test_rejects_value_its_type_changes(self, grid, key):
-        with pytest.raises(ConfigurationError, match=f"for '{key}' is not of type"):
+    @pytest.mark.parametrize("grid, message", [
+        ({"n": [10.7], "delta": [0.9]}, "n must be an integer, got 10.7"),
+        ({"delta": [0, 0.9]}, "delta must be an integer, got 0.9"),
+        ({"N": ["1e3"]}, "n_obs must be an integer, got '1e3'"),
+        ({"eps": ["x"]}, "eps must lie in [0, inf), got 'x'"),
+        ({"model": [5]}, "unknown graph model 5"),
+        ({"delta": [True]}, "delta must be an integer, got True"),  # int() would run delta = 1
+        ({"eps": [0.5, True]}, "eps must lie in [0, inf), got True"),
+        ({"delta_hat": ["2"]}, "delta_hat must be an integer, got '2'"),
+    ], ids=["grid0-n", "grid1-delta", "grid2-N", "grid3-eps", "grid4-model", "grid5-delta",
+            "grid6-eps", "string-delta_hat"])
+    def test_rejects_value_its_type_changes(self, grid, message):
+        # a value reaches its config as given, and the config names the field
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             SweepSpec(grid=grid)
 
     def test_accepts_values_that_keep_their_value(self):
-        spec = SweepSpec(grid={"n": [10.0, np.int64(5), "12"], "eps": [1, "0.5"]})
-        assert [cell["n"] for cell in spec.cells()] == [10.0, 10.0, 5, 5, "12", "12"]
+        # numpy integers, and integers for a real field, reach the configs as given
+        spec = SweepSpec(grid={"n": [np.int64(5), 12], "eps": [1, 0.5]})
+        assert [cell["n"] for cell in spec.cells()] == [5, 5, 12, 12]
+        config, params, _ = bench._cell_setup(spec.cells()[0])
+        assert (config.n, params.eps) == (5, 1)
 
     def test_rejects_unknown_dt_tau_mode(self):
         with pytest.raises(ConfigurationError, match="unknown dt/tau mode 'bogus'"):
@@ -590,7 +597,7 @@ class TestSweep:
             SweepSpec(pems=())
 
     def test_cell_keys_map_onto_configs_and_columns(self):
-        grid = {"N": ["500"], "delta": [2], "eps": [0.5]}
+        grid = {"N": [500], "delta": [2], "eps": [0.5]}
         records = sweep(SweepSpec(grid=grid, trials=1, pems=("lc",)))
         (r,) = records
         assert r.config == GraphConfig(delta=2)

@@ -143,6 +143,15 @@ class TestInfer:
         text = capsys.readouterr().out
         assert f" m=45 truth=None edges-out={edges} " in text and " n=10 flags=none " in text
 
+    def test_edges_out_without_edge_count_exits_2_before_scoring(self, tmp_path, capsys):
+        # it once exited 0 and wrote no edge list
+        _, ts = self.make_inputs(tmp_path)
+        out, edges = tmp_path / "pem.txt", tmp_path / "inferred.txt"
+        assert run(["infer", "--ts", ts, "--pem", "lccf", "--edges-out", edges,
+                    "--out", out]) == 2
+        assert not out.exists() and not edges.exists()
+        assert "--edges-out needs an edge count: pass --m or --truth" in capsys.readouterr().err
+
     def test_degenerate_data_exits_3(self, tmp_path):
         g = tmp_path / "g.txt"
         ts = tmp_path / "ts.txt"
@@ -198,14 +207,13 @@ class TestInfer:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_dt_tau_estimate_exits_3(self, tmp_path, capsys):
         # finite values whose squares overflow: the lag covariances are inf
         ts, out = tmp_path / "ts.txt", tmp_path / "pem.txt"
         values = np.random.default_rng(36).standard_normal((200, 3)) * 1e160
         save_time_series(TimeSeries(values=values, dt=1.0), str(ts))
         assert run(["infer", "--ts", ts, "--pem", "lccf", "--out", out]) == 3
-        assert "automatic dt/tau estimation failed" in capsys.readouterr().err
+        assert "node 0 has variance inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gc_measure(self, tmp_path):

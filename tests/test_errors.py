@@ -78,6 +78,9 @@ COUNTS = [
       for name in ("seed", "trial")],
     *[("SweepSpec", name, lambda v, name=name: SweepSpec(**{name: v}))
       for name in ("trials", "jobs", "seed")],
+    *[("SweepSpec.grid", "n_obs" if key == "N" else key,
+       lambda v, key=key: SweepSpec(grid={key: [v]}))
+      for key in ("n", "delta", "N", "delta_hat")],
 ]
 
 
@@ -97,6 +100,14 @@ def test_true_is_no_count(entry, name, call):
     # a bool is an int to Python: SDDParams(delta=True) once ran at delta = 1
     with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got True"):
         call(True)
+
+
+@pytest.mark.parametrize("entry, name, call", COUNTS,
+                         ids=[f"{entry}-{name}" for entry, name, _ in COUNTS])
+def test_whole_float_is_no_count(entry, name, call):
+    # the sweep grid once read 2.0 as 2
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got 2.0"):
+        call(2.0)
 
 
 @pytest.mark.parametrize("interval, inside, outside", [

@@ -174,6 +174,18 @@ class TestSampleLaggedCorr:
         with pytest.raises(DataError, match="node 3 has zero variance"):
             lagged_corrs(ts, 4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, dt_tau", [("lc", 0.5), ("lccf", AUTO), ("lcrc", AUTO)])
+    def test_overflowing_node_is_named(self, kind, dt_tau):
+        # finite values whose squares overflow: once "non-finite off-diagonal
+        # entries" after numpy's overflow warnings, or the dt/tau median's nan
+        values = np.random.default_rng(36).standard_normal((200, 3)) * 1e155
+        ts = TimeSeries(values=values, dt=1.0)
+        result, _ = compute_pems(ts, [kind], dt_tau, 0)[kind]
+        assert isinstance(result, DataError)
+        assert str(result) == ("node 0 has variance inf: its squares overflow the float "
+                               "range; correlations undefined")
+
     @pytest.mark.parametrize("n_obs", [997, 1000, 10_000])
     @pytest.mark.parametrize("level", [0.1, 1.0 / 3.0, 7.1])
     @pytest.mark.parametrize("dt_tau", [0.5, AUTO])
@@ -641,11 +653,14 @@ class TestEstimateTauInv:
         # finite values whose squares overflow: the lag covariances are inf
         values = np.random.default_rng(36).standard_normal((200, 3)) * 1e160
         ts = TimeSeries(values=values, dt=1.0)
+        # lagged_corrs refuses the series first; a stack passed in reaches the median
         with pytest.raises(DataError, match=r"median of diag\(S_1 S_0\^-1\) is nan"):
+            estimate_tau_inv(ts, sample_lagged_cov(centered(ts), 1))
+        with pytest.raises(DataError, match="^node 0 has variance inf"):
             estimate_tau_inv(ts)
         for kind, (result, _) in compute_pems(ts, ["lccf", "lcrc"], AUTO, 0).items():
             assert isinstance(result, DataError), kind
-            assert str(result).startswith("automatic dt/tau estimation failed (median")
+            assert str(result).startswith("node 0 has variance inf"), kind
 
 
 class TestPemGc:
@@ -687,6 +702,15 @@ class TestPemGc:
         assert pem.flags == ("gc_pair_failed:1,3", "gc_pair_failed:3,1")
         assert pem.values[1, 3] == pem.values[3, 1] == 0.0
         assert (np.delete(off_diag(pem.values), [5, 10]) > 0.0).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_fits_flag_every_pair(self):
+        # log RSS was inf - inf = nan, which max(0.0, nan) scored 0 with no flag
+        values = np.random.default_rng(36).standard_normal((200, 3)) * 1e155
+        pem = pem_gc(TimeSeries(values=values, dt=1.0))
+        assert pem.flags == tuple(f"gc_pair_failed:{i},{j}"
+                                  for i in range(3) for j in range(3) if i != j)
+        assert (off_diag(pem.values) == 0.0).all()
 
     def test_failed_fit_flags_its_pair_and_scores_the_rest(self, monkeypatch):
         ts = TimeSeries(values=np.random.default_rng(38).standard_normal((300, 3)),
