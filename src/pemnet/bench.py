@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -182,9 +183,11 @@ def run_trial(
     delta_hat defaults to the true max lag; dt_tau defaults to the true dt/tau
     (pass AUTO to estimate it from the data). One compute_pems call scores the
     measures, each thresholded with the true edge count and scored on masks.
-    Deterministic given the seed, except for wall_time_s: the seconds that
-    compute_pems charges the measure, independent of the order of pems. seed
-    and trial are integers >= 0.
+    A PemnetError is caught here: in sampling or simulation it is every
+    measure's "graph: " or "simulate: " error, from compute_pems its measure's
+    "pem[kind]: " error. Deterministic given the seed, except for wall_time_s:
+    the seconds that compute_pems charges the measure, independent of the
+    order of pems. seed and trial are integers >= 0.
     """
     _require_lists(pems=pems)
     _require_integers(0, seed=seed, trial=trial)
@@ -195,36 +198,26 @@ def run_trial(
     d_hat = config.delta if delta_hat is None else delta_hat
     z = params.dt_tau if dt_tau is None else dt_tau
     rng = np.random.default_rng(seed)
-
-    def fail(stage, exc):
-        return [
-            TrialRecord(config, params, kind, d_hat, trial, seed,
-                        error=f"{stage}: {exc}")
-            for kind in pems
-        ]
-
+    record = partial(TrialRecord, config, params, delta_hat=d_hat, trial=trial, seed=seed)
+    stage = "graph"
     try:
         graph = gen_graph_non_nilpotent(config, rng)
         graph = assign_lags(graph, config.delta, rng)
         _, lag_mats = normalize_adjacency(graph)
-    except PemnetError as exc:
-        return fail("graph", exc)
-    try:
+        stage = "simulate"
         ts = simulate_sdd(lag_mats, params, rng)
         ts = add_measurement_noise(ts, params.eta, rng)
     except PemnetError as exc:
-        return fail("simulate", exc)
+        return [record(kind, error=f"{stage}: {exc}") for kind in pems]
     scored = compute_pems(ts, pems, dt_tau=z, delta_hat=d_hat)
     records = []
-    for kind in pems:
+    for kind in pems:  # not over scored: a repeated kind has one key there
         pem, wall = scored[kind]
         if isinstance(pem, PemnetError):
-            records.append(TrialRecord(config, params, kind, d_hat, trial, seed,
-                                       error=f"pem[{kind}]: {pem}"))
-            continue
-        phi = _mask_accuracy(_top_m_mask(pem.values, graph.m), graph.mask)
-        records.append(TrialRecord(config, params, kind, d_hat, trial, seed,
-                                   phi, wall, pem.flags))
+            records.append(record(kind, error=f"pem[{kind}]: {pem}"))
+        else:
+            phi = _mask_accuracy(_top_m_mask(pem.values, graph.m), graph.mask)
+            records.append(record(kind, accuracy=phi, wall_time_s=wall, flags=pem.flags))
     return records
 
 
@@ -288,25 +281,23 @@ def _cell_setup(cell: dict):
     return config, params, values.get("delta_hat")
 
 
-def _sweep_task(args):
-    spec, cell_index, (config, params, delta_hat), trial = args
-    return run_trial(config, params, list(spec.pems),
-                     derive_seed(spec.seed, cell_index, trial),
-                     delta_hat=delta_hat,
-                     dt_tau=AUTO if spec.dt_tau == "auto" else None, trial=trial)
+def _sweep_task(task):
+    return run_trial(*task)
 
 
 def sweep(spec: SweepSpec) -> list[TrialRecord]:
     """Run spec.trials trials of each cell, trial t of cell i seeded by
     derive_seed(spec.seed, i, t); serial, or in up to spec.jobs worker processes.
 
-    Failures become records with a non-empty error field. Records come cell by
+    Each task is the tuple of run_trial's arguments, which turns a failed
+    trial into records with a non-empty error field. Records come cell by
     cell, trial by trial, one per measure, whatever the number of jobs.
     """
+    pems, dt_tau = list(spec.pems), AUTO if spec.dt_tau == "auto" else None
     setups = [_cell_setup(cell) for cell in spec.cells()]
     tasks = [
-        (spec, cell_index, setup, trial)
-        for cell_index, setup in enumerate(setups)
+        (config, params, pems, derive_seed(spec.seed, i, trial), delta_hat, dt_tau, trial)
+        for i, (config, params, delta_hat) in enumerate(setups)
         for trial in range(spec.trials)
     ]
     workers = min(spec.jobs, len(tasks))  # a pool starts all its workers at once

@@ -444,10 +444,10 @@ def save_time_series(ts: TimeSeries, path: str) -> None:
 def load_time_series(path: str) -> TimeSeries:
     """Parse a time-series file; a bad header or row raises FileFormatError at its line."""
     (lineno, header), rows = _data_lines(path, "empty time-series file")
-    tokens = header.split()
     try:
-        n, n_obs, dt = int(tokens[0]), int(tokens[1]), float(tokens[2])
-    except (IndexError, ValueError) as exc:
+        n, n_obs, dt = header.split()
+        n, n_obs, dt = int(n), int(n_obs), float(dt)
+    except ValueError as exc:
         raise FileFormatError(f"{path}:{lineno}: bad header {header!r}") from exc
     if n < 1 or n_obs < 2 or not (math.isfinite(dt) and dt > 0):
         raise FileFormatError(f"{path}:{lineno}: bad header {header!r}: "

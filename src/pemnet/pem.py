@@ -277,22 +277,19 @@ def compute_pems(
     lc is the lag-1 correlation C_1; lccf and lcrc are the max over assumed
     edge lags d <= delta_hat of C_(1+d) - alpha C_d, where alpha_lccf
     (alpha_lcrc) cancels the shared-driver (reversed-edge) motif; gc is pem_gc
-    at p_hat = delta_hat + 1. Every kind needs an integer delta_hat >= 0,
-    checked once: a bad one is every kind's ConfigurationError. dt_tau, read by
-    lccf and lcrc only, lies in (0, 1] or is AUTO (estimate_tau_inv).
+    at p_hat = delta_hat + 1. Every kind needs an integer delta_hat >= 0: a bad
+    one is every kind's ConfigurationError. dt_tau, read by lccf and lcrc only,
+    lies in (0, 1] or is AUTO (estimate_tau_inv).
 
-    A kind whose configuration or lags (N - 2 at most) fail _reads fails before
-    any covariance. The lc family reads one lagged_corrs stack, as deep as its
-    deepest kind, and dt/tau estimated once if some kind reads AUTO. Maps each
+    A kind whose configuration (delta_hat among it) or lags (N - 2 at most)
+    fail _reads fails before any covariance. The lc family reads one
+    lagged_corrs stack, as deep as its deepest kind, and dt/tau estimated once
+    if some kind reads AUTO. Maps each
     kind to its matrix, or the PemnetError it raised, and the seconds of its
     own scoring plus the shared parts it reads, whatever the order of kinds.
     """
     _require_lists(kinds=kinds)
     kinds, reads, out = tuple(kinds), {}, {}
-    try:
-        _require_integers(0, delta_hat=delta_hat)
-    except ConfigurationError as exc:
-        return {kind: (exc, 0.0) for kind in kinds}
     for kind in kinds:
         try:
             reads[kind] = _reads(kind, dt_tau, delta_hat, ts.n_obs)
@@ -315,9 +312,10 @@ def compute_pems(
 
 
 def _reads(kind: str, dt_tau, delta_hat: int, n_obs: int) -> tuple[int, bool]:
-    """(the deepest lag kind reads, 0 for gc; whether it reads the dt/tau estimate)
-    at a checked delta_hat. A bad configuration raises ConfigurationError, a lag
-    past N - 2 DataError naming the kind, delta_hat and the lag."""
+    """(the deepest lag kind reads, 0 for gc; whether it reads the dt/tau estimate).
+    A bad configuration, delta_hat checked first, raises ConfigurationError, a
+    lag past N - 2 DataError naming the kind, delta_hat and the lag."""
+    _require_integers(0, delta_hat=delta_hat)
     _require_kind(kind)
     corrected = kind in ("lccf", "lcrc")
     if corrected and dt_tau != AUTO:

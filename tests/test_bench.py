@@ -312,6 +312,11 @@ class TestRunTrial:
             assert r.error == f"pem[{r.pem_kind}]: delta_hat must be an integer, got 0.5"
             assert np.isnan(r.accuracy)
 
+    def test_repeated_kind_is_a_record_each(self):
+        records = run_trial(GraphConfig(), SDDParams(), ["lc", "lccf", "lc"], seed=4)
+        assert [r.pem_kind for r in records] == ["lc", "lccf", "lc"]
+        assert records[0] == records[2] and not records[0].error
+
     def test_wall_time_measured(self):
         records = run_trial(GraphConfig(), SDDParams(), ["gc"], seed=1)
         assert records[0].wall_time_s > 0.0

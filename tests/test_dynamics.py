@@ -721,7 +721,7 @@ class TestTimeSeriesIO:
         with pytest.raises(FileFormatError, match=re.escape(message)):
             load_time_series(str(path))
 
-    @pytest.mark.parametrize("header", ["2 x 0.5", "2 2"])
+    @pytest.mark.parametrize("header", ["2 x 0.5", "2 2", "2 2 0.5 junk extra"])
     def test_bad_header_refused(self, tmp_path, header):
         path = tmp_path / "ts.txt"
         path.write_text(header + "\n0.0 0.0\n1.0 2.0\n")

@@ -223,9 +223,14 @@ class TestDirectedGraph:
          "lag matrix must hold integers, got float64"),
         (lambda: DirectedGraph.from_lag_matrix([[-1, -1e30], [-1, -1]]),
          "lag matrix must hold integers, got float64"),
+        # as uint64, -1 holds 2^64 - 1 and -2^63 holds 2^63; int64 would wrap them back
+        (lambda: DirectedGraph.from_lag_matrix(np.array([[-1, 0], [-1, -1]]).astype(np.uint64)),
+         "lag matrix dtype uint64 does not fit in int64"),
+        (lambda: DirectedGraph.from_lag_matrix(np.array([[-1, 0], [-2**63, -1]]).astype(np.uint64)),
+         "lag matrix dtype uint64 does not fit in int64"),
     ], ids=["n", "delta", "lag", "whole-float-lag", "matrix-delta", "matrix-fraction",
             "matrix-nan", "matrix-inf", "matrix-whole-float", "matrix-bool", "matrix-above-int64",
-            "matrix-below-int64"])
+            "matrix-below-int64", "matrix-uint64-max", "matrix-uint64-2^63"])
     @pytest.mark.filterwarnings("error")  # refused before numpy's cast could warn
     def test_counts_must_be_integers(self, build, message):
         with pytest.raises(ConfigurationError, match=message):
