@@ -374,8 +374,9 @@ def simulate_sdd(
     rho^(1/p) when every W_k >= 0 and rho is the radius of their sum; a radius
     of 0 burns p * n steps. Raises StabilityError for a radius within
     STABILITY_MARGIN of 1, and, before drawing any noise, when the burn-in
-    would need more than 10^7 noise values (b * n); a noise array the machine
-    cannot allocate raises ConfigurationError naming n_obs and n.
+    would need more than 10^7 noise values (b * n); a noise array, or the
+    kernel's state buffer that holds it, that the machine cannot allocate
+    raises ConfigurationError naming n_obs and n.
     """
     if params.dt_tau > 1.0:
         warnings.warn(
@@ -405,14 +406,14 @@ def simulate_sdd(
         )
     t_total = burn_steps + params.n_obs
     scale = params.sigma * math.sqrt(params.dt / n)
-    try:
+    try:  # the noise, then the kernel's state buffer that holds it
         noise = rng.standard_normal((t_total, n))
+        noise *= scale
+        x = sdd_recurrence(w, noise)
     except (ValueError, MemoryError) as exc:  # numpy's "array is too big", or no memory
         raise ConfigurationError(
             f"cannot hold the noise for n_obs={params.n_obs} at n={n}: {exc}"
         ) from exc
-    noise *= scale
-    x = sdd_recurrence(w, noise)
     if not np.isfinite(x).all():
         raise NumericalError("simulation produced non-finite values")
     return TimeSeries(values=x[burn_steps:], dt=params.dt)
@@ -424,14 +425,20 @@ def add_measurement_noise(
     """Add per-entry Gaussian noise with variance eta^2 * dt / n.
 
     The variance matches the per-step system-noise scaling, so eta equal to the
-    system noise strength is the comparable regime.
+    system noise strength is the comparable regime. A draw the machine cannot
+    allocate raises ConfigurationError naming n_obs and n.
     """
     _require_reals("[0, inf)", eta=eta)
     if eta == 0.0:
         return ts
     scale = eta * math.sqrt(ts.dt / ts.n)
-    return TimeSeries(values=ts.values + rng.standard_normal(ts.values.shape) * scale,
-                      dt=ts.dt)
+    try:
+        values = ts.values + rng.standard_normal(ts.values.shape) * scale
+    except MemoryError as exc:
+        raise ConfigurationError(
+            f"cannot hold the measurement noise for n_obs={ts.n_obs} at n={ts.n}: {exc}"
+        ) from exc
+    return TimeSeries(values=values, dt=ts.dt)
 
 
 def save_time_series(ts: TimeSeries, path: str) -> None:

@@ -1,11 +1,11 @@
 """Directed ground-truth networks: generators, lag assignment, metrics, serialization.
 
-A graph is one (n, n) integer lag matrix: lag[target, source] = k for an edge
-source -> target with transmission lag k, NO_EDGE (-1) elsewhere. Its mask
-lag != NO_EDGE is the adjacency A[target, source], so row i lists the inputs of
-node i. Everything from generation to accuracy works on these arrays; the
-sorted (source, target) edge tuples and the lags dict are views built on first
-use, for edge-list I/O, the CLI and tests.
+A graph is one (n, n) signed integer lag matrix: lag[target, source] = k for
+an edge source -> target with transmission lag k, NO_EDGE (-1) elsewhere. Its
+mask lag != NO_EDGE is the adjacency A[target, source], so row i lists the
+inputs of node i. Everything from generation to accuracy works on these
+arrays; the one view, the sorted (source, target) edge tuples built on first
+use, is read by perfbench's reference check and by tests.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ NO_EDGE = -1
 
 # gen_graph_non_nilpotent gives up after this many nilpotent draws.
 _MAX_NILPOTENT_DRAWS = 1000
+
+# _preferential_attachment_pairs gives up after this many leftover-edge draws.
+_MAX_LEFTOVER_DRAWS = 100_000
 
 Edge = tuple[int, int]
 
@@ -58,13 +61,14 @@ def _checked_delta(n: int, sources, targets, lags, delta: int | None) -> int:
 
 
 class DirectedGraph:
-    """A directed graph with per-edge transmission lags, held as a lag matrix.
+    """A directed graph with per-edge transmission lags, held as one lag matrix.
 
     Built from (source, target) pairs and a lags dict (a missing lag is 0; a
     lag on a pair that is not an edge is refused), or from a lag matrix with
     from_lag_matrix, and validated once. delta is the largest lag the
     generating configuration allows (None: the largest one assigned). lag and
-    mask are read-only.
+    mask are read-only; edges, the one view, lists the sorted (source,
+    target) pairs.
     """
 
     def __init__(self, n: int, edges, lags: dict[Edge, int] | None = None,
@@ -93,17 +97,16 @@ class DirectedGraph:
     def from_lag_matrix(cls, lag, delta: int | None = None) -> DirectedGraph:
         """The graph with lag[target, source] on each edge and NO_EDGE elsewhere.
 
-        lag has an integer dtype that int64 holds, as every lag does. After
-        its dtype, shape and delta, a matrix is accepted from whole-matrix
-        reductions: a diagonal of NO_EDGE, no entry below NO_EDGE, at least
-        one edge and none above delta. A matrix they refuse has a fault that
-        _checked_delta, walking its edge arrays, names: the first in (source,
-        target) order."""
+        lag has a signed integer dtype, since NO_EDGE is -1, and is read as
+        int64, which holds every such dtype. After its dtype, shape and delta,
+        a matrix is accepted from whole-matrix reductions: a diagonal of
+        NO_EDGE, no entry below NO_EDGE, at least one edge and none above
+        delta. A matrix they refuse has a fault that _checked_delta, walking
+        its edge arrays, names: the first in (source, target) order."""
         lag = np.asarray(lag)
-        if lag.dtype.kind not in "iu":
-            raise ConfigurationError(f"lag matrix must hold integers, got {lag.dtype}")
-        if not np.can_cast(lag.dtype, np.int64):
-            raise ConfigurationError(f"lag matrix dtype {lag.dtype} does not fit in int64")
+        if lag.dtype.kind != "i":
+            raise ConfigurationError(
+                f"lag matrix must hold signed integers (NO_EDGE is -1), got {lag.dtype}")
         lag = np.array(lag, dtype=np.int64)
         if lag.ndim != 2 or lag.shape[0] != lag.shape[1]:
             raise ConfigurationError(f"lag matrix must be square, got shape {lag.shape}")
@@ -127,15 +130,8 @@ class DirectedGraph:
         sources, targets = np.nonzero(self.mask.T)
         return tuple(zip(sources.tolist(), targets.tolist()))
 
-    @cached_property
-    def lags(self) -> dict[Edge, int]:
-        return dict(zip(self.edges, self.lag.T[self.mask.T].tolist()))
-
     def adjacency(self) -> np.ndarray:
         return self.mask.astype(float)
-
-    def has_edge(self, source: int, target: int) -> bool:
-        return (source, target) in self.lags
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -323,7 +319,7 @@ def _preferential_attachment_pairs(
             degree[e[0]] += 1
             degree[e[1]] += 1
         guard += 1
-        if guard > 100_000:
+        if guard > _MAX_LEFTOVER_DRAWS:
             raise ConfigurationError("preferential attachment failed to place edges")
     return sorted(edges)
 

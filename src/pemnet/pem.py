@@ -134,7 +134,8 @@ def lagged_corrs(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     sample_lagged_cov pass. A node whose lag-0 variance is not finite (its
     squares overflow the float range) or is within the roundoff of centering
     its mean (a constant column) raises DataError; numpy's overflow warnings
-    are silenced, since the refusal names the node.
+    are silenced, since the refusal names the node. Arrays the machine cannot
+    allocate raise ConfigurationError naming k_max, n_obs and n.
 
     The mean (_node_means, which pem_gc shares) takes the column sums with
     np.einsum, one pass over the rows, where values.mean(axis=0) runs one short
@@ -144,21 +145,25 @@ def lagged_corrs(ts: TimeSeries, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     centered copy lives only for the kernel call: held until the correlations
     are allocated, it cost an n = 100, N = 1000 trial about 57 page faults.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = _node_means(ts)
-        covs = sample_lagged_cov(ts.values - mean, k_max)
-        var = covs[0].diagonal()
-        roundoff = ts.n_obs * sys.float_info.epsilon * np.abs(mean)
-        zero = var <= roundoff**2
-    bad = (~np.isfinite(var)).nonzero()[0]
-    if bad.size:
-        raise DataError(f"node {bad[0]} has variance {var[bad[0]]}: its squares overflow "
-                        "the float range; correlations undefined")
-    bad = zero.nonzero()[0]
-    if bad.size:
-        raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
-    scale = np.sqrt(var)
-    return covs, covs / (scale[:, None] * scale)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = _node_means(ts)
+            covs = sample_lagged_cov(ts.values - mean, k_max)
+            var = covs[0].diagonal()
+            roundoff = ts.n_obs * sys.float_info.epsilon * np.abs(mean)
+            zero = var <= roundoff**2
+        bad = (~np.isfinite(var)).nonzero()[0]
+        if bad.size:
+            raise DataError(f"node {bad[0]} has variance {var[bad[0]]}: its squares overflow "
+                            "the float range; correlations undefined")
+        bad = zero.nonzero()[0]
+        if bad.size:
+            raise DataError(f"node {bad[0]} has zero variance; correlations undefined")
+        scale = np.sqrt(var)
+        return covs, covs / (scale[:, None] * scale)
+    except MemoryError as exc:  # the centered copy, the stack or the correlations
+        raise ConfigurationError(f"cannot hold the lag stack to k_max={k_max} for "
+                                 f"n_obs={ts.n_obs} at n={ts.n}: {exc}") from exc
 
 
 def alpha_lccf(dt_tau: float) -> float:
@@ -284,9 +289,11 @@ def compute_pems(
     A kind whose configuration (delta_hat among it) or lags (N - 2 at most)
     fail _reads fails before any covariance. The lc family reads one
     lagged_corrs stack, as deep as its deepest kind, and dt/tau estimated once
-    if some kind reads AUTO. Maps each
-    kind to its matrix, or the PemnetError it raised, and the seconds of its
-    own scoring plus the shared parts it reads, whatever the order of kinds.
+    if some kind reads AUTO; a shared part that fails, a stack too large to
+    allocate among them, is the error of each kind that reads it, and gc reads
+    neither. Maps each kind to its matrix, or the PemnetError it raised, and
+    the seconds of its own scoring plus the shared parts it reads, whatever
+    the order of kinds.
     """
     _require_lists(kinds=kinds)
     kinds, reads, out = tuple(kinds), {}, {}
@@ -297,8 +304,8 @@ def compute_pems(
             out[kind] = exc, 0.0
     depth = max((lag for lag, _ in reads.values()), default=0)
     stack = _timed(lagged_corrs, ts, depth) if depth else (None, 0.0)
-    tau = None, 0.0  # each shared part is (its value or DataError, seconds)
-    if any(est for _, est in reads.values()) and not isinstance(stack[0], DataError):
+    tau = None, 0.0  # each shared part is (its value or PemnetError, seconds)
+    if any(est for _, est in reads.values()) and not isinstance(stack[0], PemnetError):
         tau = _timed(_estimated_dt_tau, ts, stack[0][0])
     for kind, (lag, est) in reads.items():
         t0 = time.perf_counter()
@@ -326,11 +333,11 @@ def _reads(kind: str, dt_tau, delta_hat: int, n_obs: int) -> tuple[int, bool]:
 
 
 def _timed(build, *args):
-    """(build(*args), or the DataError it raised, and its seconds)."""
+    """(build(*args), or the PemnetError it raised, and its seconds)."""
     t0 = time.perf_counter()
     try:
         value = build(*args)
-    except DataError as exc:
+    except PemnetError as exc:
         value = exc
     return value, time.perf_counter() - t0
 
@@ -347,11 +354,11 @@ def _estimated_dt_tau(ts: TimeSeries, covs: np.ndarray) -> tuple[float, tuple[st
 
 def _score(ts: TimeSeries, kind: str, stack, tau, delta_hat: int) -> PEMMatrix:
     """kind scored from the shared (covs, corrs) stack and (dt/tau, flags); a
-    shared part whose build failed raises its DataError."""
+    shared part whose build failed raises its PemnetError."""
     if kind == "gc":
         return pem_gc(ts, p_hat=delta_hat + 1)
     for part in (stack, tau):
-        if isinstance(part, DataError):
+        if isinstance(part, PemnetError):
             raise part
     corrs, (z, flags) = stack[1], tau
     if kind == "lc":

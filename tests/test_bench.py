@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import pemnet.dynamics
 import pemnet.pem
 from pemnet import bench, cli
 from pemnet.bench import (
@@ -518,6 +519,32 @@ class TestSweep:
         good = [r for r in records if not r.error]
         assert len(failed) == 2 and len(good) == 2
         assert all(np.isnan(r.accuracy) for r in failed)
+
+    def test_trial_out_of_memory_keeps_every_other_row(self, monkeypatch):
+        # the first trial at n = 10 cannot hold its states: its records carry
+        # the refusal, and every other trial keeps the rows it would have had
+        spec = SweepSpec(grid={"n": [5, 10]}, trials=2, seed=3, pems=("lc", "gc"))
+        want = sweep(spec)
+        real, failed = pemnet.dynamics.sdd_recurrence, []
+
+        def out_of_memory_once(w, noise):
+            if noise.shape[1] == 10 and not failed:
+                failed.append(noise.shape)
+                raise MemoryError("Unable to allocate the states")
+            return real(w, noise)
+
+        monkeypatch.setattr(pemnet.dynamics, "sdd_recurrence", out_of_memory_once)
+        got = sweep(spec)
+        assert len(got) == len(want) == 8
+        for i, (g, w) in enumerate(zip(got, want)):
+            if i in (4, 5):  # cell 1, trial 0: one record per measure
+                assert g.error == ("simulate: cannot hold the noise for n_obs=1000 at n=10: "
+                                   "Unable to allocate the states")
+                assert (g.config, g.pem_kind, g.trial) == (w.config, w.pem_kind, w.trial)
+            else:
+                assert dataclasses.replace(g, wall_time_s=0.0) == dataclasses.replace(
+                    w, wall_time_s=0.0)
+                assert not g.error
 
     def test_csv_format(self, tmp_path):
         spec = SweepSpec(trials=1, seed=0, pems=("lcrc",))

@@ -346,6 +346,15 @@ class TestSimulate:
                            match=f"cannot hold the noise for n_obs={n_obs} at n=3: "):
             simulate_sdd(ring_mats(), SDDParams(n_obs=n_obs), rng)
 
+    def test_unallocatable_state_buffer_is_a_configuration_error(self, monkeypatch):
+        def out_of_memory(w, noise):
+            raise MemoryError(f"Unable to allocate the states of {noise.shape}")
+
+        monkeypatch.setattr(pemnet.dynamics, "sdd_recurrence", out_of_memory)
+        with pytest.raises(ConfigurationError,
+                           match="cannot hold the noise for n_obs=1000 at n=3: Unable"):
+            simulate_sdd(ring_mats(), SDDParams(n_obs=1000), np.random.default_rng(0))
+
 
 def burn_of(lag_mats, params):
     """The burn-in simulate_sdd uses: the noise rows it draws beyond n_obs."""
@@ -663,6 +672,12 @@ class TestMeasurementNoise:
         noisy = add_measurement_noise(ts, params.sigma, np.random.default_rng(11))
         ratio = noisy.values.var(axis=0) / ts.values.var(axis=0)
         assert np.abs(ratio - 2.0).max() < 0.1
+
+    def test_unallocatable_draw_is_a_configuration_error(self):
+        ts = simulate_sdd(ring_mats(), SDDParams(n_obs=100), np.random.default_rng(9))
+        with pytest.raises(ConfigurationError, match="cannot hold the measurement noise "
+                                                     "for n_obs=100 at n=3: Unable"):
+            add_measurement_noise(ts, 0.1, OutOfMemoryRng())
 
     @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -0.1])
     def test_bad_eta_refused_as_configuration(self, eta):

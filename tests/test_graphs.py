@@ -154,7 +154,8 @@ class TestDirectedGraph:
         # an edge list's lags come from its own edge rows
         path = tmp_path / "g.txt"
         path.write_text("3 2 2\n0 1 2\n1 2 1\n")
-        assert load_edge_list(str(path)).lags == {(0, 1): 2, (1, 2): 1}
+        assert load_edge_list(str(path)) == DirectedGraph.from_lag_matrix(
+            [[-1, -1, -1], [2, -1, -1], [-1, 1, -1]], delta=2)
 
     def test_lag_matrix_accepted_exactly_where_its_edge_arrays_are(self, monkeypatch):
         # from_lag_matrix accepts from whole-matrix reductions; the edge arrays
@@ -199,6 +200,8 @@ class TestDirectedGraph:
         with pytest.raises(ConfigurationError, match="n must be >= 1, got 0"):
             DirectedGraph.from_lag_matrix(np.zeros((0, 0), dtype=int))
 
+    SIGNED_ONLY = r"lag matrix must hold signed integers \(NO_EDGE is -1\), got "
+
     @pytest.mark.parametrize("build, message", [
         (lambda: DirectedGraph(3.0, [(0, 1)]), "n must be an integer, got 3.0"),
         (lambda: DirectedGraph(3, [(0, 1)], {(0, 1): 1}, delta=1.5),
@@ -210,27 +213,33 @@ class TestDirectedGraph:
         (lambda: DirectedGraph.from_lag_matrix([[-1, 1], [-1, -1]], delta=1.7),
          "delta must be an integer, got 1.7"),
         (lambda: DirectedGraph.from_lag_matrix([[-1, 1.6], [-1, -1]]),
-         "lag matrix must hold integers, got float64"),
+         SIGNED_ONLY + "float64"),
         (lambda: DirectedGraph.from_lag_matrix([[-1, np.nan], [-1, -1]]),
-         "lag matrix must hold integers, got float64"),
+         SIGNED_ONLY + "float64"),
         (lambda: DirectedGraph.from_lag_matrix([[-1, np.inf], [-1, -1]]),
-         "lag matrix must hold integers, got float64"),
+         SIGNED_ONLY + "float64"),
         (lambda: DirectedGraph.from_lag_matrix([[-1, 1.0], [-1, -1]]),
-         "lag matrix must hold integers, got float64"),
+         SIGNED_ONLY + "float64"),
         (lambda: DirectedGraph.from_lag_matrix([[False, True], [False, False]]),
-         "lag matrix must hold integers, got bool"),
+         SIGNED_ONLY + "bool"),
         (lambda: DirectedGraph.from_lag_matrix([[-1, 1e30], [-1, -1]]),
-         "lag matrix must hold integers, got float64"),
+         SIGNED_ONLY + "float64"),
         (lambda: DirectedGraph.from_lag_matrix([[-1, -1e30], [-1, -1]]),
-         "lag matrix must hold integers, got float64"),
-        # as uint64, -1 holds 2^64 - 1 and -2^63 holds 2^63; int64 would wrap them back
+         SIGNED_ONLY + "float64"),
+        # no unsigned dtype holds NO_EDGE, so the dtype is at fault, not the diagonal;
+        # as uint64, -1 holds 2^64 - 1 and -2^63 holds 2^63, which int64 would wrap back
         (lambda: DirectedGraph.from_lag_matrix(np.array([[-1, 0], [-1, -1]]).astype(np.uint64)),
-         "lag matrix dtype uint64 does not fit in int64"),
+         SIGNED_ONLY + "uint64"),
         (lambda: DirectedGraph.from_lag_matrix(np.array([[-1, 0], [-2**63, -1]]).astype(np.uint64)),
-         "lag matrix dtype uint64 does not fit in int64"),
+         SIGNED_ONLY + "uint64"),
+        (lambda: DirectedGraph.from_lag_matrix(np.array([[-1, 0], [1, -1]]).astype(np.uint32)),
+         SIGNED_ONLY + "uint32"),
+        (lambda: DirectedGraph.from_lag_matrix(np.array([[-1, 0], [1, -1]]).astype(np.uint8)),
+         SIGNED_ONLY + "uint8"),
     ], ids=["n", "delta", "lag", "whole-float-lag", "matrix-delta", "matrix-fraction",
             "matrix-nan", "matrix-inf", "matrix-whole-float", "matrix-bool", "matrix-above-int64",
-            "matrix-below-int64", "matrix-uint64-max", "matrix-uint64-2^63"])
+            "matrix-below-int64", "matrix-uint64-max", "matrix-uint64-2^63", "matrix-uint32",
+            "matrix-uint8"])
     @pytest.mark.filterwarnings("error")  # refused before numpy's cast could warn
     def test_counts_must_be_integers(self, build, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -238,7 +247,7 @@ class TestDirectedGraph:
 
     def test_integer_counts_pass(self):
         g = DirectedGraph(np.int64(3), [(0, 1)], {(0, 1): np.int32(1)}, delta=np.int64(2))
-        assert (g.n, g.delta, g.lags) == (3, 2, {(0, 1): 1})
+        assert (g.n, g.delta, g.lag[1, 0], g.m) == (3, 2, 1, 1)
         # a lag matrix of another integer dtype is read as the int64 one
         lag = np.array([[-1, 1], [-1, -1]])
         got = DirectedGraph.from_lag_matrix(lag.astype(np.int8), delta=np.int64(1))
@@ -248,14 +257,13 @@ class TestDirectedGraph:
         edges = ((2, 0), (0, 1), (0, 2), (3, 1), (0, 1))
         g = DirectedGraph(4, edges, {(0, 2): 3, (3, 1): 1})
         assert g.edges == ((0, 1), (0, 2), (2, 0), (3, 1))
-        assert g.lags == {(0, 1): 0, (0, 2): 3, (2, 0): 0, (3, 1): 1}
         assert (g.m, g.delta) == (4, 3)
         expected = np.full((4, 4), NO_EDGE)
-        for (u, v), k in g.lags.items():
+        for (u, v), k in {(0, 1): 0, (0, 2): 3, (2, 0): 0, (3, 1): 1}.items():
             expected[v, u] = k
         assert np.array_equal(g.lag, expected)
+        assert np.array_equal(g.mask, expected != NO_EDGE)
         assert g == DirectedGraph.from_lag_matrix(expected)
-        assert g.has_edge(0, 2) and not g.has_edge(2, 1) and not g.has_edge(-1, 0)
         with pytest.raises(ValueError):
             g.lag[0, 1] = 0  # read-only
 
@@ -344,6 +352,13 @@ class TestGenBackbone:
             deg = undirected_degrees(g)
             heavy += deg.max() >= deg.mean() + 2
         assert heavy >= 50
+
+    def test_ba_gives_up_on_leftover_edges_it_cannot_place(self, monkeypatch):
+        # n = 10 attaches 30 of the 34 backbone edges; no draw may place the rest
+        monkeypatch.setattr(pemnet.graphs, "_MAX_LEFTOVER_DRAWS", 0)
+        with pytest.raises(ConfigurationError,
+                           match="preferential attachment failed to place edges"):
+            gen_backbone(GraphConfig(model="ba"), np.random.default_rng(0))
 
     def test_generator_targets_across_models(self):
         # density within 1/(n(n-1)) and reciprocity within 2/m of the targets
@@ -440,12 +455,12 @@ class TestAssignLags:
         rng, fresh = np.random.default_rng(6), np.random.default_rng(6)
         out = assign_lags(g, 4, rng)
         assert out.edges == g.edges
-        assert [out.lags[e] for e in g.edges] == fresh.integers(0, 5, size=g.m).tolist()
+        assert [out.lag[v, u] for u, v in g.edges] == fresh.integers(0, 5, size=g.m).tolist()
         assert rng.random() == fresh.random()
 
     def test_support_bound(self):
         g = assign_lags(complete_graph(8), 5, np.random.default_rng(1))
-        assert max(g.lags.values()) <= 5
+        assert g.lag.max() <= 5
         assert g.delta == 5
 
     def test_uniform_frequencies(self):
@@ -453,7 +468,7 @@ class TestAssignLags:
         g = assign_lags(complete_graph(33), 5, np.random.default_rng(2))
         m = g.m
         assert m >= 1000
-        counts = np.bincount(list(g.lags.values()), minlength=6)
+        counts = np.bincount(g.lag[g.mask], minlength=6)
         sigma = np.sqrt((1 / 6) * (5 / 6) / m)
         assert np.abs(counts / m - 1 / 6).max() < 4 * sigma
 
@@ -652,11 +667,8 @@ class TestEdgeListIO:
         path = tmp_path / "g.txt"
         save_edge_list(g, str(path))
         assert path.read_text() == f"{g.n} {g.m} {g.delta}\n" + "".join(
-            f"{u} {v} {g.lags[(u, v)]}\n" for u, v in g.edges)
-        loaded = load_edge_list(str(path))
-        assert loaded.edges == g.edges
-        assert loaded.lags == g.lags
-        assert loaded.delta == g.delta
+            f"{u} {v} {g.lag[v, u]}\n" for u, v in g.edges)
+        assert load_edge_list(str(path)) == g
 
     def test_rejects_self_loop(self, tmp_path):
         path = tmp_path / "bad.txt"

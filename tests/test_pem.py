@@ -322,6 +322,20 @@ class TestLagStack:
         assert isinstance(got["lccf"][0], DataError)
         assert str(got["lccf"][0]) == "lccf at delta_hat=5 reads lag 6: needs N >= 8, got N=6"
 
+    def test_unallocatable_stack_is_each_readers_error(self, ts, monkeypatch):
+        # the lc family reads the stack and records the refusal; gc still scores
+        def out_of_memory(x, k):
+            raise MemoryError(f"Unable to allocate a stack of {k + 1} lags")
+
+        monkeypatch.setattr(pemnet.pem, "sample_lagged_cov", out_of_memory)
+        got = compute_pems(ts, ["lc", "lccf", "gc", "lcrc"], dt_tau=AUTO, delta_hat=1)
+        message = ("cannot hold the lag stack to k_max=2 for n_obs=2000 at n=6: "
+                   "Unable to allocate a stack of 3 lags")
+        for kind in ("lc", "lccf", "lcrc"):
+            assert isinstance(got[kind][0], ConfigurationError)
+            assert str(got[kind][0]) == message
+        assert isinstance(got["gc"][0], PEMMatrix)
+
     def test_mixed_kinds_check_every_configuration_first(self, ts, monkeypatch):
         # a bad kind gets its own error; the good ones still share one pass,
         # and a call with no good kind makes none
@@ -514,7 +528,7 @@ class TestPemLc:
             non_edges = [
                 values[i, j]
                 for i in range(5) for j in range(5)
-                if i != j and not g.has_edge(j, i) and (i, j) != (1, 0)
+                if i != j and not g.mask[i, j] and (i, j) != (1, 0)
             ]
             wins += edge_score > max(non_edges)
         assert wins >= 90
